@@ -2310,7 +2310,7 @@ int __pyx_module_is_main_xtrees___fastmatch = 0;
 /* Implementation of "xtrees._fastmatch" */
 /* #### Code section: global_var ### */
 /* #### Code section: string_decls ### */
-static const char __pyx_k_Compiled_kernel_for_order_preser[] = "Compiled kernel for order-preserving subgraph embedding search.\n\nMirrors xtrees._match_py.order_embeddings exactly (same signature, same\nresults in the same order); see that module for the algorithm description.\nHost positions are tracked in fixed 256-bit bitsets (4 x uint64), so hosts are\ncapped at 256 vertices and patterns at 16 \342\200\224 both far above the budgets that\nthe public API enforces.\n";
+static const char __pyx_k_Compiled_kernel_for_order_preser[] = "Compiled kernel for order-preserving subgraph embedding search.\n\nKeeps the anchored search (no doubled host, no forward checking) and returns\nthe same lists as xtrees._match_py.order_embeddings, in the same order.\nHost positions are tracked in fixed 256-bit bitsets (4 x uint64), so hosts are\ncapped at 256 vertices and patterns at 16 \342\200\224 both far above the budgets that\nthe public API enforces.\n";
 /* #### Code section: decls ### */
 static PyObject *__pyx_pf_6xtrees_10_fastmatch_order_embeddings(CYTHON_UNUSED PyObject *__pyx_self, int __pyx_v_n, PyObject *__pyx_v_adj, int __pyx_v_p, PyObject *__pyx_v_pat_edges, int __pyx_v_cyclic, int __pyx_v_limit); /* proto */
 /* #### Code section: late_includes ### */

@@ -1,8 +1,8 @@
 # cython: language_level=3, boundscheck=False, wraparound=False
 """Compiled kernel for order-preserving subgraph embedding search.
 
-Mirrors xtrees._match_py.order_embeddings exactly (same signature, same
-results in the same order); see that module for the algorithm description.
+Keeps the anchored search (no doubled host, no forward checking) and returns
+the same lists as xtrees._match_py.order_embeddings, in the same order.
 Host positions are tracked in fixed 256-bit bitsets (4 x uint64), so hosts are
 capped at 256 vertices and patterns at 16 — both far above the budgets that
 the public API enforces.

@@ -4,16 +4,26 @@ This is the reference implementation of the hot loop shared by containment
 queries, the solver and the acceptance checks. A compiled twin with the same
 signature lives in _fastmatch.pyx; xtrees.kernels picks one at import time.
 
-The search assigns pattern vertices 0..p-1 (0-based here) to host positions in
-increasing (linear) or anchored cyclic order, backtracking over bitmask
-candidate sets:
+One backtracking search serves both orders. It assigns pattern vertices
+0..p-1 (0-based here) to increasing positions of a window of host positions,
+over bitmask candidate sets:
 
 * candidates for pattern vertex v = positions after the previous image,
   capped so enough room remains for the rest of the pattern, intersected with
   the host adjacency masks of all already-placed pattern neighbours of v;
-* cyclic order is handled by anchoring pattern vertex 0 on every host vertex
-  in turn and comparing positions relative to the anchor, so each embedding is
-  found exactly once.
+* forward checking (Haralick & Elliott 1980): v may take position x only if
+  every later pattern neighbour w of v keeps a candidate, i.e. a position in
+  adj[x], in the adjacency of every placed neighbour of w, and in the window
+  [x + (w - v), end - (p - w)] that leaves room for the vertices between and
+  after. This prunes only branches that cannot complete, so it changes no
+  result and no order.
+
+Linear order searches the window [0, n). Cyclic order searches a doubled
+host, positions 0..2n-1 where position i stands for host vertex i mod n: for
+each anchor t, pattern vertex 0 is pinned at t and the same search runs over
+the window [t, t + n), whose positions are the host vertices in increasing
+offset from t. Every embedding is found exactly once, under the anchor that
+is its image of vertex 0, and images are reported mod n.
 
 Only backward pattern edges (u, v) with u < v are consulted, which is all of
 them since edges are normalised.
@@ -38,66 +48,53 @@ def order_embeddings(n, adj, p, pat_edges, cyclic, limit=0):
     prev = [[] for _ in range(p)]
     for u, v in pat_edges:
         prev[v].append(u)
-    full = (1 << n) - 1
+    # forward checks after placing v: each later neighbour w of v, with the
+    # neighbours of w placed before v and the least gap w - v to v's image
+    later = [[] for _ in range(p)]
+    for v, w in pat_edges:
+        later[v].append((w, [u for u in prev[w] if u < v], w - v))
+    if cyclic:
+        adj = [a | a << n for a in adj] * 2
     out = []
     img = [0] * p
 
-    if not cyclic:
-        def extend(v, lo):
-            hi = n - (p - v)  # inclusive; leaves room for vertices v+1..p-1
-            m = (full >> (n - 1 - hi)) & ~((1 << lo) - 1) if hi >= lo else 0
-            for u in prev[v]:
-                m &= adj[img[u]]
-            while m:
-                b = m & -m
-                m ^= b
-                img[v] = b.bit_length() - 1
-                if v + 1 == p:
-                    out.append(tuple(img))
+    def extend(v, m):
+        """Place v at each position of m in turn; True once limit is reached."""
+        checks = []
+        for w, placed, gap in later[v]:
+            c = top[w]
+            for u in placed:
+                c &= adj[img[u]]
+            if not c:
+                return False
+            checks.append((c, gap))
+        nxt = v + 1
+        while m:
+            b = m & -m
+            m ^= b
+            x = b.bit_length() - 1
+            a = adj[x]
+            for c, gap in checks:
+                if not (c & a) >> (x + gap):
+                    break
+            else:
+                img[v] = x
+                if nxt == p:
+                    out.append(tuple([i % n for i in img]) if cyclic else tuple(img))
                     if limit and len(out) >= limit:
                         return True
-                elif extend(v + 1, img[v] + 1):
+                    continue
+                mn = top[nxt] >> (x + 1) << (x + 1)
+                for u in prev[nxt]:
+                    mn &= adj[img[u]]
+                if mn and extend(nxt, mn):
                     return True
-            return False
+        return False
 
-        extend(0, 0)
-        return out
-
-    # cyclic: anchor the image of pattern vertex 0
-    def cyc_mask(t, lo, hi):
-        """Positions whose offset from t lies in [lo, hi] (offsets mod n)."""
-        a, b = (t + lo) % n, (t + hi) % n
-        if a <= b:
-            return ((1 << (b + 1)) - 1) & ~((1 << a) - 1)
-        return (full & ~((1 << a) - 1)) | ((1 << (b + 1)) - 1)
-
-    for t in range(n):
-        img[0] = t
-        if p == 1:
-            out.append((t,))
-            if limit and len(out) >= limit:
-                return out
-            continue
-
-        def extend_c(v, lorel):
-            m = cyc_mask(t, lorel, n - (p - v))
-            for u in prev[v]:
-                m &= adj[img[u]]
-            # iterate in increasing offset-from-anchor order
-            while m:
-                lowpart = m & ~((1 << t) - 1)  # offsets t..n-1 come first
-                b = (lowpart & -lowpart) if lowpart else (m & -m)
-                m ^= b
-                q = b.bit_length() - 1
-                img[v] = q
-                if v + 1 == p:
-                    out.append(tuple(img))
-                    if limit and len(out) >= limit:
-                        return True
-                elif extend_c(v + 1, (q - t) % n + 1):
-                    return True
-            return False
-
-        if extend_c(1, 1):
-            return out
+    for t in range(n if cyclic else 1):
+        end = t + n if cyclic else n  # the window is [t, end)
+        # top[v]: the positions up to the last one that leaves room for v+1..p-1
+        top = [(1 << (end - p + v + 1)) - 1 for v in range(p)]
+        if extend(0, 1 << t if cyclic else top[0]):
+            break
     return out

@@ -38,7 +38,7 @@ def graph_from_dict(d: dict) -> _Graph:
         raise InputError(f"graph document lacks required key {missing}") from None
     if mode not in _MODES:
         raise InputError(f"unknown mode {mode!r} (expected 'ordered' or 'cg')")
-    if not isinstance(n, int):
+    if type(n) is not int:
         raise InputError(f"n must be an integer, got {n!r}")
     return _MODES[mode](n, edges, colors=d.get("colors"))
 

@@ -20,7 +20,6 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
@@ -32,7 +31,9 @@ Edge = tuple[int, int]
 def _normalize_edge(e: Sequence[int]) -> Edge:
     if len(e) != 2:
         raise InputError(f"edge must have two endpoints, got {e!r}")
-    u, v = int(e[0]), int(e[1])
+    u, v = e
+    if type(u) is not int or type(v) is not int:
+        raise InputError(f"edge endpoints must be integers, got {e!r}")
     if u == v:
         raise InputError(f"loop edge {u}-{v} rejected")
     return (u, v) if u < v else (v, u)
@@ -69,7 +70,9 @@ class _Graph:
     def __init__(self, n: int, edges: Iterable[Sequence[int]] = (), colors=None):
         norm = _check_edges(n, edges)
         if colors is not None:
-            colors = [int(c) for c in colors]
+            colors = list(colors)
+            if any(type(c) is not int for c in colors):
+                raise InputError(f"colors must be integers, got {colors!r}")
             if len(colors) != len(norm):
                 raise InputError("colors must parallel the edge list")
             if any(c < 1 for c in colors):
@@ -95,16 +98,6 @@ class _Graph:
     @property
     def edge_set(self) -> frozenset:
         return frozenset(self.edges)
-
-    def color_of(self, e: Sequence[int]) -> int:
-        if self.colors is None:
-            raise InputError("graph has no edge coloring")
-        return self.colors[self.edges.index(_normalize_edge(e))]
-
-    def color_map(self) -> dict:
-        if self.colors is None:
-            raise InputError("graph has no edge coloring")
-        return dict(zip(self.edges, self.colors))
 
     def degree(self, v: int) -> int:
         return sum(1 for e in self.edges if v in e)
@@ -228,13 +221,6 @@ class IntervalSplit:
                 out.append(tuple(part))
         return out
 
-    def part_index(self) -> dict:
-        idx = {}
-        for i, part in enumerate(self.parts()):
-            for v in part:
-                idx[v] = i
-        return idx
-
 
 def _edge_free_starts(g: _Graph) -> list[int]:
     """s[e] = smallest s such that the interval [s..e] contains no edge of g
@@ -318,34 +304,3 @@ def reflect(g: CgGraph) -> CgGraph:
     if g.mode != "cg":
         raise InputError("reflection is only defined on the circle")
     return g.relabeled({v: g.n + 1 - v for v in range(1, g.n + 1)})
-
-
-def transform(g: _Graph, op: str, r: int = 0):
-    """Dispatch helper: op in {'mirror', 'rotate', 'reflect'}."""
-    if op == "mirror":
-        return mirror(g)
-    if op == "rotate":
-        return rotate(g, r)
-    if op == "reflect":
-        return reflect(g)
-    raise InputError(f"unknown transform {op!r}")
-
-
-def no_edge_inside_parts(g: _Graph, split: IntervalSplit) -> bool:
-    """Validator: no edge of g has both endpoints in one part of the split."""
-    idx = split.part_index()
-    return all(idx[u] != idx[v] for u, v in g.edges)
-
-
-def all_two_splits(g: _Graph):
-    """Yield every witness 2-split (used by brute-force oracles in tests)."""
-    if g.mode == "ordered":
-        for cut in range(1, g.n):
-            split = IntervalSplit("ordered", g.n, (cut, g.n))
-            if no_edge_inside_parts(g, split):
-                yield split
-    else:
-        for b1, b2 in itertools.combinations(range(1, g.n + 1), 2):
-            split = IntervalSplit("cg", g.n, (b1, b2))
-            if no_edge_inside_parts(g, split):
-                yield split

@@ -177,8 +177,11 @@ def extremal_number(n: int, pattern: _Graph, naive: bool = False) -> ExtremalRes
 
 
 def _check_result(r: ExtremalResult) -> None:
-    assert len(r.witness.edges) == r.value, "witness has the wrong edge count"
-    assert not contains(r.witness, r.pattern), "witness contains the pattern"
+    """Raise AssertionError unless the witness is pattern-free of the claimed size."""
+    if len(r.witness.edges) != r.value:
+        raise AssertionError("witness has the wrong edge count")
+    if contains(r.witness, r.pattern):
+        raise AssertionError("witness contains the pattern")
 
 
 # --- constructive embeddings into dense hosts -------------------------------

@@ -81,11 +81,6 @@ def increasing_chain(edges) -> Optional[tuple]:
     return tuple(chain)
 
 
-def is_increasing_tree(t: OrderedGraph) -> bool:
-    """Whether the whole tree is a single increasing chain."""
-    return t.is_tree() and increasing_chain(t.edges) is not None
-
-
 @dataclass(frozen=True)
 class ZDecomposition:
     """A tree split into increasing core plus the two hub fans.
@@ -498,18 +493,6 @@ def is_zigzag(t: CgGraph) -> bool:
     if _crossing_pairs(t):
         return False
     return chi_cyclic(t) == 2
-
-
-def is_heavy_edge(t: CgGraph, e) -> bool:
-    """Whether both endpoints of e have a neighbor on one common side of e."""
-    if not isinstance(t, CgGraph):
-        raise InputError("is_heavy_edge expects a cg graph")
-    u, v = _norm(*e)
-    if (u, v) not in t.edge_set:
-        raise InputError(f"{(u, v)} is not an edge of the graph")
-    side_u = {arc_side(t.n, (u, v), x) for x in t.neighbors(u) if x != v}
-    side_v = {arc_side(t.n, (u, v), x) for x in t.neighbors(v) if x != u}
-    return bool(side_u & side_v)
 
 
 # ---------------------------------------------------------------------------

@@ -193,21 +193,31 @@ class Walk4:
         )
 
     def check(self, g: ColoredBipartite, start_side: Optional[str] = None) -> None:
-        """Raise AssertionError unless this walk is valid in g."""
+        """Raise AssertionError unless this walk is valid in g.
+
+        The checks raise explicitly, so they also run under ``python -O``.
+        """
         side = _check_kind_side(self.kind, start_side)
         vs, cs = self.vertices, self.colors
         for i, e in enumerate(self.edges):
-            assert e in g._color, f"{e} not an edge"
-            assert g.color_of(*e) == cs[i], f"color mismatch on {e}"
+            if e not in g._color:
+                raise AssertionError(f"{e} not an edge")
+            if g.color_of(*e) != cs[i]:
+                raise AssertionError(f"color mismatch on {e}")
         for i in range(3):
-            assert self.edges[i] != self.edges[i + 1], "consecutive edges equal"
+            if self.edges[i] == self.edges[i + 1]:
+                raise AssertionError("consecutive edges equal")
         c1, c2, c3, c4 = cs
-        assert c2 < c3 < c4, "need c2 < c3 < c4"
+        if not c2 < c3 < c4:
+            raise AssertionError("need c2 < c3 < c4")
         if self.kind == "fast":
-            assert c4 <= c1, "fast needs c4 <= c1"
+            if not c4 <= c1:
+                raise AssertionError("fast needs c4 <= c1")
         else:
-            assert c2 < c1 <= c4, "slow needs c2 < c1 <= c4"
-            assert g.side_of(vs[0]) == side, f"slow walk must start in {side}"
+            if not c2 < c1 <= c4:
+                raise AssertionError("slow needs c2 < c1 <= c4")
+            if g.side_of(vs[0]) != side:
+                raise AssertionError(f"slow walk must start in {side}")
 
 
 def find_forbidden_walk(

@@ -2,13 +2,16 @@
 
 The kernel (compiled or pure, whichever is active) must return exactly the
 embeddings the permutation oracle finds, on both orders, including under
-reflection. Random cases are seeded; a few pinned cases document the
-semantics directly.
+reflection. Every loadable kernel is also checked directly: same set as the
+oracle, in the documented order, with ``limit`` taking a prefix. Random cases
+are seeded or drawn by hypothesis; a few pinned cases document the semantics
+directly.
 """
 
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from xtrees.containment import (
     MAX_HOST,
@@ -20,6 +23,7 @@ from xtrees.containment import (
     validate_embedding,
 )
 from xtrees.errors import BudgetError, InputError
+from xtrees.kernels import available_kernels
 from xtrees.order import CgGraph, OrderedGraph, mirror, reflect, rotate
 from xtrees.oracles import oracle_contains, oracle_iter_embeddings
 
@@ -154,3 +158,54 @@ class TestValidationAndBudget:
         pattern = OrderedGraph(MAX_PATTERN + 2, [])
         with pytest.raises(BudgetError):
             contains(OrderedGraph(10, []), pattern)
+
+
+def _pairs(n):
+    return [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
+
+
+@st.composite
+def _kernel_cases(draw):
+    """(host, pattern) of one mode: hosts with n <= 10, patterns with p <= 5."""
+    cls = draw(st.sampled_from((OrderedGraph, CgGraph)))
+    n = draw(st.integers(min_value=1, max_value=10))
+    p = draw(st.integers(min_value=1, max_value=5))
+    host = cls(n, draw(st.lists(st.sampled_from(_pairs(n)), unique=True)) if n > 1 else [])
+    pattern = cls(p, draw(st.lists(st.sampled_from(_pairs(p)), unique=True)) if p > 1 else [])
+    return host, pattern
+
+
+def _run(kernel, host, pattern, limit=0):
+    pat = [(u - 1, v - 1) for u, v in pattern.edges]
+    return kernel(host.n, host.adjacency_masks(), pattern.n, pat, host.mode == "cg", limit)
+
+
+@pytest.mark.parametrize("kernel", list(available_kernels().values()), ids=list(available_kernels()))
+class TestKernels:
+    """Each loadable kernel, called directly, against the oracle and its own contract."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_kernel_cases(), st.integers(min_value=1, max_value=4))
+    def test_oracle_set_order_and_limit(self, kernel, case, k):
+        host, pattern = case
+        full = _run(kernel, host, pattern)
+        if pattern.n > host.n:
+            assert full == [] and _run(kernel, host, pattern, k) == []
+            return
+        want = {tuple(x - 1 for x in e.map) for e in oracle_iter_embeddings(host, pattern)}
+        assert len(full) == len(set(full)) and set(full) == want
+        # linear: lexicographic; cyclic: by anchor (image of vertex 0), then
+        # by offset from the anchor, which is lexicographic in the linear case
+        n = host.n
+        assert full == sorted(full, key=lambda m: (m[0], [(x - m[0]) % n for x in m]))
+        assert _run(kernel, host, pattern, k) == full[:k]
+
+    @pytest.mark.parametrize("cls", [OrderedGraph, CgGraph])
+    def test_single_vertex_pattern_hits_every_vertex(self, kernel, cls):
+        host = cls(5, [(1, 3)])
+        assert _run(kernel, host, cls(1, [])) == [(x,) for x in range(5)]
+        assert _run(kernel, host, cls(1, []), 2) == [(0,), (1,)]
+
+    @pytest.mark.parametrize("cls", [OrderedGraph, CgGraph])
+    def test_pattern_larger_than_host_has_no_embedding(self, kernel, cls):
+        assert _run(kernel, cls(3, [(1, 2), (2, 3)]), cls(4, [])) == []

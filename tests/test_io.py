@@ -56,11 +56,26 @@ def test_extra_keys_are_ignored():
         {"n": 3, "edges": []},
         {"mode": "cg", "n": "three", "edges": []},
         [1, 2, 3],
+        {"mode": "ordered", "n": 3, "edges": [[1.7, 2.2]]},
+        {"mode": "ordered", "n": 3, "edges": ["12"]},
+        {"mode": "ordered", "n": 3, "edges": [[True, 2]]},
     ],
 )
 def test_malformed_documents(doc):
     with pytest.raises(InputError):
         graph_from_dict(doc)
+
+
+@given(st.one_of(st.booleans(), st.floats(), st.text()))
+def test_non_integer_n_rejected(n):
+    with pytest.raises(InputError):
+        graph_from_dict({"mode": "ordered", "n": n, "edges": []})
+
+
+@given(st.one_of(st.booleans(), st.floats(), st.text()))
+def test_non_integer_color_rejected(c):
+    with pytest.raises(InputError):
+        graph_from_dict({"mode": "cg", "n": 3, "edges": [[1, 2]], "colors": [c]})
 
 
 def test_invalid_json_text(tmp_path):

@@ -59,6 +59,33 @@ class TestValidation:
         assert g.colors == (5, 7)
 
 
+class TestStrictInputs:
+    """Endpoints and colors must be ints: bools, floats and strings are
+    rejected rather than coerced."""
+
+    non_ints = st.one_of(st.booleans(), st.floats(), st.text(), st.none())
+
+    @given(non_ints, st.integers(min_value=1, max_value=4), st.booleans())
+    def test_non_integer_endpoint_rejected(self, bad, good, first):
+        with pytest.raises(InputError):
+            OrderedGraph(4, [(bad, good) if first else (good, bad)])
+
+    @given(st.integers(min_value=1, max_value=9), st.integers(min_value=1, max_value=9))
+    def test_string_edge_rejected(self, u, v):
+        with pytest.raises(InputError):
+            CgGraph(9, [f"{u}{v}"])
+
+    @given(st.floats(min_value=1, max_value=4), st.floats(min_value=1, max_value=4))
+    def test_float_edge_rejected(self, u, v):
+        with pytest.raises(InputError):
+            OrderedGraph(4, [(u, v)])
+
+    @given(non_ints)
+    def test_non_integer_color_rejected(self, bad):
+        with pytest.raises(InputError):
+            CgGraph(4, [(1, 2), (3, 4)], colors=[1, bad])
+
+
 class TestCrossing:
     def test_linear_interleaved(self):
         g = OrderedGraph(4, [(1, 3), (2, 4)])

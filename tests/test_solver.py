@@ -1,6 +1,7 @@
 """Exact extremal numbers: pinned values, golden data, oracle agreement,
 bounds and refusal behavior."""
 
+import dataclasses
 import itertools
 import json
 import random
@@ -11,7 +12,7 @@ import pytest
 from xtrees.containment import contains
 from xtrees.errors import BudgetError, InputError
 from xtrees.order import CgGraph, OrderedGraph
-from xtrees.solver import SOLVER_MAX_N, extremal_number
+from xtrees.solver import SOLVER_MAX_N, _check_result, extremal_number
 from xtrees.trees import (
     CROSSING_P3_EDGES,
     enumerate_trees,
@@ -129,3 +130,18 @@ class TestRefusalsAndValidation:
         assert r.nodes > 0 and r.seconds >= 0
         d = r.as_dict()
         assert d["value"] == 7 and d["mode"] == "ordered"
+
+
+class TestSelfCheck:
+    """_check_result rejects a result that its witness does not back."""
+
+    def test_wrong_edge_count_rejected(self):
+        r = extremal_number(5, Z3)
+        with pytest.raises(AssertionError, match="edge count"):
+            _check_result(dataclasses.replace(r, value=r.value + 1))
+
+    def test_witness_containing_the_pattern_rejected(self):
+        r = extremal_number(5, Z3)
+        k5 = OrderedGraph(5, list(itertools.combinations(range(1, 6), 2)))
+        with pytest.raises(AssertionError, match="contains the pattern"):
+            _check_result(dataclasses.replace(r, witness=k5, value=len(k5.edges)))

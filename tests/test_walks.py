@@ -1,7 +1,10 @@
 """Walk detection and walk-free extraction in edge-colored bipartite graphs."""
 
 import json
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -155,3 +158,21 @@ class TestExtraction:
         a = extract_walk_free(g, "fast", seed=0)
         b = extract_walk_free(g, "fast", seed=123)
         assert a.size == b.size  # exhaustive search ignores the shuffle order
+
+
+def test_walk_check_rejects_under_optimize():
+    """Walk4.check raises explicitly, so python -O keeps the check."""
+    code = (
+        "from xtrees.constructions import f_n\n"
+        "from xtrees.walks import ColoredBipartite, Walk4\n"
+        "g = ColoredBipartite.from_colored_graph(f_n(16))\n"
+        "try:\n"
+        "    Walk4((10, 3, 4, 1, 8), (3, 1, 2, 2), 'fast').check(g)\n"
+        "except AssertionError as exc:\n"
+        "    print('debug', __debug__, 'rejected', exc)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("debug False rejected"), proc.stdout
