@@ -1,7 +1,7 @@
 """Pure-Python kernel for order-preserving subgraph embedding search.
 
 This is the reference implementation of the hot loop shared by containment
-queries, the solver and the acceptance checks. A compiled twin with the same
+queries and the acceptance checks. A compiled twin with the same
 signature lives in _fastmatch.pyx; xtrees.kernels picks one at import time.
 
 One backtracking search serves both orders. It assigns pattern vertices

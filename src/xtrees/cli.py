@@ -313,7 +313,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", choices=("all",), default="all")
     p.add_argument("--checks", help="comma-separated subset, e.g. c01,c05")
     p.add_argument("--report", help="write a .csv or .json report here")
-    p.add_argument("--jobs", type=int, help="worker threads (or XTREES_VERIFY_JOBS)")
+    p.add_argument("--jobs", type=int, help="worker processes (or XTREES_VERIFY_JOBS)")
     p.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
     p.set_defaults(func=_cmd_verify)
 

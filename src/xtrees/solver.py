@@ -2,12 +2,24 @@
 
 ``extremal_number`` finds the maximum edge count of an n-vertex pattern-free
 graph by branch-and-bound over the edges of the complete host, in a canonical
-order (by length, then left endpoint), include-branch first. Containment is
-tested incrementally against the precomputed set of edge-image bitmasks of
-all order-preserving (or cyclic-order-preserving) placements of the pattern,
-so adding one edge only consults placements whose image uses that edge. The
-admissible bound is the number of undecided edges. n is capped at 8; larger
-requests are refused rather than approximated.
+order (by length, then left endpoint), include-branch first. The placements
+of the pattern are precomputed as edge-image bitmasks; on the complete host
+they are counted out from vertex subsets rather than searched for.
+
+* Closing lists: when edge i is decided every later edge is still absent, so
+  including i can only complete a placement whose highest edge index is i.
+  ``closing[i]`` holds those placements with bit i cleared, and edge i is
+  blocked iff one of them lies inside the current edge set. The test is exact.
+* Packing bound: a placement is live while none of its edges is excluded.
+  Greedily pick live placements whose undecided parts are pairwise disjoint;
+  each must still lose one of its own undecided edges, so count + undecided
+  minus the number picked bounds every completion. A node is pruned as soon
+  as that bound is at most the best count found.
+
+The bound is admissible, so no ancestor of the first optimal leaf in DFS
+order is pruned before that leaf is reached: the value and the witness are
+those of the plain undecided-edges bound, only with far fewer nodes. n is
+capped at 8; larger requests are refused rather than approximated.
 
 ``embed_dense`` turns the inductive extremal proofs into algorithms. Both
 modes recurse by deleting a bounded set of extreme edges from the host,
@@ -39,11 +51,11 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Optional, Union
 
 from .containment import Embedding, contains, validate_embedding
 from .errors import BudgetError, InputError
-from .kernels import order_embeddings
 from .order import CgGraph, OrderedGraph, _Graph, mirror, rotate
 from .trees import CgZDecomposition, ZDecomposition, cg_z_decompose, z_decompose
 from .trees import validate_decomposition
@@ -87,17 +99,22 @@ def _canonical_edges(n: int) -> list[tuple[int, int]]:
 
 
 def _placement_masks(n: int, pattern: _Graph, index: dict) -> list[int]:
-    """Edge-image bitmasks of every placement of the pattern in [n]."""
-    full = [((1 << n) - 1) & ~(1 << i) for i in range(n)]
-    pat = [(u - 1, v - 1) for u, v in pattern.edges]
-    maps = order_embeddings(n, full, pattern.n, pat, pattern.mode == "cg", 0)
+    """Edge-image bitmasks of every placement of the pattern in [n].
+
+    The host is complete, so placements are counted out rather than searched
+    for: every increasing p-tuple is a linear placement, and every p-subset
+    read from each of its p starting points is a cyclic one.
+    """
+    p = pattern.n
+    shifts = range(p) if pattern.mode == "cg" else range(1)
     masks = set()
-    for m in maps:
-        mask = 0
-        for u, v in pattern.edges:
-            a, b = m[u - 1] + 1, m[v - 1] + 1
-            mask |= 1 << index[(min(a, b), max(a, b))]
-        masks.add(mask)
+    for c in combinations(range(1, n + 1), p):
+        for s in shifts:
+            mask = 0
+            for u, v in pattern.edges:
+                a, b = c[(u - 1 + s) % p], c[(v - 1 + s) % p]
+                mask |= 1 << index[(min(a, b), max(a, b))]
+            masks.add(mask)
     return sorted(masks)
 
 
@@ -139,32 +156,46 @@ def extremal_number(n: int, pattern: _Graph, naive: bool = False) -> ExtremalRes
     edges = _canonical_edges(n)
     index = {e: i for i, e in enumerate(edges)}
     masks = _placement_masks(n, pattern, index)
-    by_edge: list[list[int]] = [[] for _ in edges]
+    # Edges are decided in index order and every later edge is still absent,
+    # so adding edge i can only complete a placement whose top edge is i.
+    closing: list[list[int]] = [[] for _ in edges]
     for m in masks:
-        mm = m
-        while mm:
-            low = mm & -mm
-            by_edge[low.bit_length() - 1].append(m)
-            mm ^= low
+        top = m.bit_length() - 1
+        closing[top].append(m ^ (1 << top))
     total = len(edges)
     best = -1
     best_mask = 0
     nodes = 0
 
-    def rec(i: int, cur: int, count: int) -> None:
+    def rec(i: int, cur: int, count: int, live: list[int]) -> None:
         nonlocal best, best_mask, nodes
         nodes += 1
-        if count + (total - i) <= best:
+        undecided = total - i
+        if count + undecided <= best:
             return
         if i == total:
             best, best_mask = count, cur
             return
-        with_edge = cur | (1 << i)
-        if not any(m & ~with_edge == 0 for m in by_edge[i]):
-            rec(i + 1, with_edge, count + 1)
-        rec(i + 1, cur, count)
+        # Live placements (no edge excluded) with pairwise disjoint undecided
+        # parts each still have to lose one of their own undecided edges.
+        used = 0
+        packed = 0
+        for m in live:
+            r = m >> i
+            if not r & used:
+                used |= r
+                packed += 1
+        if count + undecided - packed <= best:
+            return
+        bit = 1 << i
+        for r in closing[i]:
+            if r & cur == r:
+                break
+        else:
+            rec(i + 1, cur | bit, count + 1, live)
+        rec(i + 1, cur, count, [m for m in live if not m & bit])
 
-    rec(0, 0, 0)
+    rec(0, 0, 0, masks)
     chosen = [edges[i] for i in range(total) if best_mask >> i & 1]
     cls = type(pattern)
     witness = cls(n, sorted(chosen))

@@ -8,21 +8,23 @@ solver/oracle agreement and a metamorphic invariance sweep.  Frozen expected
 values live under ``golden/`` at the repository root; checks that consume
 them recompute everything and compare.
 
-``run_suite`` executes checks concurrently (thread count from ``--jobs`` or
-``XTREES_VERIFY_JOBS``) and reports in check-id order, independent of
-completion order.  ``write_csv`` / ``write_json`` serialise a report.
+``run_suite`` runs checks in worker processes (process count from ``--jobs``
+or ``XTREES_VERIFY_JOBS``; one job runs them serially in this process), times
+each check inside the process that runs it, and reports in check-id order,
+independent of completion order.  ``write_csv`` / ``write_json`` serialise a
+report.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
 import os
 import random
 import time
 import traceback
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import combinations, permutations
 from pathlib import Path
@@ -738,7 +740,7 @@ def run_suite(
     jobs: Optional[int] = None,
     seed: int = 0,
 ) -> list[CheckResult]:
-    """Run the requested checks concurrently; results come back in id order."""
+    """Run the requested checks in worker processes; results come back in id order."""
     ids = list(check_ids) if check_ids is not None else list(CHECK_IDS)
     for cid in ids:
         if cid not in CHECKS:
@@ -746,8 +748,18 @@ def run_suite(
     workers = jobs if jobs is not None else _default_jobs()
     if workers < 1:
         raise InputError("jobs must be positive")
-    with ThreadPoolExecutor(max_workers=min(workers, len(ids) or 1)) as pool:
-        results = list(pool.map(lambda cid: run_check(cid, seed), ids))
+    workers = min(workers, len(ids))
+    if workers <= 1:
+        results = [run_check(cid, seed) for cid in ids]
+    else:
+        # Imported here: the process machinery would otherwise add to every
+        # import of the package.
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        ctx = multiprocessing.get_context("spawn")
+        with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
+            results = list(pool.map(functools.partial(run_check, seed=seed), ids))
     return sorted(results, key=lambda r: r.check_id)
 
 

@@ -29,3 +29,10 @@ def test_criterion(suite_results, check_id):
 
 def test_gate_is_green(suite_results):
     assert all_passed(suite_results.values())
+
+
+def test_processes_match_serial():
+    serial = run_suite(["c05", "c06"], jobs=1)
+    pooled = run_suite(["c05", "c06"], jobs=2)
+    assert [r.check_id for r in pooled] == [r.check_id for r in serial] == ["c05", "c06"]
+    assert [r.status for r in pooled] == [r.status for r in serial]

@@ -8,11 +8,20 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from xtrees.containment import contains
 from xtrees.errors import BudgetError, InputError
+from xtrees.io import graph_to_dict
+from xtrees.kernels import order_embeddings
 from xtrees.order import CgGraph, OrderedGraph
-from xtrees.solver import SOLVER_MAX_N, _check_result, extremal_number
+from xtrees.solver import (
+    SOLVER_MAX_N,
+    _canonical_edges,
+    _check_result,
+    _placement_masks,
+    extremal_number,
+)
 from xtrees.trees import (
     CROSSING_P3_EDGES,
     enumerate_trees,
@@ -57,6 +66,7 @@ class TestGolden:
             pattern = cls(entry["pattern_n"], [tuple(e) for e in entry["pattern"]])
             r = extremal_number(entry["n"], pattern)
             assert r.value == entry["value"], entry
+            assert graph_to_dict(r.witness) == entry["witness"], entry
 
 
 class TestOracleAgreement:
@@ -74,9 +84,55 @@ class TestOracleAgreement:
         star = CgGraph(3, [(1, 2), (1, 3)])
         assert extremal_number(5, star).value == extremal_number(5, star, naive=True).value
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_arbitrary_patterns(self, data):
+        """Any edge set, not only trees: the bounds must stay admissible."""
+        cls = data.draw(st.sampled_from([OrderedGraph, CgGraph]))
+        p = data.draw(st.integers(min_value=2, max_value=4))
+        pairs = list(itertools.combinations(range(1, p + 1), 2))
+        chosen = data.draw(st.lists(st.sampled_from(pairs), min_size=1, unique=True))
+        pattern = cls(p, chosen)
+        n = data.draw(st.integers(min_value=p, max_value=5))
+        r = extremal_number(n, pattern)
+        assert r.value == extremal_number(n, pattern, naive=True).value
+        assert len(r.witness.edges) == r.value
+        assert not contains(r.witness, pattern)
+
     def test_naive_refuses_above_five(self):
         with pytest.raises(BudgetError):
             extremal_number(6, Z3, naive=True)
+
+
+def _kernel_masks(n, pattern, index):
+    """Placement masks from a full kernel enumeration on the complete host."""
+    full = [((1 << n) - 1) & ~(1 << i) for i in range(n)]
+    pat = [(u - 1, v - 1) for u, v in pattern.edges]
+    masks = set()
+    for m in order_embeddings(n, full, pattern.n, pat, pattern.mode == "cg", 0):
+        mask = 0
+        for u, v in pattern.edges:
+            a, b = m[u - 1] + 1, m[v - 1] + 1
+            mask |= 1 << index[(min(a, b), max(a, b))]
+        masks.add(mask)
+    return sorted(masks)
+
+
+class TestSearch:
+    @pytest.mark.parametrize("mode", ["linear", "cyclic"])
+    def test_counted_placements_match_the_kernel(self, mode):
+        for k in (1, 2, 3):
+            for t in enumerate_trees(k, mode):
+                for n in range(t.n, 8):
+                    index = {e: i for i, e in enumerate(_canonical_edges(n))}
+                    assert _placement_masks(n, t, index) == _kernel_masks(n, t, index)
+
+    def test_crossing_path_node_ceiling(self):
+        """The packing bound keeps n = 8 to a few thousand nodes; the
+        undecided-edges bound alone needs over a million."""
+        r = extremal_number(8, P)
+        assert r.value == 17
+        assert r.nodes <= 10_000
 
 
 class TestStructuralBounds:
