@@ -220,6 +220,8 @@ def _cmd_verify(args) -> int:
     ids = None
     if args.checks:
         ids = [c.strip() for c in args.checks.split(",") if c.strip()]
+    if args.report and not args.report.endswith((".csv", ".json")):
+        raise InputError("--report must end in .csv or .json")
     results = verify_mod.run_suite(ids, jobs=args.jobs, seed=args.seed)
     for r in results:
         line = f"{r.check_id}  {r.status:4s}  {r.seconds:7.1f}s  {r.name}"
@@ -231,10 +233,8 @@ def _cmd_verify(args) -> int:
     if args.report:
         if args.report.endswith(".csv"):
             verify_mod.write_csv(results, args.report)
-        elif args.report.endswith(".json"):
-            verify_mod.write_json(results, args.report)
         else:
-            raise InputError("--report must end in .csv or .json")
+            verify_mod.write_json(results, args.report)
     return EXIT_OK if ok else EXIT_VERIFY_FAILED
 
 
@@ -313,7 +313,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", choices=("all",), default="all")
     p.add_argument("--checks", help="comma-separated subset, e.g. c01,c05")
     p.add_argument("--report", help="write a .csv or .json report here")
-    p.add_argument("--jobs", type=int, help="worker processes (or XTREES_VERIFY_JOBS)")
+    p.add_argument("--jobs", type=int, help="worker processes (default: CPU count, at most 4)")
     p.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
     p.set_defaults(func=_cmd_verify)
 

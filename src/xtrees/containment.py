@@ -11,8 +11,8 @@ the images. Cyclic containment is orientation-preserving by default;
 reflections (order-reversing maps) are searched only when requested, and only
 for cg graphs.
 
-The search itself lives in xtrees.kernels (compiled when available); this
-module handles budgets, reflection, deduplication and independent validation.
+The search itself lives in xtrees.kernels; this module handles budgets,
+reflection, deduplication and independent validation.
 """
 
 from __future__ import annotations
@@ -142,7 +142,7 @@ def contains(host: _Graph, pattern: _Graph, *, allow_reflection: bool = False) -
 def validate_embedding(host: _Graph, pattern: _Graph, emb: Embedding) -> bool:
     """Independently check an Embedding; returns True or raises InputError.
 
-    Deliberately shares no code with the search kernels: order preservation
+    Deliberately shares no code with the search kernel: order preservation
     and edge preservation are verified from first principles so that search
     bugs cannot hide behind a matching validator.
     """

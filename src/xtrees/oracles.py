@@ -2,7 +2,7 @@
 
 Everything here trades speed for obviousness: containment by enumerating all
 vertex subsets, extremal numbers by enumerating all edge subsets. These
-functions are the measuring sticks for the search kernels and the
+functions are the measuring sticks for the search kernel and the
 branch-and-bound solver; they deliberately share no code with them.
 """
 

@@ -201,26 +201,6 @@ class IntervalSplit:
     def k(self) -> int:
         return len(self.boundaries)
 
-    def parts(self) -> list[tuple[int, ...]]:
-        bs = self.boundaries
-        out = []
-        if self.mode == "ordered":
-            start = 1
-            for b in bs:
-                out.append(tuple(range(start, b + 1)))
-                start = b + 1
-        else:
-            for prev, b in zip((bs[-1],) + bs[:-1], bs):
-                part = []
-                v = prev % self.n + 1
-                while True:
-                    part.append(v)
-                    if v == b:
-                        break
-                    v = v % self.n + 1
-                out.append(tuple(part))
-        return out
-
 
 def _edge_free_starts(g: _Graph) -> list[int]:
     """s[e] = smallest s such that the interval [s..e] contains no edge of g

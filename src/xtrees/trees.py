@@ -110,11 +110,6 @@ class ZDecomposition:
     def counts(self) -> tuple[int, int, int]:
         return (self.a, self.b, self.c)
 
-    @property
-    def is_increasing(self) -> bool:
-        """True when the tree itself is an increasing tree (no crossing)."""
-        return self.b == 0 or self.c == 0
-
     def edges(self) -> tuple[tuple[int, int], ...]:
         return tuple(sorted(self.core + self.s_j + self.s_i))
 
@@ -419,10 +414,6 @@ class TwinCrossingPaths:
     shared: int
     path1: tuple[int, int, int, int]
     path2: tuple[int, int, int, int]
-
-    def center(self, which: int) -> tuple[int, int]:
-        p = self.path1 if which == 1 else self.path2
-        return _norm(p[1], p[2])
 
 
 _TWIN_SEARCH_CAP = 1500

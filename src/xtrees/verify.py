@@ -8,11 +8,11 @@ solver/oracle agreement and a metamorphic invariance sweep.  Frozen expected
 values live under ``golden/`` at the repository root; checks that consume
 them recompute everything and compare.
 
-``run_suite`` runs checks in worker processes (process count from ``--jobs``
-or ``XTREES_VERIFY_JOBS``; one job runs them serially in this process), times
-each check inside the process that runs it, and reports in check-id order,
-independent of completion order.  ``write_csv`` / ``write_json`` serialise a
-report.
+``run_suite`` runs checks in worker processes (process count from ``--jobs``,
+by default the CPU count capped at 4; one job runs them serially in this
+process), times each check inside the process that runs it, and reports in
+check-id order, independent of completion order.  ``write_csv`` /
+``write_json`` serialise a report.
 """
 
 from __future__ import annotations
@@ -721,19 +721,6 @@ def run_check(check_id: str, seed: int = 0) -> CheckResult:
     )
 
 
-def _default_jobs() -> int:
-    env = os.environ.get("XTREES_VERIFY_JOBS")
-    if env:
-        try:
-            jobs = int(env)
-        except ValueError:
-            raise InputError(f"XTREES_VERIFY_JOBS must be an integer, got {env!r}")
-        if jobs < 1:
-            raise InputError("XTREES_VERIFY_JOBS must be positive")
-        return jobs
-    return min(4, os.cpu_count() or 1)
-
-
 def run_suite(
     check_ids: Optional[Iterable[str]] = None,
     *,
@@ -745,7 +732,7 @@ def run_suite(
     for cid in ids:
         if cid not in CHECKS:
             raise InputError(f"unknown check {cid!r}; expected one of {CHECK_IDS}")
-    workers = jobs if jobs is not None else _default_jobs()
+    workers = jobs if jobs is not None else min(4, os.cpu_count() or 1)
     if workers < 1:
         raise InputError("jobs must be positive")
     workers = min(workers, len(ids))

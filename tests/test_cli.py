@@ -1,9 +1,11 @@
 """End-to-end runs of the console entry point, in-process via main(argv)."""
 
+import csv
 import json
 
 import pytest
 
+from xtrees import verify
 from xtrees.cli import main
 from xtrees.io import dumps_graph, load_graph
 from xtrees.order import CgGraph, OrderedGraph
@@ -169,6 +171,31 @@ class TestVerifyAndParsing:
         assert main(["verify", "--suite", "all", "--checks", "c05", "--jobs", "1"]) == 0
         out = capsys.readouterr().out
         assert "c05" in out and "1/1 checks passed" in out
+
+    @pytest.mark.parametrize("suffix", [".csv", ".json"])
+    def test_verify_report(self, tmp_path, suffix):
+        report = tmp_path / f"r{suffix}"
+        args = ["verify", "--checks", "c05", "--jobs", "1", "--report", str(report)]
+        assert main(args) == 0
+        if suffix == ".csv":
+            with open(report, newline="") as fh:
+                rows = list(csv.DictReader(fh))
+        else:
+            doc = json.loads(report.read_text())
+            assert doc["passed"] is True
+            rows = doc["results"]
+        assert [r["check_id"] for r in rows] == ["c05"]
+        assert rows[0]["status"] == "pass" and float(rows[0]["seconds"]) >= 0
+
+    def test_bad_report_suffix_refused_before_running(self, tmp_path, monkeypatch, capsys):
+        def run_suite(*args, **kwargs):
+            raise AssertionError("run_suite called despite a bad --report suffix")
+
+        monkeypatch.setattr(verify, "run_suite", run_suite)
+        report = tmp_path / "r.txt"
+        assert main(["verify", "--checks", "c05", "--report", str(report)]) == 2
+        assert "--report must end in .csv or .json" in capsys.readouterr().err
+        assert not report.exists()
 
     def test_missing_file(self, capsys):
         assert main(["classify", "--input", "/nonexistent/nope.json"]) == 2
