@@ -50,14 +50,15 @@ circle.
 from __future__ import annotations
 
 import time
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional, Union
 
 from .containment import Embedding, contains, validate_embedding
 from .errors import BudgetError, InputError
-from .order import CgGraph, OrderedGraph, _Graph, mirror, rotate
-from .trees import CgZDecomposition, ZDecomposition, cg_z_decompose, z_decompose
+from .order import CgGraph, OrderedGraph, _adjacency_lists, _Graph, mirror, rotate
+from .trees import CgZDecomposition, ZDecomposition, _z_decompose, cg_z_decompose, z_decompose
 from .trees import validate_decomposition
 
 SOLVER_MIN_N = 2
@@ -219,8 +220,10 @@ def _check_result(r: ExtremalResult) -> None:
 
 
 def _pattern_of(dec: ZDecomposition) -> OrderedGraph:
+    """The tree of a decomposition derived from a validated one: a tree,
+    so it and its mirror image go to _z_decompose without a tree check."""
     edges = dec.edges()
-    return OrderedGraph(len(edges) + 1, edges)
+    return OrderedGraph._trusted(len(edges) + 1, edges)
 
 
 def _first_edge_map(host: _Graph) -> Optional[tuple[int, ...]]:
@@ -234,13 +237,11 @@ def _strip_longest_right(host: OrderedGraph, lo: int, hi: int):
 
     Returns (stripped host, {g: far endpoint of the deleted edge}).
     """
-    deleted = {}
-    for g in range(lo, hi + 1):
-        rights = [w for w in host.neighbors(g) if w > g]
-        if rights:
-            deleted[g] = max(rights)
-    keep = [e for e in host.edges if e not in {(g, w) for g, w in deleted.items()}]
-    return OrderedGraph(host.n, keep), deleted
+    far = dict(host.edges)  # the edges are sorted: the last (g, w) is the longest
+    deleted = {g: far[g] for g in range(lo, hi + 1) if g in far}
+    gone = set(deleted.items())
+    keep = tuple(e for e in host.edges if e not in gone)
+    return OrderedGraph._trusted(host.n, keep), deleted
 
 
 def _embed_linear(host: OrderedGraph, dec: ZDecomposition) -> Optional[tuple[int, ...]]:
@@ -252,12 +253,12 @@ def _embed_linear(host: OrderedGraph, dec: ZDecomposition) -> Optional[tuple[int
         return e if e is None else tuple(e)
     if c == 0 and b == 0:
         # a non-canonical split of a pure chain; re-split and retry
-        redec = z_decompose(_pattern_of(dec))
+        redec = _z_decompose(_pattern_of(dec))
         if not redec:
             return None
         return _embed_linear(host, redec)
     if c == 0:
-        flipped = z_decompose(mirror(_pattern_of(dec)))
+        flipped = _z_decompose(mirror(_pattern_of(dec)))
         if not flipped:
             return None
         sub = _embed_linear(mirror(host), flipped)
@@ -289,26 +290,30 @@ def _strip_two_shortest(host: CgGraph):
     Returns (stripped host, {(v, +1): w, (v, -1): w} of deleted far ends).
     """
     n = host.n
+    nbrs = _adjacency_lists(n, host.edges)
     deleted = {}
     gone = set()
     for v in range(1, n + 1):
-        nbrs = host.neighbors(v)
-        if not nbrs:
+        row = nbrs[v]
+        if not row:
             continue
-        cw = min(nbrs, key=lambda w: _cyclic_distance(n, v, w))
-        ccw = min(nbrs, key=lambda w: _cyclic_distance(n, w, v))
+        # clockwise the nearest neighbour is the first label above v, else
+        # the smallest; counter-clockwise the last below v, else the largest
+        i = bisect_left(row, v)
+        cw = row[i] if i < len(row) else row[0]
+        ccw = row[i - 1] if i > 0 else row[-1]
         deleted[(v, +1)] = cw
         deleted[(v, -1)] = ccw
         gone.add((min(v, cw), max(v, cw)))
         gone.add((min(v, ccw), max(v, ccw)))
-    keep = [e for e in host.edges if e not in gone]
-    return CgGraph(n, keep), deleted
+    keep = tuple(e for e in host.edges if e not in gone)
+    return CgGraph._trusted(n, keep), deleted
 
 
 def _unrolled_pattern(tree: CgGraph, dec: CgZDecomposition) -> tuple[OrderedGraph, int]:
     """Read the rotated cg tree as an ordered graph (same orientation)."""
     rolled = rotate(tree, dec.rotation)
-    return OrderedGraph(tree.n, rolled.edges), dec.rotation
+    return OrderedGraph._trusted(tree.n, rolled.edges), dec.rotation
 
 
 def _embed_cyclic(
@@ -323,7 +328,7 @@ def _embed_cyclic(
         d = z_decompose(flat)
         if not d:
             return None
-        sub = _embed_linear(OrderedGraph(n, host.edges), d)
+        sub = _embed_linear(OrderedGraph._trusted(n, host.edges), d)
         if sub is None:
             return None
         return tuple(sub[(v - 1 + r) % p] for v in range(1, p + 1))
@@ -341,8 +346,10 @@ def _embed_cyclic(
 
     stripped, deleted = _strip_two_shortest(host)
     drop = {v: (v if v < x else v - 1) for v in range(1, p + 1) if v != x}
-    sub_tree = CgGraph(p - 1, [(drop[u], drop[v]) for u, v in tree.edges
-                               if x not in (u, v)])
+    # dropping x keeps the order of the other labels, so the edges stay
+    # normalised and sorted
+    sub_tree = CgGraph._trusted(p - 1, tuple((drop[u], drop[v]) for u, v in tree.edges
+                                             if x not in (u, v)))
     sub_dec = cg_z_decompose(sub_tree)
     if not sub_dec:
         return None
@@ -375,7 +382,8 @@ def embed_dense(
     if isinstance(dec, ZDecomposition):
         if host.mode != "ordered":
             raise InputError("a linear decomposition needs an ordered host")
-        pattern = _pattern_of(dec)
+        edges = dec.edges()
+        pattern = OrderedGraph(len(edges) + 1, edges)
         if not pattern.is_tree():
             raise InputError("decomposition edges do not form a spanning tree")
         validate_decomposition(pattern, dec)

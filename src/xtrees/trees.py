@@ -41,13 +41,14 @@ from .errors import BudgetError, InputError, NotApplicableError
 from .order import (
     CgGraph,
     OrderedGraph,
+    _adjacency_lists,
+    _check_int,
     _Graph,
     arc_side,
     chi_cyclic,
     chi_interval,
     crosses,
     mirror,
-    rotate,
 )
 
 #: The 3-edge crossing path on [4]: the smallest obstruction, pinned a priori.
@@ -132,8 +133,15 @@ def _require_tree(t: _Graph) -> None:
 
 
 def _crossing_pairs(g: _Graph):
+    """Crossing edge pairs in edge-list order.
+
+    The edges are normalised and sorted, so each pair e = (a, b), f = (c, d)
+    has a <= c, and then the chords cross iff a < c < b < d. On the circle
+    the test is the same: exactly one of c, d must lie strictly between a
+    and b.
+    """
     return [
-        (e, f) for e, f in combinations(g.edges, 2) if crosses(g, e, f)
+        (e, f) for e, f in combinations(g.edges, 2) if e[0] < f[0] < e[1] < f[1]
     ]
 
 
@@ -153,9 +161,13 @@ def z_decompose(t: OrderedGraph) -> Union[ZDecomposition, NotAZTree]:
     if not isinstance(t, OrderedGraph):
         raise InputError("z_decompose expects an ordered graph")
     _require_tree(t)
+    return _z_decompose(t)
+
+
+def _z_decompose(t: OrderedGraph) -> Union[ZDecomposition, NotAZTree]:
+    """z_decompose for a graph already known to be an ordered tree."""
     if chi_interval(t) != 2:
         raise NotApplicableError("interval chromatic number must be 2")
-
     crossings = _crossing_pairs(t)
     if crossings:
         e, f = crossings[0]
@@ -164,7 +176,7 @@ def z_decompose(t: OrderedGraph) -> Union[ZDecomposition, NotAZTree]:
         # e = (h, j) and f = (i, k) interleaved as h < i < j < k
         i, j = f[0], e[1]
         hub = (i, j)
-        if hub not in t.edge_set:
+        if hub not in t.edges:
             return NotAZTree(
                 f"crossing {e} x {f} forces hub {hub}, which is not an edge"
             )
@@ -225,7 +237,7 @@ def validate_decomposition(t: OrderedGraph, dec: ZDecomposition) -> bool:
     parts = list(dec.core) + list(dec.s_j) + list(dec.s_i)
     if len(parts) != len(set(parts)):
         raise InputError("core and fans overlap")
-    if set(parts) != set(t.edge_set):
+    if set(parts) != set(t.edges):
         raise InputError("core and fans do not partition the tree's edges")
     if increasing_chain(dec.core) != dec.core:
         raise InputError("core is not an increasing chain in chain order")
@@ -302,9 +314,17 @@ class NotACgZTree:
 
 def linearize(t: CgGraph, r: int) -> OrderedGraph:
     """Rotate a cg tree by r and read it as an ordered graph, reversing labels."""
-    rotated = rotate(t, r)
+    if t.mode != "cg":
+        raise InputError("linearize expects a cg graph")
+    _check_int("rotation", r)
+    return _linearized(t, r)
+
+
+def _linearized(t: CgGraph, r: int) -> OrderedGraph:
+    # v -> n+1-(((v-1+r) mod n)+1), a permutation of 1..n; colors are dropped
     n = t.n
-    return OrderedGraph(n, [(n + 1 - b, n + 1 - a) for a, b in rotated.edges])
+    flipped = t._mapped([0] + [n - (v + r) % n for v in range(n)])
+    return OrderedGraph._trusted(n, flipped.edges)
 
 
 def cg_z_decompose(t: CgGraph) -> Union[CgZDecomposition, NotACgZTree]:
@@ -321,11 +341,11 @@ def cg_z_decompose(t: CgGraph) -> Union[CgZDecomposition, NotACgZTree]:
     if chi_cyclic(t) != 2:
         raise NotApplicableError("cyclic interval chromatic number must be 2")
     for r in range(t.n):
-        lin = linearize(t, r)
-        try:
-            dec = z_decompose(lin)
-        except NotApplicableError:
+        # every linearization of a tree is a tree
+        lin = _linearized(t, r)
+        if chi_interval(lin) != 2:
             continue
+        dec = _z_decompose(lin)
         if isinstance(dec, ZDecomposition):
             return CgZDecomposition(rotation=r, linear=dec)
     return NotACgZTree("no rotation linearizes to a z-tree")
@@ -353,13 +373,15 @@ def _paths_with_edges(t: _Graph, length: int) -> list[tuple[int, ...]]:
     first vertex is smaller than the last.
     """
     found = []
+    # not kept on t: the lists cost more memory than their rebuild costs time
+    nbrs = _adjacency_lists(t.n, t.edges)
 
     def grow(seq: list[int], used: set[int]) -> None:
         if len(seq) == length + 1:
             if seq[0] < seq[-1]:
                 found.append(tuple(seq))
             return
-        for w in t.neighbors(seq[-1]):
+        for w in nbrs[seq[-1]]:
             if w not in used:
                 seq.append(w)
                 used.add(w)

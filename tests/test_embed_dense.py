@@ -5,12 +5,13 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from xtrees.constructions import gstar
 from xtrees.containment import Embedding, validate_embedding
 from xtrees.errors import InputError
 from xtrees.order import CgGraph, OrderedGraph
-from xtrees.solver import embed_dense
+from xtrees.solver import _strip_longest_right, _strip_two_shortest, embed_dense
 from xtrees.trees import (
     cg_z_decompose,
     enumerate_trees,
@@ -27,6 +28,45 @@ def _complete(n: int, cyclic: bool = False):
 
 
 Z3 = OrderedGraph(4, [(1, 3), (2, 3), (2, 4)])
+
+
+@st.composite
+def _hosts(draw):
+    n = draw(st.integers(min_value=2, max_value=10))
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
+    return n, draw(st.lists(st.sampled_from(pairs), unique=True))
+
+
+class TestStripping:
+    """The edge strips read adjacency lists; the references scan the edges."""
+
+    @given(_hosts(), st.integers(min_value=1, max_value=10), st.integers(min_value=1, max_value=10))
+    def test_longest_right(self, host, lo, hi):
+        n, edges = host
+        deleted = {}
+        for g in range(lo, min(hi, n) + 1):
+            rights = [w for u, v in edges for w in (u, v) if g in (u, v) and w > g]
+            if rights:
+                deleted[g] = max(rights)
+        keep = [e for e in edges if e not in set(deleted.items())]
+        stripped, got = _strip_longest_right(OrderedGraph(n, edges), lo, hi)
+        assert got == deleted
+        assert stripped == OrderedGraph(n, keep)
+
+    @given(_hosts())
+    def test_two_shortest(self, host):
+        n, edges = host
+        deleted, gone = {}, set()
+        for v in range(1, n + 1):
+            nbrs = [w for e in edges for w in e if v in e and w != v]
+            if nbrs:
+                cw = min(nbrs, key=lambda w: (w - v) % n)
+                ccw = min(nbrs, key=lambda w: (v - w) % n)
+                deleted[(v, +1)], deleted[(v, -1)] = cw, ccw
+                gone |= {(min(v, cw), max(v, cw)), (min(v, ccw), max(v, ccw))}
+        stripped, got = _strip_two_shortest(CgGraph(n, edges))
+        assert got == deleted
+        assert stripped == CgGraph(n, [e for e in edges if e not in gone])
 
 
 class TestLinear:

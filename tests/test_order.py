@@ -1,9 +1,12 @@
 """Graph types: validation, crossings, interval/cyclic chromatic numbers,
 and the label symmetries (mirror, rotate, reflect)."""
 
+from itertools import combinations
+
 import pytest
 from hypothesis import given, strategies as st
 
+from xtrees import order
 from xtrees.errors import InputError
 from xtrees.order import (
     CgGraph,
@@ -12,10 +15,13 @@ from xtrees.order import (
     chi_cyclic,
     chi_interval,
     crosses,
+    cyclic_split,
+    interval_split,
     mirror,
     reflect,
     rotate,
 )
+from xtrees.trees import _crossing_pairs, cg_z_decompose, enumerate_trees, linearize
 
 
 def _edges(draw_n):
@@ -30,6 +36,18 @@ small_graphs = st.integers(min_value=2, max_value=7).flatmap(
 small_cg_graphs = st.integers(min_value=3, max_value=7).flatmap(
     lambda n: _edges(n).map(lambda es: CgGraph(n, es))
 )
+
+
+@st.composite
+def colored_graphs(draw):
+    """Either mode, n <= 8, with colours on about half of the draws."""
+    cls = draw(st.sampled_from([OrderedGraph, CgGraph]))
+    n = draw(st.integers(min_value=1, max_value=8))
+    es = draw(_edges(n)) if n > 1 else []
+    colors = None
+    if draw(st.booleans()):
+        colors = draw(st.lists(st.integers(1, 4), min_size=len(es), max_size=len(es)))
+    return cls(n, es, colors=colors)
 
 
 class TestValidation:
@@ -57,6 +75,18 @@ class TestValidation:
         g = CgGraph(4, [(3, 4), (1, 2)], colors=[7, 5])
         assert g.edges == ((1, 2), (3, 4))
         assert g.colors == (5, 7)
+
+    def test_small_edges_are_shared(self):
+        a = OrderedGraph(3, [(2, 1)])
+        b = CgGraph(70, [(1, 2), (69, 70)])
+        assert a.edges[0] is b.edges[0] == (1, 2)
+        assert b.edges[1] == (69, 70)
+
+    @pytest.mark.parametrize("cls", [OrderedGraph, CgGraph])
+    @pytest.mark.parametrize("n", [3.7, 3.0, True, False, "3", None])
+    def test_vertex_count_must_be_an_int(self, cls, n):
+        with pytest.raises(InputError, match="vertex count"):
+            cls(n, [(1, 2)])
 
 
 class TestStrictInputs:
@@ -177,6 +207,35 @@ class TestTransforms:
         with pytest.raises(InputError):
             rotate(OrderedGraph(3, [(1, 2)]), 1)
 
+    @pytest.mark.parametrize("r", [1.5, 1.0, True, "1", None])
+    def test_shift_must_be_an_int(self, r):
+        t = CgGraph(4, [(1, 2), (2, 4), (3, 4)])
+        with pytest.raises(InputError, match="rotation"):
+            rotate(t, r)
+        with pytest.raises(InputError, match="rotation"):
+            linearize(t, r)
+
+    @pytest.mark.parametrize(
+        "perm",
+        [
+            {1: 2, 2: 1},  # partial
+            {1: 1, 2: 1, 3: 3},  # not one-to-one
+            {1: 2, 2: 3, 3: 4},  # leaves 1..n
+            {1: 2.0, 2: 1.0, 3: 3.0},  # float labels
+            {1: True, 2: 2, 3: 3},
+            {1: 1, 2: 2, 3: 3, 4: 4},  # too long
+        ],
+    )
+    def test_relabeling_must_be_a_permutation(self, perm):
+        g = OrderedGraph(3, [(1, 2), (2, 3)])
+        with pytest.raises(InputError, match="not a permutation of 1..3"):
+            g.relabeled(perm)
+
+    def test_relabeling_moves_colors(self):
+        g = CgGraph(3, [(1, 2), (2, 3)], colors=[5, 6])
+        h = g.relabeled({1: 3, 2: 2, 3: 1})
+        assert h.edges == ((1, 2), (2, 3)) and h.colors == (6, 5)
+
 
 class TestStructure:
     def test_is_tree(self):
@@ -193,3 +252,145 @@ class TestStructure:
         g = OrderedGraph(5, [(2, 5), (1, 2), (2, 3)])
         assert g.neighbors(2) == [1, 3, 5]
         assert g.degree(2) == 3
+
+
+# -- reference versions: every derived graph built and validated by the
+# public constructor, and the interval DP as a table. The arithmetic paths
+# in xtrees.order must agree with them exactly.
+
+
+def ref_relabeled(g, perm):
+    new_edges = [(perm[u], perm[v]) for u, v in g.edges]
+    if g.colors is None:
+        return type(g)(g.n, new_edges)
+    cmap = {(min(e), max(e)): c for e, c in zip(new_edges, g.colors)}
+    return type(g).from_color_map(g.n, cmap)
+
+
+def ref_mirror(g):
+    return ref_relabeled(g, {v: g.n + 1 - v for v in range(1, g.n + 1)})
+
+
+def ref_rotate(g, r):
+    return ref_relabeled(g, {v: ((v - 1 + r) % g.n) + 1 for v in range(1, g.n + 1)})
+
+
+def ref_interval_bounds(g):
+    s = [0] * (g.n + 1)
+    left_nbrs = [[] for _ in range(g.n + 1)]
+    for u, v in g.edges:
+        left_nbrs[v].append(u)
+    cur = 1
+    for e in range(1, g.n + 1):
+        for u in left_nbrs[e]:
+            cur = max(cur, u + 1)
+        s[e] = cur
+    dp = [0] * (g.n + 1)
+    back = [0] * (g.n + 1)
+    for e in range(1, g.n + 1):
+        dp[e] = dp[s[e] - 1] + 1
+        back[e] = s[e] - 1
+    bounds = []
+    e = g.n
+    while e > 0:
+        bounds.append(e)
+        e = back[e]
+    return tuple(reversed(bounds))
+
+
+def ref_cyclic_bounds(g):
+    if not g.edges:
+        return (g.n,)
+    best = None
+    for r in range(g.n):
+        split = ref_interval_bounds(ref_rotate(g, r))
+        if best is None or len(split) < len(best):
+            best = tuple(sorted(((b - 1 - r) % g.n) + 1 for b in split))
+            if len(split) == 2:
+                break
+    return best
+
+
+def ref_linearize(t, r):
+    rotated = ref_rotate(t, r)
+    n = t.n
+    return OrderedGraph(n, [(n + 1 - b, n + 1 - a) for a, b in rotated.edges])
+
+
+def assert_same_graph(fast, ref):
+    assert type(fast) is type(ref)
+    assert fast == ref
+    assert hash(fast) == hash(ref)
+    assert repr(fast) == repr(ref)
+
+
+def check_against_references(g):
+    assert_same_graph(mirror(g), ref_mirror(g))
+    assert interval_split(g).boundaries == ref_interval_bounds(g)
+    assert chi_interval(g) == len(ref_interval_bounds(g))
+    if g.mode != "cg":
+        return
+    assert_same_graph(reflect(g), ref_mirror(g))
+    split = cyclic_split(g)
+    assert split.boundaries == ref_cyclic_bounds(g)
+    assert chi_cyclic(g) == split.k
+    for r in range(-1, g.n + 2):
+        assert_same_graph(rotate(g, r), ref_rotate(g, r))
+        assert_same_graph(linearize(g, r), ref_linearize(g, r))
+
+
+class TestArithmeticTransforms:
+    """Transforms and chi computed by label arithmetic equal the
+    construct-and-validate references, on every tree with <= 5 edges and on
+    drawn graphs with and without colours."""
+
+    @pytest.mark.parametrize("mode", ["linear", "cyclic"])
+    def test_every_small_tree(self, mode):
+        for k in range(1, 6):
+            for t in enumerate_trees(k, mode):
+                check_against_references(t)
+
+    @given(colored_graphs())
+    def test_drawn_graphs(self, g):
+        check_against_references(g)
+        perm = {v: ((3 * v) % g.n) + 1 for v in range(1, g.n + 1)}
+        if len(set(perm.values())) == g.n:
+            assert_same_graph(g.relabeled(perm), ref_relabeled(g, perm))
+
+    @given(colored_graphs())
+    def test_trusted_equals_validated(self, g):
+        fast = type(g)._trusted(g.n, g.edges, g.colors)
+        assert_same_graph(fast, type(g)(g.n, list(g.edges), colors=g.colors))
+
+    @given(colored_graphs())
+    def test_crossing_pairs_match_crosses(self, g):
+        want = [(e, f) for e, f in combinations(g.edges, 2) if crosses(g, e, f)]
+        assert _crossing_pairs(g) == want
+
+    @given(colored_graphs(), st.integers(min_value=0, max_value=9))
+    def test_cached_accessors_match_a_scan(self, g, v):
+        assert g.edge_set == frozenset(g.edges)
+        assert g.neighbors(v) == sorted(w for e in g.edges for w in e if v in e and w != v)
+        assert g.degree(v) == sum(1 for e in g.edges if v in e)
+        g.neighbors(v).append(99)  # callers get a copy
+        assert 99 not in g.neighbors(v)
+
+
+def test_derived_graphs_skip_validation(monkeypatch):
+    """Graphs derived from a built tree are not validated again."""
+    trees = list(enumerate_trees(4, "cyclic", "chi2"))
+    calls = []
+    check = order._check_edges
+
+    def counting(n, edges):
+        calls.append(n)
+        return check(n, edges)
+
+    monkeypatch.setattr(order, "_check_edges", counting)
+    for t in trees:
+        chi_cyclic(t)
+        cg_z_decompose(t)
+        rotate(t, 2)
+        mirror(t)
+        reflect(t)
+    assert calls == []
