@@ -127,12 +127,6 @@ class _Graph:
         object.__setattr__(self, "colors", colors)
         object.__setattr__(self, "_adj_cache", {})
 
-    @classmethod
-    def from_color_map(cls, n: int, color_map: dict):
-        """Build from an {edge: color} mapping (edge order irrelevant)."""
-        edges = [_normalize_edge(e) for e in color_map]
-        return cls(n, edges, colors=list(color_map.values()))
-
     # -- basic accessors ---------------------------------------------------
 
     @property

@@ -21,10 +21,13 @@ order is pruned before that leaf is reached: the value and the witness are
 those of the plain undecided-edges bound, only with far fewer nodes. n is
 capped at 8; larger requests are refused rather than approximated.
 
-``embed_dense`` turns the inductive extremal proofs into algorithms. Both
-modes recurse by deleting a bounded set of extreme edges from the host,
-embedding a one-edge-smaller tree in what remains, and re-extending with one
-of the deleted edges:
+``embed_dense`` turns the inductive extremal proofs into algorithms. Each
+induction step deletes a bounded set of extreme edges from the host, embeds
+a one-edge-smaller tree in what remains, and re-extends with one of the
+deleted edges. Only the steps depend on the decomposition, so it is
+validated and compiled once into a cached plan, the steps down to one edge;
+one loop for both modes peels a host down the plan, takes its first
+remaining edge, and extends the image back up:
 
 * linear: with fan counts (a, b, c) and c >= 1, delete the longest rightward
   edge at every vertex g with b < g <= n-a-c+1 (n-k+1 deletions), embed the
@@ -52,6 +55,7 @@ from __future__ import annotations
 import time
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from typing import Optional, Union
 
@@ -219,17 +223,24 @@ def _check_result(r: ExtremalResult) -> None:
 # --- constructive embeddings into dense hosts -------------------------------
 
 
-def _pattern_of(dec: ZDecomposition) -> OrderedGraph:
-    """The tree of a decomposition derived from a validated one: a tree,
-    so it and its mirror image go to _z_decompose without a tree check."""
+def _exact(dec: Union[ZDecomposition, CgZDecomposition]) -> bool:
+    """Tuples and int labels only. Equal decompositions share one cached plan
+    and True == 1.0 == 1, so a coerced copy would skip validation."""
+    if isinstance(dec, CgZDecomposition):
+        return type(dec.rotation) is int and _exact(dec.linear)
+    parts = (dec.core, dec.s_j, dec.s_i)
+    return all(type(p) is tuple for p in parts) and all(
+        type(e) is tuple and all(type(v) is int for v in e) for e in (dec.hub,) + sum(parts, ()))
+
+
+def _checked_tree(dec: ZDecomposition) -> OrderedGraph:
+    """The tree of a caller's decomposition, which must be valid for it."""
     edges = dec.edges()
-    return OrderedGraph._trusted(len(edges) + 1, edges)
-
-
-def _first_edge_map(host: _Graph) -> Optional[tuple[int, ...]]:
-    if not host.edges:
-        return None
-    return min(host.edges)
+    tree = OrderedGraph(len(edges) + 1, edges)
+    if not tree.is_tree():
+        raise InputError("decomposition edges do not form a spanning tree")
+    validate_decomposition(tree, dec)
+    return tree
 
 
 def _strip_longest_right(host: OrderedGraph, lo: int, hi: int):
@@ -242,46 +253,6 @@ def _strip_longest_right(host: OrderedGraph, lo: int, hi: int):
     gone = set(deleted.items())
     keep = tuple(e for e in host.edges if e not in gone)
     return OrderedGraph._trusted(host.n, keep), deleted
-
-
-def _embed_linear(host: OrderedGraph, dec: ZDecomposition) -> Optional[tuple[int, ...]]:
-    """Image tuple for pattern vertices 1..k+1, or None."""
-    a, b, c = dec.counts
-    k = a + b + c
-    if k == 1:
-        e = _first_edge_map(host)
-        return e if e is None else tuple(e)
-    if c == 0 and b == 0:
-        # a non-canonical split of a pure chain; re-split and retry
-        redec = _z_decompose(_pattern_of(dec))
-        if not redec:
-            return None
-        return _embed_linear(host, redec)
-    if c == 0:
-        flipped = _z_decompose(mirror(_pattern_of(dec)))
-        if not flipped:
-            return None
-        sub = _embed_linear(mirror(host), flipped)
-        if sub is None:
-            return None
-        p = k + 1
-        return tuple(host.n + 1 - sub[p - v] for v in range(1, p + 1))
-
-    i = dec.hub[0]
-    stripped, deleted = _strip_longest_right(host, b + 1, host.n - a - c + 1)
-    inner = ZDecomposition(dec.hub, dec.core, dec.s_j, dec.s_i[:-1])
-    sub = _embed_linear(stripped, inner)
-    if sub is None:
-        return None
-    u = sub[i - 1]
-    w = deleted.get(u)
-    if w is None or w <= max(sub):
-        return None
-    return sub + (w,)
-
-
-def _cyclic_distance(n: int, u: int, w: int) -> int:
-    return (w - u) % n
 
 
 def _strip_two_shortest(host: CgGraph):
@@ -302,73 +273,115 @@ def _strip_two_shortest(host: CgGraph):
         i = bisect_left(row, v)
         cw = row[i] if i < len(row) else row[0]
         ccw = row[i - 1] if i > 0 else row[-1]
-        deleted[(v, +1)] = cw
-        deleted[(v, -1)] = ccw
-        gone.add((min(v, cw), max(v, cw)))
-        gone.add((min(v, ccw), max(v, ccw)))
+        deleted[(v, +1)], deleted[(v, -1)] = cw, ccw
+        gone |= {(min(v, cw), max(v, cw)), (min(v, ccw), max(v, ccw))}
     keep = tuple(e for e in host.edges if e not in gone)
     return CgGraph._trusted(n, keep), deleted
 
 
-def _unrolled_pattern(tree: CgGraph, dec: CgZDecomposition) -> tuple[OrderedGraph, int]:
-    """Read the rotated cg tree as an ordered graph (same orientation)."""
-    rolled = rotate(tree, dec.rotation)
-    return OrderedGraph._trusted(tree.n, rolled.edges), dec.rotation
+def _linear_steps(dec: ZDecomposition, steps: list) -> Optional[tuple]:
+    """Append to steps those of a valid decomposition, down to one edge;
+    return them all, or None if a derived tree does not decompose."""
+    while dec.a + dec.b + dec.c > 1:
+        a, b, c = dec.counts
+        if c == 0:
+            # b == 0 is a non-canonical split of a pure chain: re-split it;
+            # otherwise the mirror image has the fan on the right
+            if b:
+                steps.append(("mirror",))
+            # derived from a validated tree, so a tree: no tree check needed
+            edges = dec.edges()
+            tree = OrderedGraph._trusted(len(edges) + 1, edges)
+            dec = _z_decompose(mirror(tree) if b else tree)
+            if not dec:
+                return None
+            continue
+        # strip at b < g <= n-a-c+1, then extend at the hub's left endpoint
+        steps.append(("right", b + 1, a + c - 1, dec.hub[0]))
+        dec = ZDecomposition(dec.hub, dec.core, dec.s_j, dec.s_i[:-1])
+    return tuple(steps)
 
 
-def _embed_cyclic(
-    host: CgGraph, tree: CgGraph, dec: CgZDecomposition
-) -> Optional[tuple[int, ...]]:
-    lin = dec.linear
-    p = tree.n
-    n = host.n
-    if lin.a == 1 or len(tree.edges) == 1:
-        # double star: cut both circles open and solve on the line
-        flat, r = _unrolled_pattern(tree, dec)
-        d = z_decompose(flat)
-        if not d:
-            return None
-        sub = _embed_linear(OrderedGraph._trusted(n, host.edges), d)
-        if sub is None:
-            return None
-        return tuple(sub[(v - 1 + r) % p] for v in range(1, p + 1))
-
-    # locate, in the tree's own labels, the shortest core edge's leaf x,
-    # its neighbor y, and the far endpoint z of the next core edge
-    def tree_label(lin_label: int) -> int:
-        return ((p - lin_label - dec.rotation) % p) + 1
-
-    e1, e2 = lin.core[0], lin.core[1]
-    y_lin = e1[0] if e1[0] in e2 else e1[1]
-    x_lin = e1[0] if e1[1] == y_lin else e1[1]
-    z_lin = e2[0] if e2[1] == y_lin else e2[1]
-    x, y, z = tree_label(x_lin), tree_label(y_lin), tree_label(z_lin)
-
-    stripped, deleted = _strip_two_shortest(host)
-    drop = {v: (v if v < x else v - 1) for v in range(1, p + 1) if v != x}
-    # dropping x keeps the order of the other labels, so the edges stay
-    # normalised and sorted
-    sub_tree = CgGraph._trusted(p - 1, tuple((drop[u], drop[v]) for u, v in tree.edges
+def _cyclic_steps(tree: CgGraph, dec: CgZDecomposition) -> Optional[tuple]:
+    """The induction steps of a valid cg decomposition of tree, or None."""
+    steps: list = []
+    while True:
+        lin, p = dec.linear, tree.n
+        if lin.a == 1 or len(tree.edges) == 1:
+            # double star: cut both circles open and solve on the line
+            flat = z_decompose(OrderedGraph._trusted(p, rotate(tree, dec.rotation).edges))
+            if not flat:
+                return None
+            steps.append(("unroll", dec.rotation))
+            return _linear_steps(flat, steps)
+        # in the tree's own labels: the shortest core edge's leaf x, its
+        # neighbour y, and the far endpoint z of the next core edge
+        e1, e2 = lin.core[0], lin.core[1]
+        y_lin = e1[0] if e1[0] in e2 else e1[1]
+        x_lin = e1[0] if e1[1] == y_lin else e1[1]
+        z_lin = e2[0] if e2[1] == y_lin else e2[1]
+        x, y, z = ((p - v - dec.rotation) % p + 1 for v in (x_lin, y_lin, z_lin))
+        # dropping x keeps the order of the other labels, so the edges stay
+        # normalised and sorted
+        drop = [v - (v > x) for v in range(p + 1)]
+        tree = CgGraph._trusted(p - 1, tuple((drop[u], drop[v]) for u, v in tree.edges
                                              if x not in (u, v)))
-    sub_dec = cg_z_decompose(sub_tree)
-    if not sub_dec:
+        dec = cg_z_decompose(tree)
+        if not dec:
+            return None
+        steps.append(("two", x, drop[y], drop[z], +1 if (x - y) % p == 1 else -1))
+
+
+@lru_cache(maxsize=1024)  # more decompositions than the checks and benchmark use
+def _plan(dec: Union[ZDecomposition, CgZDecomposition]) -> tuple[_Graph, Optional[tuple]]:
+    """(validated tree, its induction steps or None) for one decomposition."""
+    if isinstance(dec, ZDecomposition):
+        return _checked_tree(dec), _linear_steps(dec, [])
+    lin = _checked_tree(dec.linear)
+    p, r = lin.n, dec.rotation
+    tree = CgGraph(p, [((p - u - r) % p + 1, (p - v - r) % p + 1) for u, v in lin.edges])
+    return tree, _cyclic_steps(tree, dec)
+
+
+def _run_plan(host: _Graph, steps: tuple) -> Optional[tuple[int, ...]]:
+    """Peel the host down the steps, take its first edge, extend back up."""
+    n = host.n
+    peeled = []
+    for step in steps:
+        kind = step[0]
+        if kind == "right":
+            host, deleted = _strip_longest_right(host, step[1], n - step[2])
+        elif kind == "two":
+            host, deleted = _strip_two_shortest(host)
+        else:
+            deleted = None
+            host = mirror(host) if kind == "mirror" else OrderedGraph._trusted(n, host.edges)
+        peeled.append(deleted)
+    if not host.edges:
         return None
-    sub = _embed_cyclic(stripped, sub_tree, sub_dec)
-    if sub is None:
-        return None
-    u = sub[drop[y] - 1]
-    zz = sub[drop[z] - 1]
-    direction = +1 if (x - y) % p == 1 else -1
-    w = deleted.get((u, direction))
-    if w is None:
-        return None
-    gap = _cyclic_distance(n, u, zz) if direction == +1 else _cyclic_distance(n, zz, u)
-    got = _cyclic_distance(n, u, w) if direction == +1 else _cyclic_distance(n, w, u)
-    if not 0 < got < gap:
-        return None
-    images = list(sub)
-    images.insert(x - 1, w)
-    return tuple(images)
+    images = min(host.edges)
+    for step, deleted in zip(reversed(steps), reversed(peeled)):
+        kind = step[0]
+        if kind == "right":
+            # the deleted edge at the hub's image must end beyond every image
+            w = deleted.get(images[step[3] - 1])
+            if w is None or w <= max(images):
+                return None
+            images += (w,)
+        elif kind == "two":
+            # re-insert leaf x strictly inside the free arc from y towards z
+            _, x, y, z, direction = step
+            u, far = images[y - 1], images[z - 1]
+            w = deleted.get((u, direction))
+            if w is None or not 0 < direction * (w - u) % n < direction * (far - u) % n:
+                return None
+            images = images[:x - 1] + (w,) + images[x - 1:]
+        elif kind == "mirror":
+            images = tuple(n + 1 - v for v in reversed(images))
+        else:
+            r = step[1] % len(images)
+            images = images[r:] + images[:r]
+    return images
 
 
 def embed_dense(
@@ -380,38 +393,24 @@ def embed_dense(
     docstring); any embedding returned is independently validated.
     """
     if isinstance(dec, ZDecomposition):
-        if host.mode != "ordered":
-            raise InputError("a linear decomposition needs an ordered host")
-        edges = dec.edges()
-        pattern = OrderedGraph(len(edges) + 1, edges)
-        if not pattern.is_tree():
-            raise InputError("decomposition edges do not form a spanning tree")
-        validate_decomposition(pattern, dec)
-        if pattern.n > host.n:
-            raise InputError("host smaller than the tree")
-        images = _embed_linear(host, dec)
-    elif isinstance(dec, CgZDecomposition):
-        if host.mode != "cg":
-            raise InputError("a cyclic decomposition needs a cg host")
-        lin_edges = dec.linear.edges()
-        p = len(lin_edges) + 1
-        relabel = {v: ((p - v - dec.rotation) % p) + 1 for v in range(1, p + 1)}
-        pattern = CgGraph(p, [(relabel[u], relabel[v]) for u, v in lin_edges])
-        check = cg_z_decompose(pattern)
-        if not check:
-            raise InputError("not a valid cg z-decomposition")
-        if pattern.n > host.n:
-            raise InputError("host smaller than the tree")
-        images = _embed_cyclic(host, pattern, dec)
+        mode, need = "ordered", "a linear decomposition needs an ordered host"
+    elif isinstance(dec, CgZDecomposition) and isinstance(dec.linear, ZDecomposition):
+        mode, need = "cg", "a cyclic decomposition needs a cg host"
     else:
         raise InputError(
-            "dec must be a ZDecomposition or CgZDecomposition, "
+            "dec must be a ZDecomposition or a CgZDecomposition of one, "
             f"got {type(dec).__name__}"
         )
+    if host.mode != mode:
+        raise InputError(need)
+    if not _exact(dec):
+        raise InputError("decomposition fields must be tuples of int labels, rotation an int")
+    tree, steps = _plan(dec)
+    if tree.n > host.n:
+        raise InputError("host smaller than the tree")
+    images = None if steps is None else _run_plan(host, steps)
     if images is None:
         return None
-    emb = Embedding(
-        "linear" if host.mode == "ordered" else "cyclic", images, reflected=False
-    )
-    validate_embedding(host, pattern, emb)
+    emb = Embedding("linear" if mode == "ordered" else "cyclic", images, reflected=False)
+    validate_embedding(host, tree, emb)
     return emb

@@ -259,34 +259,6 @@ def validate_decomposition(t: OrderedGraph, dec: ZDecomposition) -> bool:
     return True
 
 
-def longest_increasing_path_hubs(t: OrderedGraph) -> frozenset:
-    """Second-to-last edges over all longest strictly-length-increasing paths.
-
-    A diagnostic for the hub-uniqueness claim: for trees with a crossing the
-    canonical hub is the unique choice forced by the crossing, but on
-    crossing-free trees (e.g. stars) different longest increasing paths can
-    disagree, so this returns the whole candidate set. Paths with a single
-    edge contribute that edge.
-    """
-    best_len = 0
-    hubs = set()
-    for seq in _paths_up_to(t, len(t.edges)):
-        edges = [_norm(seq[x], seq[x + 1]) for x in range(len(seq) - 1)]
-        lens = [e[1] - e[0] for e in edges]
-        if all(x < y for x, y in zip(lens, lens[1:])):
-            inc = edges
-        elif all(x > y for x, y in zip(lens, lens[1:])):
-            inc = edges[::-1]
-        else:
-            continue
-        if len(inc) > best_len:
-            best_len = len(inc)
-            hubs = set()
-        if len(inc) == best_len:
-            hubs.add(inc[-2] if len(inc) >= 2 else inc[-1])
-    return frozenset(hubs)
-
-
 # ---------------------------------------------------------------------------
 # cg z-trees
 
@@ -392,11 +364,6 @@ def _paths_with_edges(t: _Graph, length: int) -> list[tuple[int, ...]]:
     for v in range(1, t.n + 1):
         grow([v], {v})
     return sorted(found)
-
-
-def _paths_up_to(t: _Graph, max_edges: int) -> Iterator[tuple[int, ...]]:
-    for length in range(1, max_edges + 1):
-        yield from _paths_with_edges(t, length)
 
 
 @dataclass(frozen=True)

@@ -303,18 +303,18 @@ def enumerate_all_walks(
 
 def _walk_through(
     adj: dict[int, list[tuple[int, int]]],
-    colors: dict[tuple[int, int], int],
+    cn: int,
     e_new: tuple[int, int],
     kind: str,
     side_of,
     side: Optional[str],
 ) -> bool:
-    """Does adding e_new (already present in adj) close some forbidden walk?
+    """Does adding e_new, of colour cn and already present in adj, close
+    some forbidden walk?
 
     Only walks using e_new in at least one of the four slots can be new, so
     the scan fixes e_new's slot and direction and extends outward.
     """
-    cn = colors[e_new]
 
     def nbrs(v):
         return adj.get(v, ())
@@ -443,23 +443,19 @@ def extract_walk_free(
         start = [e for _, es in by_size[:2] for e in es]
         chosen = set(start)
         adj: dict[int, list[tuple[int, int]]] = {}
-        colors = {}
         for u, v in chosen:
             c = g.color_of(u, v)
-            colors[(u, v)] = colors[(v, u)] = c
             adj.setdefault(u, []).append((v, c))
             adj.setdefault(v, []).append((u, c))
         rest = [e for _, es in by_size[2:] for e in es]
         random.Random(seed).shuffle(rest)
         for u, v in rest:
             c = g.color_of(u, v)
-            colors[(u, v)] = colors[(v, u)] = c
             adj.setdefault(u, []).append((v, c))
             adj.setdefault(v, []).append((u, c))
-            if _walk_through(adj, colors, (u, v), kind, g.side_of, side):
+            if _walk_through(adj, c, (u, v), kind, g.side_of, side):
                 adj[u].remove((v, c))
                 adj[v].remove((u, c))
-                del colors[(u, v)], colors[(v, u)]
             else:
                 chosen.add((u, v))
         return sorted(chosen), "greedy"
@@ -468,7 +464,6 @@ def extract_walk_free(
         edges = [(u, v) for u, v, _ in g.edges]
         best: list[tuple[int, int]] = []
         adj: dict[int, list[tuple[int, int]]] = {}
-        colors: dict[tuple[int, int], int] = {}
         chosen: list[tuple[int, int]] = []
 
         def rec(idx: int) -> None:
@@ -481,16 +476,14 @@ def extract_walk_free(
                 return
             u, v = edges[idx]
             c = g.color_of(u, v)
-            colors[(u, v)] = colors[(v, u)] = c
             adj.setdefault(u, []).append((v, c))
             adj.setdefault(v, []).append((u, c))
-            if not _walk_through(adj, colors, (u, v), kind, g.side_of, side):
+            if not _walk_through(adj, c, (u, v), kind, g.side_of, side):
                 chosen.append((u, v))
                 rec(idx + 1)
                 chosen.pop()
             adj[u].remove((v, c))
             adj[v].remove((u, c))
-            del colors[(u, v)], colors[(v, u)]
             rec(idx + 1)
 
         rec(0)

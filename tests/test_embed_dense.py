@@ -1,22 +1,31 @@
 """Constructive embedding into dense hosts: the guarantee above the edge
-threshold, graceful None below it, and strict validation of inputs."""
+threshold (tight hosts included), graceful None below it, agreement with
+the recursive reference embedders, and strict validation of inputs."""
 
 import itertools
 import random
+from typing import Optional
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from xtrees import solver
 from xtrees.constructions import gstar
 from xtrees.containment import Embedding, validate_embedding
-from xtrees.errors import InputError
-from xtrees.order import CgGraph, OrderedGraph
+from xtrees.errors import InputError, NotApplicableError
+from xtrees.order import CgGraph, OrderedGraph, mirror, rotate
 from xtrees.solver import _strip_longest_right, _strip_two_shortest, embed_dense
 from xtrees.trees import (
+    CgZDecomposition,
+    ZDecomposition,
+    _z_decompose,
     cg_z_decompose,
     enumerate_trees,
+    increasing_chain,
     is_cg_z_tree,
     is_z_tree,
+    linearize,
+    validate_decomposition,
     z_decompose,
 )
 from xtrees.verify import canonical_z_tree
@@ -153,8 +162,283 @@ class TestInputChecks:
             embed_dense(_complete(5), "not a decomposition")
 
     def test_non_spanning_decomposition_rejected(self):
-        from xtrees.trees import ZDecomposition
-
         dec = ZDecomposition(hub=(1, 3), core=((1, 3),), s_j=(), s_i=())
         with pytest.raises(InputError):
             embed_dense(_complete(5), dec)
+
+
+# -- reference: the recursive embedders, which re-derive every smaller tree
+# and its decomposition for each host. embed_dense runs a plan compiled once
+# per decomposition and must return exactly the same images, or None.
+
+
+def _ref_pattern_of(dec):
+    edges = dec.edges()
+    return OrderedGraph(len(edges) + 1, edges)
+
+
+def ref_embed_linear(host, dec) -> Optional[tuple]:
+    a, b, c = dec.counts
+    k = a + b + c
+    if k == 1:
+        return min(host.edges) if host.edges else None
+    if c == 0 and b == 0:
+        redec = _z_decompose(_ref_pattern_of(dec))
+        return ref_embed_linear(host, redec) if redec else None
+    if c == 0:
+        flipped = _z_decompose(mirror(_ref_pattern_of(dec)))
+        if not flipped:
+            return None
+        sub = ref_embed_linear(mirror(host), flipped)
+        if sub is None:
+            return None
+        return tuple(host.n + 1 - sub[k + 1 - v] for v in range(1, k + 2))
+    i = dec.hub[0]
+    stripped, deleted = _strip_longest_right(host, b + 1, host.n - a - c + 1)
+    sub = ref_embed_linear(stripped, ZDecomposition(dec.hub, dec.core, dec.s_j, dec.s_i[:-1]))
+    if sub is None:
+        return None
+    w = deleted.get(sub[i - 1])
+    if w is None or w <= max(sub):
+        return None
+    return sub + (w,)
+
+
+def ref_embed_cyclic(host, tree, dec) -> Optional[tuple]:
+    lin, p, n = dec.linear, tree.n, host.n
+    if lin.a == 1 or len(tree.edges) == 1:
+        r = dec.rotation
+        d = z_decompose(OrderedGraph(p, rotate(tree, r).edges))
+        if not d:
+            return None
+        sub = ref_embed_linear(OrderedGraph(n, host.edges), d)
+        if sub is None:
+            return None
+        return tuple(sub[(v - 1 + r) % p] for v in range(1, p + 1))
+
+    def tree_label(lin_label):
+        return ((p - lin_label - dec.rotation) % p) + 1
+
+    e1, e2 = lin.core[0], lin.core[1]
+    y_lin = e1[0] if e1[0] in e2 else e1[1]
+    x_lin = e1[0] if e1[1] == y_lin else e1[1]
+    z_lin = e2[0] if e2[1] == y_lin else e2[1]
+    x, y, z = tree_label(x_lin), tree_label(y_lin), tree_label(z_lin)
+    stripped, deleted = _strip_two_shortest(host)
+    drop = {v: (v if v < x else v - 1) for v in range(1, p + 1) if v != x}
+    sub_tree = CgGraph(p - 1, [(drop[u], drop[v]) for u, v in tree.edges if x not in (u, v)])
+    sub_dec = cg_z_decompose(sub_tree)
+    if not sub_dec:
+        return None
+    sub = ref_embed_cyclic(stripped, sub_tree, sub_dec)
+    if sub is None:
+        return None
+    u, zz = sub[drop[y] - 1], sub[drop[z] - 1]
+    direction = +1 if (x - y) % p == 1 else -1
+    w = deleted.get((u, direction))
+    if w is None:
+        return None
+    gap = (zz - u) % n if direction == +1 else (u - zz) % n
+    got = (w - u) % n if direction == +1 else (u - w) % n
+    if not 0 < got < gap:
+        return None
+    return sub[:x - 1] + (w,) + sub[x - 1:]
+
+
+def ref_images(host, dec) -> Optional[tuple]:
+    if isinstance(dec, ZDecomposition):
+        return ref_embed_linear(host, dec)
+    p = len(dec.linear.edges()) + 1
+    tree = CgGraph(p, [(((p - u - dec.rotation) % p) + 1, ((p - v - dec.rotation) % p) + 1)
+                       for u, v in dec.linear.edges()])
+    return ref_embed_cyclic(host, tree, dec)
+
+
+def _valid_decompositions(max_edges: int) -> list:
+    """Every (cg) z-tree with <= max_edges edges: its canonical
+    decomposition, the all-core split of a chain that the canonical one
+    gives fans, and for cg trees every rotation that linearises to a z-tree."""
+    decs = []
+    for k in range(1, max_edges + 1):
+        for t in enumerate_trees(k, "linear", "chi2"):
+            dec = z_decompose(t)
+            if dec:
+                decs.append(dec)
+                chain = increasing_chain(t.edges)
+                if chain and (dec.b or dec.c):
+                    decs.append(ZDecomposition(chain[-1], chain, (), ()))
+        for t in enumerate_trees(k, "cyclic", "chi2"):
+            if is_cg_z_tree(t):
+                for r in range(t.n):
+                    try:
+                        dec = z_decompose(linearize(t, r))
+                    except NotApplicableError:
+                        continue
+                    if dec:
+                        decs.append(CgZDecomposition(r, dec))
+    return decs
+
+
+SMALL_DECS = _valid_decompositions(5)
+
+
+def _size(dec) -> int:
+    return len((dec.linear if isinstance(dec, CgZDecomposition) else dec).edges()) + 1
+
+
+def _random_host(rng, dec, n):
+    pool = list(itertools.combinations(range(1, n + 1), 2))
+    cls = CgGraph if isinstance(dec, CgZDecomposition) else OrderedGraph
+    return cls(n, rng.sample(pool, rng.randint(0, len(pool))))
+
+
+def _agree(host, dec):
+    emb = embed_dense(host, dec)
+    assert (None if emb is None else emb.map) == ref_images(host, dec)
+
+
+class TestAgainstReference:
+    def test_every_small_tree(self):
+        rng = random.Random(5)
+        assert len(SMALL_DECS) > 300
+        for dec in SMALL_DECS:
+            p = _size(dec)
+            _agree(_complete(p + 2, cyclic=isinstance(dec, CgZDecomposition)), dec)
+            for n in (p, p + 3, p + 6):
+                _agree(_random_host(rng, dec, n), dec)
+
+    def test_canonical_trees_on_gstar_and_one_edge_more(self):
+        rng = random.Random(6)
+        for a, b, c in itertools.product(range(1, 6), range(5), range(5)):
+            if a + b + c > 5:
+                continue
+            _, dec = canonical_z_tree(a, b, c)
+            for n in (a + b + c + 1, 8):
+                host = gstar(n, a, b, c)
+                missing = [e for e in itertools.combinations(range(1, n + 1), 2)
+                           if e not in host.edges]
+                _agree(host, dec)
+                if missing:
+                    _agree(OrderedGraph(n, host.edges + (rng.choice(missing),)), dec)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(SMALL_DECS), st.integers(0, 7), st.randoms(use_true_random=False))
+    def test_drawn_hosts(self, dec, extra, rng):
+        _agree(_random_host(rng, dec, _size(dec) + extra), dec)
+
+
+class TestTightHosts:
+    def test_gstar_plus_one_edge_embeds_every_z_tree(self):
+        """gstar(n, a, b, c) has exactly (k-1)n - C(k,2) edges; with one edge
+        more every k-edge z-tree must embed (3,870 host-tree pairs)."""
+        pairs = 0
+        for k in range(1, 5):
+            decs = [z_decompose(t) for t in enumerate_trees(k, "linear", "chi2") if is_z_tree(t)]
+            for a in range(1, k + 1):
+                for b in range(k - a + 1):
+                    for n in range(k + 1, 9):
+                        base = gstar(n, a, b, k - a - b)
+                        for e in itertools.combinations(range(1, n + 1), 2):
+                            if e in base.edges:
+                                continue
+                            host = OrderedGraph(n, base.edges + (e,))
+                            for dec in decs:
+                                pairs += 1
+                                assert embed_dense(host, dec) is not None, (host.edges, dec)
+        assert pairs == 3870
+
+
+class TestPlan:
+    def test_one_plan_build_serves_every_host(self, monkeypatch):
+        """Derived decompositions are built once per decomposition, not per call."""
+        calls = []
+        for name in ("_z_decompose", "z_decompose", "cg_z_decompose", "validate_decomposition"):
+            real = getattr(solver, name)
+            monkeypatch.setattr(
+                solver, name, lambda *a, _real=real, _name=name: calls.append(_name) or _real(*a)
+            )
+        mirrored = next(d for d in SMALL_DECS if isinstance(d, ZDecomposition) and d.b > d.c == 0)
+        cyclic = next(d for d in SMALL_DECS if isinstance(d, CgZDecomposition) and d.linear.a > 2)
+        for dec in (mirrored, cyclic):
+            host = _complete(9, cyclic=isinstance(dec, CgZDecomposition))
+            solver._plan.cache_clear()
+            embed_dense(host, dec)
+            one_build = len(calls)
+            assert one_build > 1
+            del calls[:]
+            solver._plan.cache_clear()
+            for _ in range(50):
+                assert embed_dense(host, dec) is not None
+            assert len(calls) <= one_build
+            del calls[:]
+
+
+class TestDecompositionChecks:
+    def test_list_fields_rejected(self):
+        dec = ZDecomposition(hub=[1, 3], core=[(1, 2), (1, 3)], s_j=[], s_i=[])
+        with pytest.raises(InputError):
+            embed_dense(_complete(5), dec)
+        with pytest.raises(InputError):
+            embed_dense(_complete(5, cyclic=True), CgZDecomposition(0, dec))
+
+    def test_linear_part_type_required(self):
+        with pytest.raises(InputError):
+            embed_dense(_complete(5, cyclic=True), CgZDecomposition(0, None))
+
+    @pytest.mark.parametrize("rotation", [1.0, "1", None, True])
+    def test_rotation_must_be_int(self, rotation):
+        dec = cg_z_decompose(CgGraph(3, [(1, 2), (2, 3)]))
+        with pytest.raises(InputError):
+            embed_dense(_complete(6, cyclic=True), CgZDecomposition(rotation, dec.linear))
+
+    def test_cyclic_linear_part_is_validated(self):
+        """Every split of each cg z-tree with 3-4 edges into core and fans,
+        at its canonical rotation, on complete K_12: the invalid ones raise
+        and the valid ones embed."""
+        host = _complete(12, cyclic=True)
+        dec = CgZDecomposition(1, ZDecomposition(
+            hub=(1, 4), core=((3, 4), (2, 4), (1, 4), (2, 5)), s_j=(), s_i=()))
+        with pytest.raises(InputError):
+            embed_dense(host, dec)
+        valid = invalid = 0
+        for k in (3, 4):
+            for t in enumerate_trees(k, "cyclic", "chi2"):
+                if not is_cg_z_tree(t):
+                    continue
+                r = cg_z_decompose(t).rotation
+                lin = linearize(t, r)
+                for parts in itertools.product(range(3), repeat=k):
+                    core, s_j, s_i = (
+                        tuple(e for e, q in zip(lin.edges, parts) if q == part) for part in range(3)
+                    )
+                    if not core:
+                        continue
+                    core = tuple(sorted(core, key=lambda e: (e[1] - e[0], e)))
+                    split = CgZDecomposition(r, ZDecomposition(core[-1], core, s_j, s_i))
+                    try:
+                        validate_decomposition(lin, split.linear)
+                    except InputError:
+                        invalid += 1
+                        with pytest.raises(InputError):
+                            embed_dense(host, split)
+                    else:
+                        valid += 1
+                        emb = embed_dense(host, split)
+                        assert emb is not None and validate_embedding(host, t, emb)
+        assert (valid, invalid) == (99, 2729)
+
+    def test_coerced_copy_of_a_cached_decomposition_rejected(self):
+        """True == 1.0 == 1, so these equal the cached decomposition, but
+        their labels are not ints."""
+        host = _complete(6)
+        dec = z_decompose(OrderedGraph(3, [(1, 2), (1, 3)]))
+        assert embed_dense(host, dec) is not None
+        for one in (True, 1.0):
+            coerced = ZDecomposition((one, 2), ((one, 2),), (), ((one, 3),))
+            assert coerced == dec
+            with pytest.raises(InputError):
+                embed_dense(host, coerced)
+        cdec = cg_z_decompose(CgGraph(3, [(1, 2), (2, 3)]))
+        assert embed_dense(_complete(6, cyclic=True), cdec) is not None
+        with pytest.raises(InputError):
+            embed_dense(_complete(6, cyclic=True), CgZDecomposition(float(cdec.rotation), cdec.linear))

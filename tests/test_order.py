@@ -263,8 +263,7 @@ def ref_relabeled(g, perm):
     new_edges = [(perm[u], perm[v]) for u, v in g.edges]
     if g.colors is None:
         return type(g)(g.n, new_edges)
-    cmap = {(min(e), max(e)): c for e, c in zip(new_edges, g.colors)}
-    return type(g).from_color_map(g.n, cmap)
+    return type(g)(g.n, new_edges, colors=g.colors)
 
 
 def ref_mirror(g):
