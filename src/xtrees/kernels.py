@@ -16,6 +16,26 @@ over bitmask candidate sets:
   [x + (w - v), end - (p - w)] that leaves room for the vertices between and
   after. This prunes only branches that cannot complete, so it changes no
   result and no order.
+* bulk forward checking: when w already has a placed neighbour, its
+  candidate set c is small (on sparse hosts a few positions), so the check
+  runs once for all of v's candidates instead of once per candidate. x
+  passes iff some y in c has y >= x + gap and y in adj[x], i.e. iff x lies in
+  s = the union over y in c of adj[y] restricted to positions <= y - gap;
+  the candidates become m & s. This is the same test, so the same positions
+  pass. Only a w with no placed neighbour (c is the whole window) is still
+  checked per candidate.
+* interchangeable positions (Freuder, "Eliminating interchangeable values in
+  constraint satisfaction problems", AAAI 1991): within one placement loop
+  for v, let x be the last position that completed nothing (a forward check
+  rejected it, v + 1 had no candidate, or the search below added no
+  embedding). A later candidate x' with (adj[x'] ^ adj[x]) >> (x' + 1) == 0
+  is skipped. Any completion with v at x' places v + 1..p-1 above x', where
+  x sees every position as x' does; x is a candidate, so it is adjacent to
+  the images of v's placed neighbours. The same completion with v at x
+  would therefore be an embedding, and there was none. So the skip, too,
+  prunes only branches that cannot complete. On hosts made of twins, such
+  as the complete bipartite graph between two arcs, it turns a refutation
+  that retries every vertex of an arc into one that tries one per arc.
 
 Linear order searches the window [0, n). Cyclic order searches a doubled
 host, positions 0..2n-1 where position i stands for host vertex i mod n: for
@@ -66,15 +86,33 @@ def order_embeddings(n, adj, p, pat_edges, cyclic, limit=0):
                 c &= adj[img[u]]
             if not c:
                 return False
-            checks.append((c, gap))
+            if not placed:
+                checks.append((c, gap))
+                continue
+            # bulk forward check: keep the x of m adjacent to some y of c
+            # with y >= x + gap; y runs from the top down until m is covered
+            s = 0
+            while c >> gap and m & ~s:
+                y = c.bit_length() - 1
+                c ^= 1 << y
+                s |= adj[y] & ((1 << (y - gap + 1)) - 1)
+            m &= s
+            if not m:
+                return False
         nxt = v + 1
+        # adjacency mask of the last position that completed nothing; -1 (none
+        # yet) matches no mask, as (a ^ -1) >> k is negative
+        dead = -1
         while m:
             b = m & -m
             m ^= b
             x = b.bit_length() - 1
             a = adj[x]
+            if not (a ^ dead) >> (x + 1):
+                continue
             for c, gap in checks:
                 if not (c & a) >> (x + gap):
+                    dead = a
                     break
             else:
                 img[v] = x
@@ -86,8 +124,14 @@ def order_embeddings(n, adj, p, pat_edges, cyclic, limit=0):
                 mn = top[nxt] >> (x + 1) << (x + 1)
                 for u in prev[nxt]:
                     mn &= adj[img[u]]
-                if mn and extend(nxt, mn):
+                if not mn:
+                    dead = a
+                    continue
+                found = len(out)
+                if extend(nxt, mn):
                     return True
+                if len(out) == found:
+                    dead = a
         return False
 
     for t in range(n if cyclic else 1):

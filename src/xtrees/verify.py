@@ -509,9 +509,10 @@ def _c08_walk_machinery(seed: int) -> tuple[dict, list[str]]:
 
 
 def _random_subgraph(rng: random.Random, n: int, num_edges: int, cyclic: bool):
+    # the pairs are normalised and distinct, so sorted they need no validation
     pool = list(combinations(range(1, n + 1), 2))
-    picked = rng.sample(pool, num_edges)
-    return CgGraph(n, picked) if cyclic else OrderedGraph(n, picked)
+    picked = tuple(sorted(rng.sample(pool, num_edges)))
+    return (CgGraph if cyclic else OrderedGraph)._trusted(n, picked)
 
 
 def _c09_dense_embedding(seed: int) -> tuple[dict, list[str]]:

@@ -4,9 +4,13 @@ Runs the same suite as ``xtrees verify --suite all`` and reports each
 check on its own line, so a red criterion is immediately attributable.
 """
 
+import random
+from itertools import combinations
+
 import pytest
 
-from xtrees.verify import CHECK_IDS, CHECKS, all_passed, run_suite
+from xtrees.order import CgGraph, OrderedGraph
+from xtrees.verify import CHECK_IDS, CHECKS, _random_subgraph, all_passed, run_suite
 
 
 @pytest.fixture(scope="module")
@@ -36,3 +40,17 @@ def test_processes_match_serial():
     pooled = run_suite(["c05", "c06"], jobs=2)
     assert [r.check_id for r in pooled] == [r.check_id for r in serial] == ["c05", "c06"]
     assert [r.status for r in pooled] == [r.status for r in serial]
+
+
+def test_c09_hosts_equal_their_validated_builds():
+    """c09 builds its random hosts unvalidated; each must equal the graph the
+    validating constructor makes from the same draw."""
+    for i in range(500):
+        n = 2 + i % 11
+        m = random.Random(-i).randint(0, n * (n - 1) // 2)
+        cyclic = bool(i % 2)
+        host = _random_subgraph(random.Random(i), n, m, cyclic)
+        picked = random.Random(i).sample(list(combinations(range(1, n + 1), 2)), m)
+        want = (CgGraph if cyclic else OrderedGraph)(n, picked)
+        assert type(host) is type(want)
+        assert host == want and repr(host) == repr(want)

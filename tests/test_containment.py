@@ -10,7 +10,7 @@ cases document the semantics directly.
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from xtrees.containment import (
     MAX_HOST,
@@ -174,6 +174,51 @@ def _kernel_cases(draw):
     return host, pattern
 
 
+@st.composite
+def _twin_cases(draw):
+    """(host, pattern) of one mode on hosts whose vertices come in twins.
+
+    Either a blow-up of a 2-4 vertex graph (each base vertex, possibly with a
+    loop, becomes a class of consecutive or interleaved host vertices, and
+    classes are joined wherever the base has an edge) with up to three pairs
+    toggled, or the complete bipartite graph between two arcs with up to
+    three edges removed. The toggles make near-twins, whose masks differ in
+    one position.
+    """
+    cls = draw(st.sampled_from((OrderedGraph, CgGraph)))
+    if draw(st.booleans()):
+        k = draw(st.integers(min_value=2, max_value=4))
+        base = set(draw(st.lists(st.sampled_from(_pairs(k) + [(i, i) for i in range(1, k + 1)]),
+                                 unique=True)))
+        n = draw(st.integers(min_value=k, max_value=10))
+        if draw(st.booleans()):
+            part = [1 + i * k // n for i in range(n)]
+        else:
+            part = [1 + i % k for i in range(n)]
+        pool = _pairs(n)
+        edges = {(u, v) for u, v in pool
+                 if (min(part[u - 1], part[v - 1]), max(part[u - 1], part[v - 1])) in base}
+    else:
+        a = draw(st.integers(min_value=1, max_value=5))
+        n = a + draw(st.integers(min_value=1, max_value=5))
+        pool = [(u, v) for u in range(1, a + 1) for v in range(a + 1, n + 1)]
+        edges = set(pool)
+    edges ^= set(draw(st.lists(st.sampled_from(pool), max_size=3, unique=True)))
+    p = draw(st.integers(min_value=1, max_value=min(n, 5)))
+    pattern = cls(p, draw(st.lists(st.sampled_from(_pairs(p)), unique=True)) if p > 1 else [])
+    return cls(n, sorted(edges)), pattern
+
+
+class _CountingMasks(list):
+    """Adjacency masks that count how often the kernel reads them."""
+
+    reads = 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return list.__getitem__(self, i)
+
+
 def _run(host, pattern, limit=0):
     pat = [(u - 1, v - 1) for u, v in pattern.edges]
     return order_embeddings(
@@ -184,13 +229,11 @@ def _run(host, pattern, limit=0):
 class TestKernels:
     """The search kernel, called directly, against the oracle and its own contract."""
 
-    @settings(max_examples=150, deadline=None)
-    @given(_kernel_cases(), st.integers(min_value=1, max_value=4))
-    def test_oracle_set_order_and_limit(self, case, k):
-        host, pattern = case
+    @staticmethod
+    def _check_oracle(host, pattern, limits):
         full = _run(host, pattern)
         if pattern.n > host.n:
-            assert full == [] and _run(host, pattern, k) == []
+            assert full == [] and all(_run(host, pattern, k) == [] for k in limits)
             return
         want = {tuple(x - 1 for x in e.map) for e in oracle_iter_embeddings(host, pattern)}
         assert len(full) == len(set(full)) and set(full) == want
@@ -198,7 +241,44 @@ class TestKernels:
         # by offset from the anchor, which is lexicographic in the linear case
         n = host.n
         assert full == sorted(full, key=lambda m: (m[0], [(x - m[0]) % n for x in m]))
-        assert _run(host, pattern, k) == full[:k]
+        for k in limits:
+            assert _run(host, pattern, k) == full[:k]
+
+    @settings(max_examples=150, deadline=None)
+    @given(_kernel_cases(), st.integers(min_value=1, max_value=4))
+    def test_oracle_set_order_and_limit(self, case, k):
+        self._check_oracle(*case, [k])
+
+    @settings(max_examples=300, deadline=None)
+    @given(_twin_cases())
+    # each of these failed a wrong variant of the rules: the twin test
+    # shifted by x + 2, a bulk mask one position short, a skip after success
+    @example((OrderedGraph(4, [(3, 4)]), OrderedGraph(2, [(1, 2)])))
+    @example((OrderedGraph(3, [(1, 3), (2, 3)]), OrderedGraph(3, [(1, 3), (2, 3)])))
+    @example((OrderedGraph(4, [(1, 2), (1, 3), (1, 4)]), OrderedGraph(2, [])))
+    def test_twin_rich_hosts_match_oracle(self, case):
+        """Hosts full of twins exercise the skip of interchangeable positions
+        and the bulk forward check; every limit prefix must agree."""
+        self._check_oracle(*case, range(1, 42))
+
+    def test_interchangeable_positions_are_skipped(self):
+        """A negative query on the complete bipartite graph between positions
+        [0, 32) and [32, 64) reads a few hundred adjacency masks, not the
+        hundreds of thousands a search that retries every twin reads."""
+        low, high = (1 << 32) - 1, ((1 << 32) - 1) << 32
+        adj = _CountingMasks([high] * 32 + [low] * 32)
+        assert order_embeddings(64, adj, 5, [(0, 3), (1, 2), (1, 4), (3, 4)], False) == []
+        assert adj.reads < 2000
+
+    def test_forward_check_is_bulk(self):
+        """Host edges (i, i + 2): no position has two earlier neighbours.
+        Once vertex 0 is placed, vertex 2 has one candidate, and the
+        candidates of vertex 1 are checked against it at once instead of
+        reading each one's mask (about 2,000 reads in all)."""
+        adj = _CountingMasks([sum(1 << j for j in (i - 2, i + 2) if 0 <= j < 64)
+                              for i in range(64)])
+        assert order_embeddings(64, adj, 3, [(0, 2), (1, 2)], False) == []
+        assert adj.reads < 600
 
     @pytest.mark.parametrize("cls", [OrderedGraph, CgGraph])
     def test_single_vertex_pattern_hits_every_vertex(self, cls):
