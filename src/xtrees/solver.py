@@ -15,10 +15,25 @@ they are counted out from vertex subsets rather than searched for.
   each must still lose one of its own undecided edges, so count + undecided
   minus the number picked bounds every completion. A node is pruned as soon
   as that bound is at most the best count found.
+* Symmetry: a relabelling of the host that carries the placements onto
+  themselves maps pattern-free graphs to pattern-free graphs of the same
+  size. For cg these are the n rotations, and the n reflections when the
+  reflected pattern is a rotation of itself; for an ordered pattern equal to
+  its mirror, the mirror. Read an edge set as a word, edge 0 first, and
+  compare cur with its image g(cur) up to the first position not known on
+  both sides (lex-leader; Crawford, Ginsberg, Luks and Roy, KR 1996). If the
+  first difference is an edge of g(cur) the node is pruned; if it is an edge
+  of cur, g can never prune below and is dropped for the subtree.
 
-The bound is admissible, so no ancestor of the first optimal leaf in DFS
-order is pruned before that leaf is reached: the value and the witness are
-those of the plain undecided-edges bound, only with far fewer nodes. n is
+The include-first DFS meets leaves in decreasing word order, so it returns
+the largest optimal word. Its images are optimal too, so it is the leader of
+its orbit and no symmetry test prunes its path; the bounds are admissible,
+so no ancestor of it is pruned before it is reached. The value and the
+witness are those of the plain undecided-edges bound, only with far fewer
+nodes. A leaf cut by a symmetry has a larger image of the same size, which
+the DFS meets earlier or cuts by a bound no smaller, so the best count at
+each point of the DFS, and with it every bound test, is unchanged: the
+search visits a subset of the nodes it would visit without symmetry. n is
 capped at 8; larger requests are refused rather than approximated.
 
 ``embed_dense`` turns the inductive extremal proofs into algorithms. Each
@@ -123,6 +138,22 @@ def _placement_masks(n: int, pattern: _Graph, index: dict) -> list[int]:
     return sorted(masks)
 
 
+def _relabellings(n: int, pattern: _Graph) -> list[list[int]]:
+    """Non-identity relabellings img of [n] (img[0] unused) that carry the
+    pattern's placements onto themselves: every rotation for cg, with the
+    reflections when the reflected pattern is a rotation of itself; the mirror
+    for an ordered pattern equal to its mirror."""
+    flip = [0] + list(range(n, 0, -1))
+    if pattern.mode != "cg":
+        return [flip] if mirror(pattern).edges == pattern.edges else []
+    turns = [[0] + [(v + r) % n + 1 for v in range(n)] for r in range(n)]
+    maps = turns[1:]
+    flipped = mirror(pattern).edges
+    if any(rotate(pattern, r).edges == flipped for r in range(pattern.n)):
+        maps += [[t[v] for v in flip] for t in turns]
+    return maps
+
+
 def extremal_number(n: int, pattern: _Graph, naive: bool = False) -> ExtremalResult:
     """Maximum edges of an n-vertex graph (same mode as the pattern) that
     does not contain the pattern, by exhaustive branch-and-bound.
@@ -168,11 +199,29 @@ def extremal_number(n: int, pattern: _Graph, naive: bool = False) -> ExtremalRes
         top = m.bit_length() - 1
         closing[top].append(m ^ (1 << top))
     total = len(edges)
+    # Per relabelling g: the image bit of each edge, and per depth i the mask
+    # of the positions known in both cur and g(cur), cut at the first unknown
+    # one, or 0 where that prefix did not grow since depth i - 1.
+    syms = []
+    for img in _relabellings(n, pattern):
+        bits, inv = [], [0] * total
+        for e, (a, b) in enumerate(edges):
+            k = index[(min(img[a], img[b]), max(img[a], img[b]))]
+            bits.append(1 << k)
+            inv[k] = e
+        known, prefix = [0], 0
+        for i in range(1, total + 1):
+            grown = prefix
+            while grown < i and inv[grown] < i:
+                grown += 1
+            known.append((1 << grown) - 1 if grown > prefix else 0)
+            prefix = grown
+        syms.append((bits, known, 0))
     best = -1
     best_mask = 0
     nodes = 0
 
-    def rec(i: int, cur: int, count: int, live: list[int]) -> None:
+    def rec(i: int, cur: int, count: int, live: list[int], syms: list) -> None:
         nonlocal best, best_mask, nodes
         nodes += 1
         undecided = total - i
@@ -181,6 +230,18 @@ def extremal_number(n: int, pattern: _Graph, naive: bool = False) -> ExtremalRes
         if i == total:
             best, best_mask = count, cur
             return
+        # Lex-leader test, bit 0 most significant: at the first decided
+        # difference, g(cur) ahead prunes; cur ahead retires g for the subtree.
+        if syms:
+            kept = []
+            for s in syms:
+                _, known, gx = s
+                d = (cur ^ gx) & known[i]
+                if not d:
+                    kept.append(s)
+                elif gx & d & -d:
+                    return
+            syms = kept
         # Live placements (no edge excluded) with pairwise disjoint undecided
         # parts each still have to lose one of their own undecided edges.
         used = 0
@@ -197,10 +258,11 @@ def extremal_number(n: int, pattern: _Graph, naive: bool = False) -> ExtremalRes
             if r & cur == r:
                 break
         else:
-            rec(i + 1, cur | bit, count + 1, live)
-        rec(i + 1, cur, count, [m for m in live if not m & bit])
+            rec(i + 1, cur | bit, count + 1, live,
+                syms and [(bits, known, gx | bits[i]) for bits, known, gx in syms])
+        rec(i + 1, cur, count, [m for m in live if not m & bit], syms)
 
-    rec(0, 0, 0, masks)
+    rec(0, 0, 0, masks, syms)
     chosen = [edges[i] for i in range(total) if best_mask >> i & 1]
     cls = type(pattern)
     witness = cls(n, sorted(chosen))

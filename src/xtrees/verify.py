@@ -582,11 +582,16 @@ def _c09_dense_embedding(seed: int) -> tuple[dict, list[str]]:
 
 
 def _c10_solver_oracle(seed: int) -> tuple[dict, list[str]]:
-    """Branch-and-bound equals full 2^C(n,2) enumeration for n <= 5."""
+    """Branch-and-bound equals full 2^C(n,2) enumeration for n <= 5.
+
+    The patterns are the ordered obstructions and z-trees and every cg tree
+    with up to 3 edges, whose solves prune by rotation and reflection.
+    """
     failures: list[str] = []
-    patterns: list[OrderedGraph] = list(derive_obstructions(4))
+    patterns: list[OrderedGraph | CgGraph] = list(derive_obstructions(4))
     for k in (1, 2, 3):
         patterns.extend(_z_trees(k))
+        patterns.extend(enumerate_trees(k, "cyclic"))
     comparisons = 0
     for pat in patterns:
         for n in range(max(2, pat.n), 6):

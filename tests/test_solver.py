@@ -1,5 +1,5 @@
 """Exact extremal numbers: pinned values, golden data, oracle agreement,
-bounds and refusal behavior."""
+symmetry breaking against the unpruned search, bounds and refusal behavior."""
 
 import dataclasses
 import itertools
@@ -14,12 +14,13 @@ from xtrees.containment import contains
 from xtrees.errors import BudgetError, InputError
 from xtrees.io import graph_to_dict
 from xtrees.kernels import order_embeddings
-from xtrees.order import CgGraph, OrderedGraph
+from xtrees.order import CgGraph, OrderedGraph, mirror, reflect, rotate
 from xtrees.solver import (
     SOLVER_MAX_N,
     _canonical_edges,
     _check_result,
     _placement_masks,
+    _relabellings,
     extremal_number,
 )
 from xtrees.trees import (
@@ -133,6 +134,126 @@ class TestSearch:
         r = extremal_number(8, P)
         assert r.value == 17
         assert r.nodes <= 10_000
+
+
+def ref_extremal(n, pattern):
+    """(value, witness edges, nodes) of the branch-and-bound with closing
+    lists and the packing bound but no symmetry breaking: the reference whose
+    value and witness the pruned search must reproduce with no more nodes."""
+    edges = _canonical_edges(n)
+    index = {e: i for i, e in enumerate(edges)}
+    masks = _placement_masks(n, pattern, index)
+    closing = [[] for _ in edges]
+    for m in masks:
+        top = m.bit_length() - 1
+        closing[top].append(m ^ (1 << top))
+    total = len(edges)
+    best, best_mask, nodes = -1, 0, 0
+
+    def rec(i, cur, count, live):
+        nonlocal best, best_mask, nodes
+        nodes += 1
+        undecided = total - i
+        if count + undecided <= best:
+            return
+        if i == total:
+            best, best_mask = count, cur
+            return
+        used = packed = 0
+        for m in live:
+            r = m >> i
+            if not r & used:
+                used |= r
+                packed += 1
+        if count + undecided - packed <= best:
+            return
+        bit = 1 << i
+        if not any(r & cur == r for r in closing[i]):
+            rec(i + 1, cur | bit, count + 1, live)
+        rec(i + 1, cur, count, [m for m in live if not m & bit])
+
+    rec(0, 0, 0, masks)
+    return best, tuple(sorted(edges[i] for i in range(total) if best_mask >> i & 1)), nodes
+
+
+def _assert_matches_reference(n, pattern):
+    r = extremal_number(n, pattern)
+    value, witness, nodes = ref_extremal(n, pattern)
+    assert (r.value, r.witness.edges) == (value, witness), (n, pattern)
+    assert r.nodes <= nodes, (n, pattern, r.nodes, nodes)
+
+
+def _image(mask, img, edges, index):
+    out = 0
+    for e, (a, b) in enumerate(edges):
+        if mask >> e & 1:
+            out |= 1 << index[(min(img[a], img[b]), max(img[a], img[b]))]
+    return out
+
+
+class TestSymmetryBreaking:
+    """Lex-leader pruning keeps the include-first DFS's witness: it is the
+    lexicographically largest optimum, so the leader of its orbit."""
+
+    @pytest.mark.parametrize("mode", ["linear", "cyclic"])
+    def test_trees_match_the_unpruned_search(self, mode):
+        for k in (1, 2, 3):
+            for t in enumerate_trees(k, mode):
+                for n in range(t.n, 8):
+                    _assert_matches_reference(n, t)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_arbitrary_patterns_match_the_unpruned_search(self, data):
+        """Any edge set, isolated vertices included; ordered sets are often
+        closed under the mirror so that the mirror is kept."""
+        cls = data.draw(st.sampled_from([OrderedGraph, CgGraph]))
+        p = data.draw(st.integers(min_value=2, max_value=5))
+        pairs = list(itertools.combinations(range(1, p + 1), 2))
+        chosen = set(data.draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=5,
+                                        unique=True)))
+        if cls is OrderedGraph and data.draw(st.booleans()):
+            chosen |= set(mirror(OrderedGraph(p, chosen)).edges)
+        n = data.draw(st.integers(min_value=p, max_value=7))
+        _assert_matches_reference(n, cls(p, chosen))
+
+    @pytest.mark.parametrize("cls", [OrderedGraph, CgGraph])
+    def test_kept_relabellings_are_exactly_the_placement_symmetries(self, cls):
+        """A kept relabelling that moved a placement off the placement set
+        would change values silently. Of the mirror (ordered) or the dihedral
+        group (cg), exactly those that fix the set are kept."""
+        for p in (2, 3, 4):
+            pairs = list(itertools.combinations(range(1, p + 1), 2))
+            for r in range(1, len(pairs) + 1):
+                for chosen in itertools.combinations(pairs, r):
+                    pattern = cls(p, chosen)
+                    for n in range(p, 8):
+                        self._check_group(n, pattern)
+
+    @staticmethod
+    def _check_group(n, pattern):
+        edges = _canonical_edges(n)
+        index = {e: i for i, e in enumerate(edges)}
+        masks = set(_placement_masks(n, pattern, index))
+        kept = _relabellings(n, pattern)
+        flip = [0] + list(range(n, 0, -1))
+        if pattern.mode == "cg":
+            turns = [[0] + [(v + s) % n + 1 for v in range(n)] for s in range(n)]
+            flips = [[t[v] for v in flip] for t in turns]
+            symmetric = any(rotate(pattern, s) == reflect(pattern) for s in range(pattern.n))
+            assert all(t in kept for t in turns[1:])
+            assert all((f in kept) == symmetric for f in flips)
+            candidates = turns[1:] + flips
+        else:
+            candidates = [flip]
+        assert all(img in candidates for img in kept)
+        for img in candidates:
+            fixed = {_image(m, img, edges, index) for m in masks} == masks
+            assert fixed == (img in kept), (n, pattern, img)
+
+    def test_rotation_node_guard(self):
+        """Without symmetry breaking this cg solve needs 19,734 nodes."""
+        assert extremal_number(7, CgGraph(4, [(1, 2), (1, 3), (3, 4)])).nodes < 10_000
 
 
 class TestStructuralBounds:
