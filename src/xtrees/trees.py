@@ -39,6 +39,7 @@ from typing import Iterator, Optional, Union
 from .containment import Embedding, contains, find_embedding
 from .errors import BudgetError, InputError, NotApplicableError
 from .order import (
+    _SHARED_EDGES,
     CgGraph,
     OrderedGraph,
     _adjacency_lists,
@@ -48,6 +49,7 @@ from .order import (
     chi_cyclic,
     chi_interval,
     crosses,
+    cyclic_split,
     mirror,
 )
 
@@ -303,21 +305,23 @@ def cg_z_decompose(t: CgGraph) -> Union[CgZDecomposition, NotACgZTree]:
     """Smallest rotation under which the cg tree linearizes to a z-tree.
 
     Raises NotApplicableError unless the input is a tree with cyclic interval
-    chromatic number two. Rotations whose linearization has interval
-    chromatic number above two simply fail; only some cut of the circle can
-    work, and all n cuts are tried.
+    chromatic number two. Rotation r cuts the circle after vertex n - r, and
+    a z-tree has interval chromatic number two, so the cut must fall on a
+    boundary of a split of the circle into two edge-free arcs. A tree is
+    connected, so its two colour classes are unique, and so is that split:
+    only the rotations r = (n - b) mod n for its two boundaries b can work,
+    and they are tried in ascending order.
     """
     if not isinstance(t, CgGraph):
         raise InputError("cg_z_decompose expects a cg graph")
     _require_tree(t)
-    if chi_cyclic(t) != 2:
+    split = cyclic_split(t)
+    if split.k != 2:
         raise NotApplicableError("cyclic interval chromatic number must be 2")
-    for r in range(t.n):
+    n = t.n
+    for r in sorted((n - b) % n for b in split.boundaries):
         # every linearization of a tree is a tree
-        lin = _linearized(t, r)
-        if chi_interval(lin) != 2:
-            continue
-        dec = _z_decompose(lin)
+        dec = _z_decompose(_linearized(t, r))
         if isinstance(dec, ZDecomposition):
             return CgZDecomposition(rotation=r, linear=dec)
     return NotACgZTree("no rotation linearizes to a z-tree")
@@ -338,32 +342,42 @@ def _norm(u: int, v: int) -> tuple[int, int]:
     return (u, v) if u < v else (v, u)
 
 
-def _paths_with_edges(t: _Graph, length: int) -> list[tuple[int, ...]]:
-    """All simple paths with exactly ``length`` edges, canonical and sorted.
+def _paths_with_edges(t: _Graph, length: int) -> Iterator[tuple[int, ...]]:
+    """Every simple path with exactly ``length`` >= 1 edges, lazily and in
+    lexicographic order.
 
     Paths are vertex sequences; each path appears once, oriented so that the
-    first vertex is smaller than the last.
+    first vertex is smaller than the last. The depth-first search runs over
+    ascending start vertices and ascending neighbour lists, so it meets the
+    paths in lexicographic order and a caller can stop at the first it needs.
     """
-    found = []
     # not kept on t: the lists cost more memory than their rebuild costs time
     nbrs = _adjacency_lists(t.n, t.edges)
-
-    def grow(seq: list[int], used: set[int]) -> None:
-        if len(seq) == length + 1:
-            if seq[0] < seq[-1]:
-                found.append(tuple(seq))
-            return
-        for w in nbrs[seq[-1]]:
-            if w not in used:
-                seq.append(w)
-                used.add(w)
-                grow(seq, used)
-                used.remove(w)
+    for v in range(1, t.n + 1):
+        seq = [v]
+        stack = [iter(nbrs[v])]
+        while stack:
+            for w in stack[-1]:
+                if w in seq:
+                    continue
+                if len(seq) < length:
+                    seq.append(w)
+                    stack.append(iter(nbrs[w]))
+                    break
+                if v < w:
+                    yield (*seq, w)
+            else:
+                stack.pop()
                 seq.pop()
 
-    for v in range(1, t.n + 1):
-        grow([v], {v})
-    return sorted(found)
+
+def _crosses(e: tuple[int, int], f: tuple[int, int]) -> bool:
+    """Do the normalised edges e and f cross, in either mode? Exactly one end
+    of f lies strictly inside e and the other strictly outside; a shared
+    endpoint is on neither side, so edges that share one never cross."""
+    a, b = e
+    c, d = f
+    return a < c < b < d or c < a < d < b
 
 
 @dataclass(frozen=True)
@@ -382,9 +396,10 @@ def detect_crossing_path4(t: CgGraph) -> Optional[CrossingPath4]:
     """First four-edge path of the cg graph containing a crossing, if any."""
     for path in _paths_with_edges(t, 4):
         edges = [_norm(path[x], path[x + 1]) for x in range(4)]
-        for e, f in combinations(edges, 2):
-            if crosses(t, e, f):
-                return CrossingPath4(path, (e, f))
+        # edges next to each other on the path share a vertex and never cross
+        for x, y in ((0, 2), (0, 3), (1, 3)):
+            if _crosses(edges[x], edges[y]):
+                return CrossingPath4(path, (edges[x], edges[y]))
     return None
 
 
@@ -409,11 +424,10 @@ _TWIN_SEARCH_CAP = 1500
 
 
 def _self_crossing_paths3(t: CgGraph) -> list[tuple[int, ...]]:
-    out = []
-    for path in _paths_with_edges(t, 3):
-        if crosses(t, _norm(path[0], path[1]), _norm(path[2], path[3])):
-            out.append(path)
-    return out
+    return [
+        path for path in _paths_with_edges(t, 3)
+        if _crosses(_norm(path[0], path[1]), _norm(path[2], path[3]))
+    ]
 
 
 def _twin_pair_ok(t: CgGraph, p: tuple, q: tuple) -> Optional[int]:
@@ -423,7 +437,7 @@ def _twin_pair_ok(t: CgGraph, p: tuple, q: tuple) -> Optional[int]:
     shared_center = len(set(e) & set(f))
     if len(set(p) & set(q)) != shared_center:
         return None
-    if e != f and crosses(t, e, f):
+    if _crosses(e, f):
         return None
     n = t.n
     if shared_center == 2:
@@ -567,7 +581,8 @@ def enumerate_trees(k: int, mode: str, filt: str = "all") -> Iterator[_Graph]:
     ``mode`` picks ordered ("linear") or cg ("cyclic") graphs; ``filt`` is
     "all" or "chi2" (keep only interval/cyclic chromatic number two). The
     unfiltered stream has (k+1)^(k-1) trees, decoded from Prüfer sequences in
-    lexicographic order.
+    lexicographic order. A decoding is a tree on 1..k+1 by construction, so
+    the graphs are built without validating them again.
     """
     if not 1 <= k <= 6:
         raise InputError("tree enumeration supports 1 <= k <= 6 edges")
@@ -579,7 +594,8 @@ def enumerate_trees(k: int, mode: str, filt: str = "all") -> Iterator[_Graph]:
     chi = chi_interval if mode == "linear" else chi_cyclic
     n = k + 1
     for seq in product(range(1, n + 1), repeat=k - 1):
-        g = cls(n, _prufer_edges(n, seq))
+        edges = sorted(_SHARED_EDGES[u][v] for u, v in _prufer_edges(n, seq))
+        g = cls._trusted(n, tuple(edges))
         if filt == "chi2" and chi(g) != 2:
             continue
         yield g

@@ -340,14 +340,27 @@ def check_against_references(g):
 
 class TestArithmeticTransforms:
     """Transforms and chi computed by label arithmetic equal the
-    construct-and-validate references, on every tree with <= 5 edges and on
-    drawn graphs with and without colours."""
+    construct-and-validate references, on every tree with <= 5 edges, on
+    drawn graphs with and without colours, on drawn cg graphs up to 12
+    vertices and on complete and empty graphs."""
 
     @pytest.mark.parametrize("mode", ["linear", "cyclic"])
     def test_every_small_tree(self, mode):
         for k in range(1, 6):
             for t in enumerate_trees(k, mode):
                 check_against_references(t)
+
+    @given(st.integers(min_value=1, max_value=12).flatmap(
+        lambda n: (_edges(n) if n > 1 else st.just([])).map(lambda es: CgGraph(n, es))
+    ))
+    def test_drawn_cg_graphs_up_to_12(self, g):
+        check_against_references(g)
+
+    @pytest.mark.parametrize("cls", [OrderedGraph, CgGraph])
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_complete_and_empty(self, cls, n):
+        check_against_references(cls(n, combinations(range(1, n + 1), 2)))
+        check_against_references(cls(n, []))
 
     @given(colored_graphs())
     def test_drawn_graphs(self, g):

@@ -1,13 +1,30 @@
 """Tree structure: z-decompositions (both orders), forbidden configurations,
 the obstruction catalog, enumeration and classification."""
 
-import pytest
+from itertools import combinations
 
-from xtrees.errors import BudgetError, InputError
-from xtrees.order import CgGraph, OrderedGraph, chi_interval, mirror
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from xtrees import trees
+from xtrees.errors import BudgetError, InputError, NotApplicableError
+from xtrees.order import (
+    _SHARED_EDGES,
+    CgGraph,
+    OrderedGraph,
+    arc_side,
+    chi_interval,
+    crosses,
+    mirror,
+    reflect,
+)
 from xtrees.trees import (
     CROSSING_P3_EDGES,
+    CgZDecomposition,
+    CrossingPath4,
     LinearFormula,
+    NotACgZTree,
+    TwinCrossingPaths,
     ZDecomposition,
     cg_z_decompose,
     classify_tree,
@@ -172,6 +189,17 @@ class TestEnumeration:
         with pytest.raises(InputError):
             list(enumerate_trees(7, "linear"))
 
+    @pytest.mark.parametrize("mode", ["linear", "cyclic"])
+    def test_trees_equal_their_validated_builds(self, mode):
+        """Enumerated trees skip validation; they must equal the graphs the
+        validating constructor builds from the same edges, and share the
+        package's edge tuples."""
+        for k in range(1, 7):
+            for t in enumerate_trees(k, mode):
+                ref = type(t)(t.n, list(t.edges))
+                assert t == ref and hash(t) == hash(ref) and repr(t) == repr(ref)
+                assert all(e is _SHARED_EDGES[e[0]][e[1]] for e in t.edges)
+
 
 class TestClassify:
     def test_z_tree_is_linear_with_formula(self):
@@ -204,3 +232,172 @@ class TestClassify:
     def test_formula_values(self):
         assert LinearFormula(2).value(5) == 4
         assert LinearFormula(4).value(7) == 15
+
+
+# -- reference versions of the cyclic structure layer: every cut of the
+# circle tried, every path listed and sorted, and crossings tested by the
+# validating public ``crosses``. The fast versions must agree exactly.
+
+
+def ref_cg_z_decompose(t):
+    lins = [linearize(t, r) for r in range(t.n)]
+    if all(chi_interval(lin) != 2 for lin in lins):
+        raise NotApplicableError("cyclic interval chromatic number must be 2")
+    for r, lin in enumerate(lins):
+        if chi_interval(lin) != 2:
+            continue
+        dec = z_decompose(lin)
+        if isinstance(dec, ZDecomposition):
+            return CgZDecomposition(rotation=r, linear=dec)
+    return NotACgZTree("no rotation linearizes to a z-tree")
+
+
+def ref_paths_with_edges(t, length):
+    found = []
+
+    def grow(seq):
+        if len(seq) == length + 1:
+            if seq[0] < seq[-1]:
+                found.append(tuple(seq))
+            return
+        for w in t.neighbors(seq[-1]):
+            if w not in seq:
+                grow(seq + [w])
+
+    for v in range(1, t.n + 1):
+        grow([v])
+    return sorted(found)
+
+
+def _edge(u, v):
+    return (u, v) if u < v else (v, u)
+
+
+def ref_detect_crossing_path4(t):
+    for path in ref_paths_with_edges(t, 4):
+        edges = [_edge(path[x], path[x + 1]) for x in range(4)]
+        for e, f in combinations(edges, 2):
+            if crosses(t, e, f):
+                return CrossingPath4(path, (e, f))
+    return None
+
+
+def ref_twin_pair_ok(t, p, q):
+    e, f = _edge(p[1], p[2]), _edge(q[1], q[2])
+    shared_center = len(set(e) & set(f))
+    if len(set(p) & set(q)) != shared_center:
+        return None
+    if e != f and crosses(t, e, f):
+        return None
+    n = t.n
+    if shared_center == 2:
+        sp = arc_side(n, e, p[0])
+        if sp != arc_side(n, e, p[3]):
+            return None
+        sq = arc_side(n, e, q[0])
+        if sq != arc_side(n, e, q[3]):
+            return None
+        return 2 if sp != sq else None
+    for a, b in ((p, q), (q, p)):
+        ce = _edge(a[1], a[2])
+        sides = {arc_side(n, ce, x) for x in (b[1], b[2]) if x not in ce}
+        if len(sides) != 1:
+            return None
+        banned = sides.pop()
+        if arc_side(n, ce, a[0]) == banned or arc_side(n, ce, a[3]) == banned:
+            return None
+    return shared_center
+
+
+def ref_detect_twin_crossing_paths(t):
+    selfx = [
+        p for p in ref_paths_with_edges(t, 3)
+        if crosses(t, _edge(p[0], p[1]), _edge(p[2], p[3]))
+    ]
+    if len(selfx) > trees._TWIN_SEARCH_CAP:
+        raise BudgetError("cap")
+    for p, q in combinations(selfx, 2):
+        shared = ref_twin_pair_ok(t, p, q)
+        if shared is not None:
+            return TwinCrossingPaths(shared, p, q)
+    return None
+
+
+def outcome(f, *args):
+    """The result of f, or the type of the xtrees error it raised."""
+    try:
+        return f(*args)
+    except (BudgetError, NotApplicableError) as exc:
+        return type(exc)
+
+
+@st.composite
+def cg_graphs(draw, max_n=10):
+    """A cg graph on 1..n, n <= max_n, any edge set (trees are rare)."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    pairs = list(combinations(range(1, n + 1), 2))
+    es = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return CgGraph(n, es)
+
+
+class TestAgainstReferences:
+    def test_cg_z_decompose_every_small_tree(self):
+        for k in range(1, 7):
+            for t in enumerate_trees(k, "cyclic"):
+                for g in (t, reflect(t)):
+                    assert outcome(cg_z_decompose, g) == outcome(ref_cg_z_decompose, g), g
+
+    @settings(max_examples=150, deadline=None)
+    @given(cg_graphs())
+    def test_paths_and_detectors(self, g):
+        for length in range(1, 5):
+            assert list(trees._paths_with_edges(g, length)) == ref_paths_with_edges(g, length)
+        assert detect_crossing_path4(g) == ref_detect_crossing_path4(g)
+        assert outcome(detect_twin_crossing_paths, g) == outcome(ref_detect_twin_crossing_paths, g)
+
+    @given(cg_graphs(max_n=12))
+    def test_private_crossing_test(self, g):
+        for e, f in combinations(g.edges, 2):
+            assert trees._crosses(e, f) == trees._crosses(f, e) == crosses(g, e, f)
+
+
+class TestWorkDone:
+    """Guards on how much work the cyclic layer does, not only its output."""
+
+    def test_cg_z_decompose_tries_two_cuts(self, monkeypatch):
+        calls = []
+        linearized = trees._linearized
+
+        def counting(t, r):
+            calls.append(r)
+            return linearized(t, r)
+
+        monkeypatch.setattr(trees, "_linearized", counting)
+        most = 0
+        for k in range(1, 6):
+            for t in enumerate_trees(k, "cyclic"):
+                calls.clear()
+                outcome(cg_z_decompose, t)
+                assert len(calls) <= 2, (t.edges, calls)
+                most = max(most, len(calls))
+        assert most == 2
+
+    def test_crossing_path4_stops_at_first_hit(self, monkeypatch):
+        """The first 4-edge path, 1-3-5-2-4, crosses: 13 x 25. Finding it
+        reads four neighbour lists; listing every path reads them all."""
+        reads = []
+
+        class CountingList(list):
+            def __iter__(self):
+                reads.append(1)
+                return super().__iter__()
+
+        adjacency_lists = trees._adjacency_lists
+        monkeypatch.setattr(
+            trees, "_adjacency_lists",
+            lambda n, edges: [CountingList(x) for x in adjacency_lists(n, edges)],
+        )
+        t = CgGraph(12, [(1, 3), (3, 5), (2, 5), (2, 4)] + [(4, v) for v in range(6, 13)])
+        assert t.is_tree()
+        assert detect_crossing_path4(t) == CrossingPath4((1, 3, 5, 2, 4), ((1, 3), (2, 5)))
+        assert len(reads) <= 5
