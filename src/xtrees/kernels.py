@@ -46,9 +46,40 @@ is its image of vertex 0, and images are reported mod n.
 
 Only backward pattern edges (u, v) with u < v are consulted, which is all of
 them since edges are normalised.
+
+First-hit queries (limit >= 1) refute an absence in the cheapest of the
+pattern's equivalent orientations, and take their hits from the search as
+given. Each orientation below has an embedding iff the pattern as given does:
+
+* mirror (both orders): pattern v -> p-1-v and host x -> n-1-x. Reversing
+  both orders maps an order-preserving embedding f to v -> n-1-f(p-1-v),
+  which again preserves the linear or the cyclic order, and back again.
+* rotation (cyclic only): pattern v -> (v - r) mod p, host unchanged. A
+  rotation keeps the cyclic order of the pattern, so f composed with the
+  inverse rotation embeds the rotated pattern in the same host.
+
+The search fails first (Haralick & Elliott 1980) when a pattern's edges
+close early: an edge (u, v) prunes candidates once v is placed, so each
+orientation is scored by the sum of the right endpoints v of its normalised
+edges, and the lowest score is taken; a tie keeps the pattern as given. The
+choice depends on the pattern alone and is cached per (p, edges, mode). If
+the chosen orientation is not the pattern as given, the search first runs
+on it with limit 1; finding nothing, the query returns []; else the search
+runs on the input as given with the caller's limit. So the list returned, and
+its order, are those of the search as given. Enumeration (limit 0) searches
+only as given.
+
+The pattern's share of the set-up (each vertex's earlier neighbours and the
+forward checks after placing it) is built once per pattern and cached with
+the choice, so a tiny query pays the second search and little else.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
+
+# _REV8[b]: the byte b with its 8 bits in reverse order
+_REV8 = bytes(sum((b >> i & 1) << (7 - i) for i in range(8)) for b in range(256))
 
 
 def order_embeddings(n, adj, p, pat_edges, cyclic, limit=0):
@@ -64,14 +95,65 @@ def order_embeddings(n, adj, p, pat_edges, cyclic, limit=0):
     """
     if p > n or p < 1:
         return []
-    prev = [[] for _ in range(p)]
-    for u, v in pat_edges:
-        prev[v].append(u)
-    # forward checks after placing v: each later neighbour w of v, with the
-    # neighbours of w placed before v and the least gap w - v to v's image
-    later = [[] for _ in range(p)]
-    for v, w in pat_edges:
-        later[v].append((w, [u for u in prev[w] if u < v], w - v))
+    plan, turn = _compile(p, tuple(pat_edges), cyclic)
+    if limit and turn is not None:
+        turned, flip = turn
+        if not _search(n, _mirrored(n, adj) if flip else adj, p, turned, cyclic, 1):
+            return []
+    return _search(n, adj, p, plan, cyclic, limit)
+
+
+def _mirrored(n, adj):
+    """The masks of the host mirrored, x -> n-1-x: the list reversed and the
+    n bits of each mask too (bytes reversed, then the bits of each byte)."""
+    k = (n + 7) >> 3
+    shift = 8 * k - n
+    return [
+        int.from_bytes(a.to_bytes(k, "little").translate(_REV8), "big") >> shift
+        for a in reversed(adj)
+    ]
+
+
+@lru_cache(maxsize=1024)
+def _compile(p, pat_edges, cyclic):
+    """(plan, turn) for a pattern: the search plan of the pattern as given,
+    and turn = None if first-hit queries refute in it, else (the plan of the
+    orientation they refute in, whether the host is mirrored too)."""
+    best, turn = sum(v for _, v in pat_edges), None
+    for flip in (False, True):
+        for r in range(p if cyclic else 1):
+            if not (flip or r):
+                continue
+            edges = []
+            for u, v in pat_edges:
+                if flip:
+                    u, v = p - 1 - u, p - 1 - v
+                u, v = (u - r) % p, (v - r) % p
+                edges.append((u, v) if u < v else (v, u))
+            s = sum(v for _, v in edges)
+            if s < best:
+                best, turn = s, (edges, flip)
+    if turn is not None:
+        turn = (_plan(p, sorted(turn[0])), turn[1])
+    return _plan(p, pat_edges), turn
+
+
+def _plan(p, pat_edges):
+    """prev[v]: the earlier neighbours of v; later[v]: the forward checks
+    after placing v, one per later neighbour w of v, with the neighbours of w
+    placed before v and the least gap w - v to v's image. Tuples, as the
+    plan is kept in the cache (an empty tuple takes no memory of its own)."""
+    prev = tuple(tuple(u for u, w in pat_edges if w == v) for v in range(p))
+    later = tuple(
+        tuple((w, tuple(u for u in prev[w] if u < v), w - v) for x, w in pat_edges if x == v)
+        for v in range(p)
+    )
+    return prev, later
+
+
+def _search(n, adj, p, plan, cyclic, limit):
+    """The backtracking search of the module docstring on the input as given."""
+    prev, later = plan
     if cyclic:
         adj = [a | a << n for a in adj] * 2
     out = []

@@ -718,14 +718,19 @@ def classify_tree(t: _Graph, mode: Optional[str] = None) -> Verdict:
         )
     dec = cg_z_decompose(t)
     x4 = detect_crossing_path4(t)
-    twins = detect_twin_crossing_paths(t)
+    # a crossing path already rules the tree out; twins could only feed the message below
+    twins = detect_twin_crossing_paths(t) if x4 is None else None
     clear = x4 is None and twins is None
     if isinstance(dec, CgZDecomposition) != clear:
+        if x4 is not None:
+            twin_text = "not searched"
+        else:
+            twin_text = "none" if twins is None else (twins.path1, twins.path2)
         raise RuntimeError(
             "internal: cg decomposition and configuration detectors disagree "
             f"(decomposition={'yes' if isinstance(dec, CgZDecomposition) else 'no'}, "
             f"crossing path={'none' if x4 is None else x4.vertices}, "
-            f"twin paths={'none' if twins is None else (twins.path1, twins.path2)})"
+            f"twin paths={twin_text})"
         )
     if isinstance(dec, CgZDecomposition):
         return Verdict(

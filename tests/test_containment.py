@@ -21,10 +21,13 @@ from xtrees.containment import (
     iter_embeddings,
     validate_embedding,
 )
+from xtrees import kernels
+from xtrees.constructions import fh_q
 from xtrees.errors import BudgetError, InputError
 from xtrees.kernels import order_embeddings
 from xtrees.order import CgGraph, OrderedGraph, mirror, reflect, rotate
 from xtrees.oracles import oracle_contains, oracle_iter_embeddings
+from xtrees.trees import enumerate_trees
 
 
 def _random_graph(rng, n, cyclic, p=0.4):
@@ -289,3 +292,226 @@ class TestKernels:
     @pytest.mark.parametrize("cls", [OrderedGraph, CgGraph])
     def test_pattern_larger_than_host_has_no_embedding(self, cls):
         assert _run(cls(3, [(1, 2), (2, 3)]), cls(4, [])) == []
+
+
+# ---------------------------------------------------------------------------
+# first-hit queries refuted in another orientation
+
+
+def ref_order_embeddings(n, adj, p, pat_edges, cyclic, limit=0):
+    """The search kernel as it was before first-hit queries could refute in
+    another orientation: the same backtracking search, always on the input
+    as given. Kept as the reference for the list and order returned."""
+    if p > n or p < 1:
+        return []
+    prev = [[] for _ in range(p)]
+    for u, v in pat_edges:
+        prev[v].append(u)
+    # forward checks after placing v: each later neighbour w of v, with the
+    # neighbours of w placed before v and the least gap w - v to v's image
+    later = [[] for _ in range(p)]
+    for v, w in pat_edges:
+        later[v].append((w, [u for u in prev[w] if u < v], w - v))
+    if cyclic:
+        adj = [a | a << n for a in adj] * 2
+    out = []
+    img = [0] * p
+
+    def extend(v, m):
+        """Place v at each position of m in turn; True once limit is reached."""
+        checks = []
+        for w, placed, gap in later[v]:
+            c = top[w]
+            for u in placed:
+                c &= adj[img[u]]
+            if not c:
+                return False
+            if not placed:
+                checks.append((c, gap))
+                continue
+            # bulk forward check: keep the x of m adjacent to some y of c
+            # with y >= x + gap; y runs from the top down until m is covered
+            s = 0
+            while c >> gap and m & ~s:
+                y = c.bit_length() - 1
+                c ^= 1 << y
+                s |= adj[y] & ((1 << (y - gap + 1)) - 1)
+            m &= s
+            if not m:
+                return False
+        nxt = v + 1
+        # adjacency mask of the last position that completed nothing; -1 (none
+        # yet) matches no mask, as (a ^ -1) >> k is negative
+        dead = -1
+        while m:
+            b = m & -m
+            m ^= b
+            x = b.bit_length() - 1
+            a = adj[x]
+            if not (a ^ dead) >> (x + 1):
+                continue
+            for c, gap in checks:
+                if not (c & a) >> (x + gap):
+                    dead = a
+                    break
+            else:
+                img[v] = x
+                if nxt == p:
+                    out.append(tuple([i % n for i in img]) if cyclic else tuple(img))
+                    if limit and len(out) >= limit:
+                        return True
+                    continue
+                mn = top[nxt] >> (x + 1) << (x + 1)
+                for u in prev[nxt]:
+                    mn &= adj[img[u]]
+                if not mn:
+                    dead = a
+                    continue
+                found = len(out)
+                if extend(nxt, mn):
+                    return True
+                if len(out) == found:
+                    dead = a
+        return False
+
+    for t in range(n if cyclic else 1):
+        end = t + n if cyclic else n  # the window is [t, end)
+        # top[v]: the positions up to the last one that leaves room for v+1..p-1
+        top = [(1 << (end - p + v + 1)) - 1 for v in range(p)]
+        if extend(0, 1 << t if cyclic else top[0]):
+            break
+    return out
+
+
+def _edges0(pattern):
+    return [(u - 1, v - 1) for u, v in pattern.edges]
+
+
+def _ref_run(host, pattern, limit=0):
+    return ref_order_embeddings(
+        host.n, host.adjacency_masks(), pattern.n, _edges0(pattern), host.mode == "cg", limit
+    )
+
+
+def _oracle_list(host, pattern):
+    """The oracle's embeddings, 0-based, in the kernel's documented order."""
+    if pattern.n > host.n:
+        return []
+    n = host.n
+    maps = {tuple(x - 1 for x in e.map) for e in oracle_iter_embeddings(host, pattern)}
+    return sorted(maps, key=lambda m: (m[0], [(x - m[0]) % n for x in m]))
+
+
+def _turn(pattern):
+    """The kernel's choice for first-hit queries: None (as given), else
+    (plan, whether the host is mirrored too)."""
+    return kernels._compile(pattern.n, tuple(_edges0(pattern)), pattern.mode == "cg")[1]
+
+
+def _orientations(pattern):
+    """Every orientation the rule scores: (pattern, host transform) pairs."""
+    if pattern.mode == "ordered":
+        return [(pattern, None), (mirror(pattern), mirror)]
+    turns = [rotate(pattern, r) for r in range(pattern.n)]
+    return [(q, None) for q in turns] + [(reflect(q), reflect) for q in turns]
+
+
+class TestOrientedRefutation:
+    """First-hit queries may refute in the mirror or a rotation of the
+    pattern; the list returned must still be the forward search's."""
+
+    @staticmethod
+    def _check(host, pattern, k):
+        want = _oracle_list(host, pattern)
+        for limit in range(1, k + 1):
+            got = _run(host, pattern, limit)
+            assert got == _ref_run(host, pattern, limit) == want[:limit], limit
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(_kernel_cases(), _twin_cases()), st.integers(min_value=1, max_value=8))
+    def test_same_list_as_the_forward_search(self, case, k):
+        self._check(*case, k)
+
+    @pytest.mark.parametrize("cls", [OrderedGraph, CgGraph])
+    def test_turned_patterns_present_and_absent(self, cls):
+        """Patterns whose chosen orientation is not the identity, on random
+        hosts (mostly absent) and on hosts with the pattern planted at random
+        positions, in cyclic order from a random start (present)."""
+        rng = random.Random(f"turned-{cls.__name__}")
+        seen = {True: 0, False: 0}
+        while min(seen.values()) < 60:
+            p = rng.randint(3, 5)
+            pattern = cls(p, [e for e in _pairs(p) if rng.random() < 0.5])
+            if _turn(pattern) is None:
+                continue
+            n = rng.randint(p, 10)
+            host_edges = {e for e in _pairs(n) if rng.random() < rng.choice((0.2, 0.5))}
+            if rng.random() < 0.5:
+                pos = sorted(rng.sample(range(1, n + 1), p))
+                s = rng.randrange(p) if cls is CgGraph else 0
+                img = [pos[(v + s) % p] for v in range(p)]
+                host_edges |= {tuple(sorted((img[u - 1], img[v - 1]))) for u, v in pattern.edges}
+            host = cls(n, sorted(host_edges))
+            self._check(host, pattern, 6)
+            seen[bool(_run(host, pattern, 1))] += 1
+
+    @pytest.mark.parametrize("cls", [OrderedGraph, CgGraph])
+    def test_every_orientation_is_sound(self, cls):
+        """For every tree with <= 4 edges, each orientation the rule scores
+        embeds in the correspondingly transformed host exactly when the tree
+        embeds in the host, and the kernel's choice is one of them."""
+        mode = "cyclic" if cls is CgGraph else "linear"
+        rng = random.Random(f"orientations-{mode}")
+        outcomes = set()
+        for k in range(1, 5):
+            for t in enumerate_trees(k, mode, "all"):
+                cands = _orientations(t)
+                turn = _turn(t)
+                if turn is not None:
+                    assert turn in [(kernels._plan(q.n, sorted(_edges0(q))), f is not None)
+                                    for q, f in cands]
+                for _ in range(3):
+                    n = rng.randint(t.n, 7)
+                    host = cls(n, [e for e in _pairs(n) if rng.random() < 0.4])
+                    want = oracle_contains(host, t)
+                    outcomes.add(want)
+                    for q, f in cands:
+                        assert oracle_contains(f(host) if f else host, q) == want, (t.edges, q.edges)
+        assert outcomes == {True, False}
+
+    def test_mirrored_masks(self):
+        rng = random.Random(11)
+        for n in list(range(1, 20)) + [31, 32, 33, 63, 64, 65, 255, 256]:
+            edges = (rng.sample(_pairs(n), 3 * n) if n >= 40
+                     else [e for e in _pairs(n) if rng.random() < 0.3])
+            host = OrderedGraph(n, edges)
+            assert kernels._mirrored(n, host.adjacency_masks()) == mirror(host).adjacency_masks()
+
+    def test_absence_is_refuted_in_the_mirror(self):
+        """fh_q(32) avoids (1,4),(2,4),(3,5),(4,5). As given, a first-hit
+        refutation reads 21,015 adjacency masks; the mirror (1,2),(1,3),
+        (2,4),(2,5) closes its edges earlier and reads far fewer. The query
+        must refute there (199 reads) and never enter the search as given."""
+        host = fh_q(32)
+        pattern = OrderedGraph(5, [(1, 4), (2, 4), (3, 5), (4, 5)])
+        forward = _CountingMasks(host.adjacency_masks())
+        assert ref_order_embeddings(host.n, forward, 5, _edges0(pattern), False, 1) == []
+        assert forward.reads == 21015
+        adj = _CountingMasks(host.adjacency_masks())
+        assert order_embeddings(host.n, adj, 5, _edges0(pattern), False, 1) == []
+        assert adj.reads == 0
+        # the mirrored query is searched as given, on the mirrored host
+        flipped = _CountingMasks(mirror(host).adjacency_masks())
+        assert order_embeddings(host.n, flipped, 5, _edges0(mirror(pattern)), False, 1) == []
+        assert 0 < flipped.reads < 1000
+
+    def test_enumeration_searches_only_as_given(self, monkeypatch):
+        """limit=0 never runs the refutation first, even where a first-hit
+        query would refute in the mirror."""
+        host = fh_q(32)
+        pattern = OrderedGraph(5, [(1, 4), (2, 4), (3, 5), (4, 5)])
+        present = OrderedGraph(3, [(1, 3), (2, 3)])
+        assert _turn(pattern)[1] and _turn(present)[1]
+        monkeypatch.setattr(kernels, "_mirrored", None)  # a call would raise
+        assert _run(host, pattern) == []
+        assert _run(host, present) == _ref_run(host, present) != []

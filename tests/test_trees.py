@@ -13,6 +13,7 @@ from xtrees.order import (
     CgGraph,
     OrderedGraph,
     arc_side,
+    chi_cyclic,
     chi_interval,
     crosses,
     mirror,
@@ -25,6 +26,7 @@ from xtrees.trees import (
     LinearFormula,
     NotACgZTree,
     TwinCrossingPaths,
+    Verdict,
     ZDecomposition,
     cg_z_decompose,
     classify_tree,
@@ -401,3 +403,55 @@ class TestWorkDone:
         assert t.is_tree()
         assert detect_crossing_path4(t) == CrossingPath4((1, 3, 5, 2, 4), ((1, 3), (2, 5)))
         assert len(reads) <= 5
+
+
+def ref_classify_cg(t):
+    """classify_tree on a cg tree with edges, as it was when both detectors
+    always ran, the twin search even after a crossing path was found."""
+    k, chi = len(t.edges), chi_cyclic(t)
+    if chi > 2:
+        return Verdict(kind="NonLinear", mode="cyclic", k=k, chi=chi, growth_tag="Theta(n^2)")
+    dec = cg_z_decompose(t)
+    x4 = detect_crossing_path4(t)
+    twins = detect_twin_crossing_paths(t)
+    assert isinstance(dec, CgZDecomposition) == (x4 is None and twins is None)
+    if isinstance(dec, CgZDecomposition):
+        return Verdict(kind="Linear", mode="cyclic", k=k, chi=chi, growth_tag="Theta(n)",
+                       witness=dec)
+    return Verdict(kind="NonLinear", mode="cyclic", k=k, chi=chi,
+                   growth_tag="Omega(n log log n)", witness=x4 if x4 is not None else twins)
+
+
+class TestClassifyTwinSearch:
+    """classify_tree searches for twin crossing paths only when no crossing
+    4-edge path was found, since the crossing path alone decides then."""
+
+    CROSSING = CgGraph(5, [(1, 2), (1, 3), (2, 5), (4, 5)])
+
+    def test_twins_searched_only_without_a_crossing_path(self, monkeypatch):
+        calls = []
+
+        def counting(t):
+            calls.append(t.edges)
+            return detect_twin_crossing_paths(t)
+
+        monkeypatch.setattr(trees, "detect_twin_crossing_paths", counting)
+        v = classify_tree(self.CROSSING)
+        assert v.kind == "NonLinear" and v.witness == detect_crossing_path4(self.CROSSING)
+        assert calls == []
+        twins_only = CgGraph(6, [(1, 3), (2, 6), (3, 5), (3, 6), (4, 6)])
+        star = CgGraph(5, [(1, 2), (1, 3), (1, 4), (1, 5)])
+        assert isinstance(classify_tree(twins_only).witness, TwinCrossingPaths)
+        assert classify_tree(star).kind == "Linear"
+        assert calls == [twins_only.edges, star.edges]
+
+    def test_disagreement_says_twins_were_not_searched(self, monkeypatch):
+        dec = cg_z_decompose(CgGraph(5, [(1, 2), (1, 3), (1, 4), (1, 5)]))
+        monkeypatch.setattr(trees, "cg_z_decompose", lambda t: dec)
+        with pytest.raises(RuntimeError, match="twin paths=not searched"):
+            classify_tree(self.CROSSING)
+
+    def test_verdicts_and_witnesses_unchanged(self):
+        for k in range(1, 7):
+            for t in enumerate_trees(k, "cyclic", "all"):
+                assert classify_tree(t) == ref_classify_cg(t), t.edges
