@@ -222,7 +222,7 @@ def _cmd_verify(args) -> int:
         ids = [c.strip() for c in args.checks.split(",") if c.strip()]
     if args.report and not args.report.endswith((".csv", ".json")):
         raise InputError("--report must end in .csv or .json")
-    results = verify_mod.run_suite(ids, jobs=args.jobs, seed=args.seed)
+    results = verify_mod.run_suite(ids, seed=args.seed)
     for r in results:
         line = f"{r.check_id}  {r.status:4s}  {r.seconds:7.1f}s  {r.name}"
         if r.detail:
@@ -313,7 +313,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", choices=("all",), default="all")
     p.add_argument("--checks", help="comma-separated subset, e.g. c01,c05")
     p.add_argument("--report", help="write a .csv or .json report here")
-    p.add_argument("--jobs", type=int, help="worker processes (default: CPU count, at most 4)")
     p.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
     p.set_defaults(func=_cmd_verify)
 

@@ -49,17 +49,15 @@ class Embedding:
 
 
 def _require_pair(
-    host: _Graph, pattern: _Graph, mode: Optional[str], allow_reflection: bool
+    host: _Graph, pattern: _Graph, allow_reflection: bool, limit: int
 ) -> bool:
     """Validate a (host, pattern) query; returns True when the mode is cyclic."""
     if host.mode != pattern.mode:
         raise InputError(
             f"host mode {host.mode!r} does not match pattern mode {pattern.mode!r}"
         )
-    if mode is not None and _MODE_NAME[host.mode] != mode:
-        raise InputError(
-            f"requested mode {mode!r} but graphs are {_MODE_NAME[host.mode]!r}"
-        )
+    if type(limit) is not int or limit < 0:
+        raise InputError(f"limit must be a non-negative integer, got {limit!r}")
     if allow_reflection and host.mode != "cg":
         raise InputError("reflection applies to cyclic containment only")
     if pattern.n > host.n:
@@ -86,7 +84,6 @@ def iter_embeddings(
     pattern: _Graph,
     *,
     allow_reflection: bool = False,
-    mode: Optional[str] = None,
     limit: int = 0,
 ) -> Iterator[Embedding]:
     """Yield embeddings of ``pattern`` into ``host`` without duplicates.
@@ -96,7 +93,7 @@ def iter_embeddings(
     order-reversing embeddings follow, flagged ``reflected=True``. ``limit``
     stops after that many embeddings in total (0 = all).
     """
-    cyclic = _require_pair(host, pattern, mode, allow_reflection)
+    cyclic = _require_pair(host, pattern, allow_reflection, limit)
     name = _MODE_NAME[host.mode]
     emitted = 0
     for m in _kernel_maps(host, pattern, cyclic, limit):
@@ -124,12 +121,9 @@ def find_embedding(
     pattern: _Graph,
     *,
     allow_reflection: bool = False,
-    mode: Optional[str] = None,
 ) -> Optional[Embedding]:
     """First embedding of ``pattern`` into ``host``, or None."""
-    for emb in iter_embeddings(
-        host, pattern, allow_reflection=allow_reflection, mode=mode, limit=1
-    ):
+    for emb in iter_embeddings(host, pattern, allow_reflection=allow_reflection, limit=1):
         return emb
     return None
 

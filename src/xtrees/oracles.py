@@ -96,6 +96,8 @@ def oracle_extremal_number(n: int, pattern: _Graph) -> tuple[int, _Graph]:
     cls = type(pattern)
     if cls not in (OrderedGraph, CgGraph):
         raise InputError("pattern must be an OrderedGraph or CgGraph")
+    if not pattern.edges:
+        raise InputError("pattern has no edges, so every host contains it")
     all_edges = list(combinations(range(1, n + 1), 2))
     best = -1
     witness = None
@@ -108,5 +110,6 @@ def oracle_extremal_number(n: int, pattern: _Graph) -> tuple[int, _Graph]:
             continue
         best = len(edges)
         witness = g
-    assert witness is not None  # the edgeless graph always qualifies
+    if witness is None:
+        raise RuntimeError("internal: the edgeless host was not pattern-free")
     return best, witness

@@ -11,7 +11,8 @@ Conventions used throughout the package:
 * two edges sharing an endpoint never cross;
 * linear crossing: (i, j) and (k, l) cross iff i < k < j < l or k < i < l < j;
 * cyclic crossing: the chords cross iff each edge separates the other's
-  endpoints on the circle;
+  endpoints on the circle, which for labels read clockwise is the same
+  interleaving test as in linear mode;
 * an *interval split* partitions 1..n into consecutive intervals (linear) or
   consecutive arcs (cyclic) with no edge inside a part. chi_interval /
   chi_cyclic return the minimum number of parts, exactly. chi_cyclic reads
@@ -238,29 +239,32 @@ class CgGraph(_Graph):
     mode = "cg"
 
 
+def _crosses(e: Edge, f: Edge) -> bool:
+    """Do the normalised edges e and f cross, in either mode? Exactly one end
+    of f lies strictly inside e and the other strictly outside; a shared
+    endpoint is on neither side, so edges that share one never cross."""
+    a, b = e
+    c, d = f
+    return a < c < b < d or c < a < d < b
+
+
 def crosses(g: _Graph, e: Sequence[int], f: Sequence[int]) -> bool:
     """Do edges e and f of g cross? Shared endpoints never cross."""
-    a, b = _normalize_edge(e)
-    c, d = _normalize_edge(f)
-    if len({a, b, c, d}) < 4:
-        return False
-    if g.mode == "ordered":
-        return (a < c < b < d) or (c < a < d < b)
-    return _separates(g.n, a, b, c) != _separates(g.n, a, b, d)
-
-
-def _separates(n: int, a: int, b: int, x: int) -> bool:
-    """Is x strictly inside the clockwise arc from a to b?"""
-    return 0 < (x - a) % n < (b - a) % n
+    e, f = _normalize_edge(e), _normalize_edge(f)
+    if e[0] < 1 or f[0] < 1 or e[1] > g.n or f[1] > g.n:
+        raise InputError(f"edges {e} and {f} must lie in 1..{g.n}")
+    return _crosses(e, f)
 
 
 def arc_side(n: int, chord: Sequence[int], x: int) -> int:
     """+1 if x lies strictly inside the clockwise arc u->v of chord (u,v),
     -1 if strictly inside the arc v->u. Raises if x is an endpoint."""
     u, v = _normalize_edge(chord)
+    if u < 1 or v > n or type(x) is not int or not 1 <= x <= n:
+        raise InputError(f"chord {chord} and vertex {x!r} must lie in 1..{n}")
     if x == u or x == v:
         raise InputError(f"vertex {x} lies on chord {chord}")
-    return 1 if _separates(n, u, v, x) else -1
+    return 1 if u < x < v else -1
 
 
 @dataclass(frozen=True)

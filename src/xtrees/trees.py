@@ -44,6 +44,7 @@ from .order import (
     OrderedGraph,
     _adjacency_lists,
     _check_int,
+    _crosses,
     _Graph,
     arc_side,
     chi_cyclic,
@@ -371,15 +372,6 @@ def _paths_with_edges(t: _Graph, length: int) -> Iterator[tuple[int, ...]]:
                 seq.pop()
 
 
-def _crosses(e: tuple[int, int], f: tuple[int, int]) -> bool:
-    """Do the normalised edges e and f cross, in either mode? Exactly one end
-    of f lies strictly inside e and the other strictly outside; a shared
-    endpoint is on neither side, so edges that share one never cross."""
-    a, b = e
-    c, d = f
-    return a < c < b < d or c < a < d < b
-
-
 @dataclass(frozen=True)
 class CrossingPath4:
     """A four-edge path two of whose edges cross."""
@@ -651,7 +643,7 @@ class Verdict:
     reason: Optional[str] = None
 
 
-def classify_tree(t: _Graph, mode: Optional[str] = None) -> Verdict:
+def classify_tree(t: _Graph) -> Verdict:
     """Classify the extremal growth of hosts avoiding the tree ``t``.
 
     Ordered trees: Linear with formula (k-1)n - C(k,2) exactly when t is a
@@ -661,10 +653,7 @@ def classify_tree(t: _Graph, mode: Optional[str] = None) -> Verdict:
     decomposition route and the forbidden-configuration route are both
     evaluated and must agree.
     """
-    actual = _CLASS_TO_MODE.get(t.mode)
-    if mode is not None and mode != actual:
-        raise InputError(f"requested mode {mode!r} but the graph is {actual!r}")
-    mode = actual
+    mode = _CLASS_TO_MODE.get(t.mode)
     if not t.is_tree():
         return Verdict(
             kind="NotApplicable",

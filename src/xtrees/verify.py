@@ -8,20 +8,15 @@ solver/oracle agreement and a metamorphic invariance sweep.  Frozen expected
 values live under ``golden/`` at the repository root; checks that consume
 them recompute everything and compare.
 
-``run_suite`` runs checks in worker processes (process count from ``--jobs``,
-by default the CPU count capped at 4; one job runs them serially in this
-process), times each check inside the process that runs it, and reports in
-check-id order, independent of completion order.  ``write_csv`` /
+``run_suite`` runs the checks serially in the calling process, times each
+check in that process, and reports in check-id order.  ``write_csv`` /
 ``write_json`` serialise a report.
 """
 
 from __future__ import annotations
 
 import csv
-import functools
 import json
-import math
-import os
 import random
 import time
 import traceback
@@ -329,36 +324,23 @@ def _c05_edge_counts(seed: int) -> tuple[dict, list[str]]:
 # c06 -- matching-host properties
 
 
-def _heavy_path(g: CgGraph) -> Optional[tuple[int, int, int, int]]:
-    """A 3-edge path a-b-c-d whose labels satisfy b < d < a < c, if any."""
-    adj: dict[int, list[int]] = {}
-    for u, v in g.edges:
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, []).append(u)
-    for b, nbrs in adj.items():
-        for a in nbrs:
-            for c in nbrs:
-                if c == a:
-                    continue
-                for d in adj[c]:
-                    if d in (a, b):
-                        continue
-                    if b < d < a < c:
-                        return (a, b, c, d)
-    return None
-
-
 def _c06_matching_hosts(seed: int) -> tuple[dict, list[str]]:
-    """f_n edges run odd -> even with no heavy path; f_n0 avoids the cg 3-path L."""
+    """f_n edges run odd -> even with no heavy path; f_n0 avoids the cg 3-path L.
+
+    A heavy path has edges ab, bc, cd with b < d < a < c.  Relabelling b, d,
+    a, c as 1 < 2 < 3 < 4 turns its edges into (1,3), (1,4), (2,4), the
+    crossing 3-edge pattern, so f_n has no heavy path exactly when its edges,
+    read on a line, do not contain that ordered pattern.
+    """
     failures: list[str] = []
+    heavy = OrderedGraph(4, CROSSING_P3_EDGES)
     for n in (8, 16, 32, 64):
         g = f_n(n)
         for u, v in g.edges:
             if u % 2 == 0 or v % 2 == 1:
                 failures.append(f"f_n({n}) edge ({u},{v}) is not odd-to-even")
-        found = _heavy_path(g)
-        if found is not None:
-            failures.append(f"f_n({n}) has heavy path {found}")
+        if contains(OrderedGraph._trusted(g.n, g.edges), heavy):
+            failures.append(f"f_n({n}) has a heavy path")
     ell = CgGraph(4, [(1, 2), (2, 3), (3, 4)])
     hosts = 0
     for n in range(4, 65, 2):
@@ -739,30 +721,15 @@ def run_check(check_id: str, seed: int = 0) -> CheckResult:
 def run_suite(
     check_ids: Optional[Iterable[str]] = None,
     *,
-    jobs: Optional[int] = None,
     seed: int = 0,
 ) -> list[CheckResult]:
-    """Run the requested checks in worker processes; results come back in id order."""
+    """Run the requested checks serially in this process, each timed in it;
+    results come back in id order."""
     ids = list(check_ids) if check_ids is not None else list(CHECK_IDS)
     for cid in ids:
         if cid not in CHECKS:
             raise InputError(f"unknown check {cid!r}; expected one of {CHECK_IDS}")
-    workers = jobs if jobs is not None else min(4, os.cpu_count() or 1)
-    if workers < 1:
-        raise InputError("jobs must be positive")
-    workers = min(workers, len(ids))
-    if workers <= 1:
-        results = [run_check(cid, seed) for cid in ids]
-    else:
-        # Imported here: the process machinery would otherwise add to every
-        # import of the package.
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        ctx = multiprocessing.get_context("spawn")
-        with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
-            results = list(pool.map(functools.partial(run_check, seed=seed), ids))
-    return sorted(results, key=lambda r: r.check_id)
+    return [run_check(cid, seed) for cid in sorted(ids)]
 
 
 def all_passed(results: Iterable[CheckResult]) -> bool:

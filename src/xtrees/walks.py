@@ -401,7 +401,6 @@ class Extraction:
     bound: int
     largest_class: int
     method: str
-    log_base: int = LOG_BASE
 
     @property
     def size(self) -> int:
@@ -416,7 +415,7 @@ class Extraction:
             "achieved": self.size,
             "largest_class": self.largest_class,
             "method": self.method,
-            "log_base": self.log_base,
+            "log_base": LOG_BASE,
         }
 
 

@@ -15,7 +15,7 @@ from xtrees.verify import CHECK_IDS, CHECKS, _random_subgraph, all_passed, run_s
 
 @pytest.fixture(scope="module")
 def suite_results():
-    results = run_suite(None, jobs=None, seed=0)
+    results = run_suite(None, seed=0)
     return {r.check_id: r for r in results}
 
 
@@ -35,11 +35,8 @@ def test_gate_is_green(suite_results):
     assert all_passed(suite_results.values())
 
 
-def test_processes_match_serial():
-    serial = run_suite(["c05", "c06"], jobs=1)
-    pooled = run_suite(["c05", "c06"], jobs=2)
-    assert [r.check_id for r in pooled] == [r.check_id for r in serial] == ["c05", "c06"]
-    assert [r.status for r in pooled] == [r.status for r in serial]
+def test_results_come_back_in_id_order():
+    assert [r.check_id for r in run_suite(["c06", "c05"])] == ["c05", "c06"]
 
 
 def test_c09_hosts_equal_their_validated_builds():

@@ -168,14 +168,14 @@ class TestExtract:
 
 class TestVerifyAndParsing:
     def test_verify_subset_passes(self, capsys):
-        assert main(["verify", "--suite", "all", "--checks", "c05", "--jobs", "1"]) == 0
+        assert main(["verify", "--suite", "all", "--checks", "c05"]) == 0
         out = capsys.readouterr().out
         assert "c05" in out and "1/1 checks passed" in out
 
     @pytest.mark.parametrize("suffix", [".csv", ".json"])
     def test_verify_report(self, tmp_path, suffix):
         report = tmp_path / f"r{suffix}"
-        args = ["verify", "--checks", "c05", "--jobs", "1", "--report", str(report)]
+        args = ["verify", "--checks", "c05", "--report", str(report)]
         assert main(args) == 0
         if suffix == ".csv":
             with open(report, newline="") as fh:

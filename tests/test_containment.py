@@ -161,6 +161,12 @@ class TestValidationAndBudget:
         with pytest.raises(BudgetError):
             contains(OrderedGraph(10, []), pattern)
 
+    @pytest.mark.parametrize("limit", [2.5, -1, -5, True, "1", None])
+    def test_malformed_limit_rejected(self, limit):
+        host = OrderedGraph(5, [(1, 2), (2, 3), (3, 4), (4, 5)])
+        with pytest.raises(InputError):
+            list(iter_embeddings(host, OrderedGraph(2, [(1, 2)]), limit=limit))
+
 
 def _pairs(n):
     return [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]

@@ -143,6 +143,16 @@ class TestCrossing:
         with pytest.raises(InputError):
             arc_side(6, (1, 4), 4)
 
+    @pytest.mark.parametrize("cls", [OrderedGraph, CgGraph])
+    def test_out_of_range_endpoints_rejected(self, cls):
+        with pytest.raises(InputError):
+            crosses(cls(5, []), (1, 7), (2, 9))
+        with pytest.raises(InputError):
+            crosses(cls(5, []), (0, 3), (2, 4))
+        for chord, x in (((1, 7), 2), ((1, 4), 0), ((1, 4), 9)):
+            with pytest.raises(InputError):
+                arc_side(5, chord, x)
+
 
 class TestChromatic:
     @pytest.mark.parametrize(

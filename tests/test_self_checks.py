@@ -1,0 +1,37 @@
+"""Self-checks must survive ``python -O``, which strips ``assert`` statements.
+
+The package raises explicitly wherever it checks itself; these tests keep it
+that way and run part of the release gate under ``-O``.
+"""
+
+import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_no_assert_statements():
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted((ROOT / "src" / "xtrees").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert not found, f"assert statements vanish under python -O: {found}"
+
+
+def test_gate_passes_under_optimize():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "xtrees.cli", "verify", "--checks", "c05,c10"],
+        cwd=ROOT,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "2/2 checks passed" in proc.stdout

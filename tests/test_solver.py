@@ -14,6 +14,7 @@ from xtrees.containment import contains
 from xtrees.errors import BudgetError, InputError
 from xtrees.io import graph_to_dict
 from xtrees.kernels import order_embeddings
+from xtrees.oracles import oracle_extremal_number
 from xtrees.order import CgGraph, OrderedGraph, mirror, reflect, rotate
 from xtrees.solver import (
     SOLVER_MAX_N,
@@ -300,6 +301,10 @@ class TestRefusalsAndValidation:
     def test_empty_pattern_rejected(self):
         with pytest.raises(InputError):
             extremal_number(4, OrderedGraph(3, []))
+
+    def test_oracle_rejects_empty_pattern(self):
+        with pytest.raises(InputError):
+            oracle_extremal_number(3, OrderedGraph(2, []))
 
     def test_result_metadata(self):
         r = extremal_number(5, Z3)
