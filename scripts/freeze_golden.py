@@ -47,7 +47,8 @@ def catalog_file() -> list:
 
 def fh_table(patterns) -> None:
     derived = [p for p in patterns if len(p.edges) == 4]
-    assert len(derived) == 4
+    if len(derived) != 4:
+        raise RuntimeError(f"expected 4 four-edge obstructions, got {len(derived)}")
     # group into mirror pairs, each keyed by its lexicographically first member
     pairs = {}
     seen = set()
@@ -59,7 +60,8 @@ def fh_table(patterns) -> None:
         seen.add(tuple(m.edges))
         first, second = sorted([tuple(p.edges), tuple(m.edges)])
         pairs[len(pairs)] = (first, second)
-    assert len(pairs) == 2
+    if len(pairs) != 2:
+        raise RuntimeError(f"expected 2 mirror pairs, got {len(pairs)}")
     names = {}
     for idx, (first, second) in pairs.items():
         names[f"pair{idx + 1}_a"] = first
@@ -83,12 +85,14 @@ def fh_table(patterns) -> None:
         if not any(table["fh_q"][f"pair{idx}_a"].values())
         and not any(table["fh_q"][f"pair{idx}_b"].values())
     ]
-    assert len(q_avoided) == 1, f"fh_q avoidance ambiguous: {table['fh_q']}"
+    if len(q_avoided) != 1:
+        raise RuntimeError(f"fh_q avoidance ambiguous: {table['fh_q']}")
     q_pair = q_avoided[0]
     r_pair = 3 - q_pair
     r_a = any(table["fh_r"][f"pair{r_pair}_a"].values())
     r_b = any(table["fh_r"][f"pair{r_pair}_b"].values())
-    assert r_a != r_b, "fh_r must contain exactly one member of its pair"
+    if r_a == r_b:
+        raise RuntimeError("fh_r must contain exactly one member of its pair")
     assignment = {
         "fh_q_avoids_pair": q_pair,
         "fh_r_pair": r_pair,

@@ -86,34 +86,38 @@ def iter_embeddings(
     allow_reflection: bool = False,
     limit: int = 0,
 ) -> Iterator[Embedding]:
-    """Yield embeddings of ``pattern`` into ``host`` without duplicates.
+    """Iterate over the embeddings of ``pattern`` into ``host``, without
+    duplicates.
 
     Orientation-preserving embeddings come first (lexicographically by image,
     cyclic ones grouped by anchor); with ``allow_reflection`` (cg only),
     order-reversing embeddings follow, flagged ``reflected=True``. ``limit``
-    stops after that many embeddings in total (0 = all).
+    stops after that many embeddings in total (0 = all). The query is
+    validated and searched at the call, so a bad one raises here.
     """
+    return iter(_embeddings(host, pattern, allow_reflection, limit))
+
+
+def _embeddings(
+    host: _Graph, pattern: _Graph, allow_reflection: bool, limit: int
+) -> list[Embedding]:
     cyclic = _require_pair(host, pattern, allow_reflection, limit)
     name = _MODE_NAME[host.mode]
-    emitted = 0
-    for m in _kernel_maps(host, pattern, cyclic, limit):
-        yield Embedding(name, tuple(x + 1 for x in m))
-        emitted += 1
-        if limit and emitted >= limit:
-            return
+    out = [
+        Embedding(name, tuple(x + 1 for x in m))
+        for m in _kernel_maps(host, pattern, cyclic, limit)
+    ]
     # Order-reversing maps exist on >= 3 points only for the reflected
     # pattern; on <= 2 points every map is both, so the first pass already
     # produced them all.
-    if allow_reflection and pattern.n >= 3:
+    if allow_reflection and pattern.n >= 3 and not (limit and len(out) >= limit):
         p = pattern.n
-        mirrored = reflect(pattern)
-        rem = limit - emitted if limit else 0
-        for m in _kernel_maps(host, mirrored, cyclic, rem):
-            image = tuple(m[p - v] + 1 for v in range(1, p + 1))
-            yield Embedding(name, image, reflected=True)
-            emitted += 1
-            if limit and emitted >= limit:
-                return
+        rem = limit - len(out) if limit else 0
+        out += [
+            Embedding(name, tuple(m[p - v] + 1 for v in range(1, p + 1)), reflected=True)
+            for m in _kernel_maps(host, reflect(pattern), cyclic, rem)
+        ]
+    return out
 
 
 def find_embedding(
@@ -123,14 +127,13 @@ def find_embedding(
     allow_reflection: bool = False,
 ) -> Optional[Embedding]:
     """First embedding of ``pattern`` into ``host``, or None."""
-    for emb in iter_embeddings(host, pattern, allow_reflection=allow_reflection, limit=1):
-        return emb
-    return None
+    found = _embeddings(host, pattern, allow_reflection, 1)
+    return found[0] if found else None
 
 
 def contains(host: _Graph, pattern: _Graph, *, allow_reflection: bool = False) -> bool:
     """Whether ``host`` contains ``pattern`` (order-preservingly)."""
-    return find_embedding(host, pattern, allow_reflection=allow_reflection) is not None
+    return bool(_embeddings(host, pattern, allow_reflection, 1))
 
 
 def validate_embedding(host: _Graph, pattern: _Graph, emb: Embedding) -> bool:
@@ -149,7 +152,7 @@ def validate_embedding(host: _Graph, pattern: _Graph, emb: Embedding) -> bool:
         raise InputError(f"map has {len(m)} entries for a {pattern.n}-vertex pattern")
     if len(set(m)) != len(m):
         raise InputError("map is not injective")
-    if any(not (1 <= x <= host.n) for x in m):
+    if any(type(x) is not int or not 1 <= x <= host.n for x in m):
         raise InputError("map leaves the host vertex range")
     if emb.reflected and emb.mode != "cyclic":
         raise InputError("reflected embeddings are cyclic-only")

@@ -144,11 +144,17 @@ class _Graph:
             cache["nbrs"] = _adjacency_lists(self.n, self.edges)
         return cache["nbrs"]
 
+    def _check_vertex(self, v) -> None:
+        if type(v) is not int or not 1 <= v <= self.n:
+            raise InputError(f"vertex must be an integer in 1..{self.n}, got {v!r}")
+
     def degree(self, v: int) -> int:
-        return len(self._neighbor_lists()[v]) if 1 <= v <= self.n else 0
+        self._check_vertex(v)
+        return len(self._neighbor_lists()[v])
 
     def neighbors(self, v: int) -> list[int]:
-        return list(self._neighbor_lists()[v]) if 1 <= v <= self.n else []
+        self._check_vertex(v)
+        return list(self._neighbor_lists()[v])
 
     def adjacency_masks(self) -> list[int]:
         """adj[v] for v in 0..n-1 (0-based), as bitmasks over 0..n-1."""

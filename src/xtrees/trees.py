@@ -90,7 +90,8 @@ class ZDecomposition:
     """A tree split into increasing core plus the two hub fans.
 
     ``core`` is stored in chain order, so ``core[-1]`` is the hub ij.
-    ``s_j`` holds the edges hj with h < i, ``s_i`` the edges ik with k > j.
+    ``s_j`` holds the edges hj with h < i, ``s_i`` the edges ik with k > j;
+    both fans are sorted.
     """
 
     hub: tuple[int, int]
@@ -151,12 +152,14 @@ def _crossing_pairs(g: _Graph):
 def z_decompose(t: OrderedGraph) -> Union[ZDecomposition, NotAZTree]:
     """Canonical z-decomposition of an ordered tree, or why there is none.
 
-    When the tree has a crossing, the hub is forced: any crossing pair
-    {hj, ik} pins it to ij, which must be an edge. When the tree is
-    crossing-free it must be one increasing chain, and the canonical split
-    takes the smallest core whose remaining suffix hangs off a single hub
-    endpoint (fans as large as possible). Single-edge trees decompose with
-    the edge as hub and empty fans.
+    One scan over the edges sorted by (length, edge): the core grows while
+    the next edge is one longer and contains the previous core edge, and
+    after each core edge ij the scan stops if every remaining edge is a fan
+    edge hj with h < i or ik with k > j. The first such ij is the hub, so
+    the core is as small and the fans as large as possible. With a crossing
+    both fans are non-empty, so only the true hub works; a single-edge tree
+    decomposes with the edge as hub and empty fans. Both fans come out
+    sorted.
 
     Raises NotApplicableError if the input is not a tree or its interval
     chromatic number is not two.
@@ -171,60 +174,26 @@ def _z_decompose(t: OrderedGraph) -> Union[ZDecomposition, NotAZTree]:
     """z_decompose for a graph already known to be an ordered tree."""
     if chi_interval(t) != 2:
         raise NotApplicableError("interval chromatic number must be 2")
-    crossings = _crossing_pairs(t)
-    if crossings:
-        e, f = crossings[0]
-        if e[0] > f[0]:
-            e, f = f, e
-        # e = (h, j) and f = (i, k) interleaved as h < i < j < k
-        i, j = f[0], e[1]
-        hub = (i, j)
-        if hub not in t.edges:
-            return NotAZTree(
-                f"crossing {e} x {f} forces hub {hub}, which is not an edge"
-            )
-        core, s_j, s_i = [], [], []
-        for ed in t.edges:
-            if i <= ed[0] and ed[1] <= j:
-                core.append(ed)
-            elif ed[1] == j and ed[0] < i:
-                s_j.append(ed)
-            elif ed[0] == i and ed[1] > j:
-                s_i.append(ed)
-            else:
-                return NotAZTree(
-                    f"edge {ed} fits neither the core interval {hub} nor a fan"
-                )
-        chain = increasing_chain(core)
-        if chain is None or chain[-1] != hub:
-            return NotAZTree(
-                "edges inside the hub span do not form an increasing chain "
-                "ending at the hub"
-            )
-        dec = ZDecomposition(hub, chain, tuple(sorted(s_j)), tuple(sorted(s_i)))
-        validate_decomposition(t, dec)
-        return dec
-
-    chain = increasing_chain(t.edges)
-    if chain is None:
-        return NotAZTree("crossing-free but not an increasing chain of nested spans")
-    k = len(chain)
-    a = k
-    for cut in range(1, k):
-        common = set(chain[cut])
-        for ed in chain[cut + 1:]:
-            common &= set(ed)
-        if common & set(chain[cut - 1]):
-            a = cut
+    # by (length, edge): the edges are sorted, and the sort is stable
+    edges = sorted(t.edges, key=lambda e: e[1] - e[0])
+    core = []
+    for i, j in edges:
+        # a core edge is one longer than the last and contains it
+        if j - i != len(core) + 1 or core and not (i <= core[-1][0] and core[-1][1] <= j):
             break
-    hub = chain[a - 1]
-    i, j = hub
-    fans = chain[a:]
-    s_j = tuple(ed for ed in fans if ed[1] == j)
-    s_i = tuple(ed for ed in fans if ed[0] == i)
-    dec = ZDecomposition(hub, chain[:a], s_j, s_i)
-    validate_decomposition(t, dec)
-    return dec
+        core.append((i, j))
+        rest = edges[len(core):]
+        for h, k in rest:
+            if not (k == j and h < i or h == i and k > j):
+                break  # hk is in neither fan of ij
+        else:
+            s_j = tuple(sorted(e for e in rest if e[1] == j))
+            dec = ZDecomposition((i, j), tuple(core), s_j, tuple(e for e in rest if e[0] == i))
+            validate_decomposition(t, dec)
+            return dec
+    return NotAZTree(
+        f"no edge of the increasing chain {tuple(core)} has all other edges in its two fans"
+    )
 
 
 def is_z_tree(t: OrderedGraph) -> bool:
@@ -429,8 +398,6 @@ def _twin_pair_ok(t: CgGraph, p: tuple, q: tuple) -> Optional[int]:
     shared_center = len(set(e) & set(f))
     if len(set(p) & set(q)) != shared_center:
         return None
-    if _crosses(e, f):
-        return None
     n = t.n
     if shared_center == 2:
         # same center chord: the two crossings must happen on opposite sides
@@ -441,8 +408,10 @@ def _twin_pair_ok(t: CgGraph, p: tuple, q: tuple) -> Optional[int]:
         if sq != arc_side(n, e, q[3]):
             return None
         return 2 if sp != sq else None
-    # distinct, non-crossing centers: each path's outer vertices must avoid
-    # the side of its center that holds the other center's extra endpoints
+    # distinct centers: each path's outer vertices must avoid the side of its
+    # center that holds the other center's extra endpoints. Crossing centers
+    # share no endpoint and put the other center's ends on both sides, so
+    # ``sides`` has two elements and they are rejected here.
     for a, b in ((p, q), (q, p)):
         ce = _norm(a[1], a[2])
         other = [x for x in (b[1], b[2]) if x not in ce]

@@ -10,8 +10,15 @@ With a proper edge coloring c:
   designated start side.
 
 Vertices may repeat along a walk; edge distinctness is only required for
-consecutive edges (and already follows from the color constraints except for
-the e1/e2 pair, which the color rules also separate).
+consecutive edges, and the color rules already give it: c2 < c3 < c4, and
+c1 > c2 in both kinds.
+
+Both kinds read as an ascending path e2 e3 e4 (c2 < c3 < c4) from v1 plus a
+first edge e1 at v1 whose color is tested against c2 and c4. That test is
+written once, in ``_first_e1``; the detector ``find_forbidden_walk`` and the
+closure test of extraction (does one added edge close a walk?) both call it.
+``enumerate_all_walks`` and ``Walk4.check`` share none of this code and serve
+as the independent reference and validator.
 
 ``extract_walk_free`` returns a certified walk-free subgraph of size at least
 ``ceil(log2(d) / (480 d) * |E|)`` and never smaller than the largest single
@@ -30,7 +37,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
 from .errors import InputError
-from .order import _Graph
+from .order import _check_int, _Graph
 
 EXHAUSTIVE_EDGE_LIMIT = 20
 ORACLE_EDGE_LIMIT = 14
@@ -52,13 +59,21 @@ def _check_kind_side(kind: str, start_side: Optional[str]) -> Optional[str]:
     return side
 
 
+def _vertex_set(vs: Iterable[int]) -> frozenset:
+    vs = tuple(vs)
+    for v in vs:
+        _check_int("vertex", v)
+    return frozenset(vs)
+
+
 class ColoredBipartite:
     """A bipartite graph with sides (A, B) and a proper edge coloring.
 
     ``edges`` is an iterable of ``(u, v, color)`` with ``u`` and ``v`` on
     opposite sides and colors positive integers; ``d`` defaults to the
-    largest color used. Improper colorings and edges inside a side are
-    rejected.
+    largest color used. Vertices, colors and ``d`` must be ints: bools and
+    floats are rejected, never coerced. Improper colorings and edges inside
+    a side are rejected.
     """
 
     __slots__ = ("side_a", "side_b", "edges", "d", "_color", "_adj")
@@ -70,13 +85,15 @@ class ColoredBipartite:
         edges: Iterable[tuple[int, int, int]],
         d: Optional[int] = None,
     ) -> None:
-        self.side_a = frozenset(side_a)
-        self.side_b = frozenset(side_b)
+        self.side_a = _vertex_set(side_a)
+        self.side_b = _vertex_set(side_b)
         if self.side_a & self.side_b:
             raise InputError("sides A and B must be disjoint")
         norm = []
         for u, v, color in edges:
-            if not isinstance(color, int) or color < 1:
+            _check_int("vertex", u)
+            _check_int("vertex", v)
+            if type(color) is not int or color < 1:
                 raise InputError(f"colors must be positive integers, got {color!r}")
             across = (u in self.side_a and v in self.side_b) or (
                 u in self.side_b and v in self.side_a
@@ -102,6 +119,8 @@ class ColoredBipartite:
         self._color = color
         self._adj = {v: tuple(sorted(nbrs)) for v, nbrs in adj.items()}
         maxc = max((c for _, _, c in norm), default=1)
+        if d is not None:
+            _check_int("d", d)
         self.d = maxc if d is None else d
         if self.d < maxc:
             raise InputError(f"d = {self.d} below largest color {maxc}")
@@ -220,6 +239,24 @@ class Walk4:
                 raise AssertionError(f"slow walk must start in {side}")
 
 
+def _first_e1(nbrs, v1, c2, c4, kind, side_of, side) -> Optional[tuple[int, int]]:
+    """First edge e1 = v0 v1, as (v0, c1), that completes an ascending path
+    e2 e3 e4 from v1 with colours c2 < c3 < c4 into a walk, or None.
+
+    fast needs c4 <= c1; slow needs c2 < c1 <= c4 and v0 on the start side.
+    Either way c1 > c2, so e1 is never e2.
+    """
+    if kind == "fast":
+        for v0, c1 in nbrs(v1):
+            if c1 >= c4:
+                return v0, c1
+    else:
+        for v0, c1 in nbrs(v1):
+            if c2 < c1 <= c4 and side_of(v0) == side:
+                return v0, c1
+    return None
+
+
 def find_forbidden_walk(
     g: ColoredBipartite, kind: str, start_side: Optional[str] = None
 ) -> Optional[Walk4]:
@@ -230,24 +267,18 @@ def find_forbidden_walk(
     then e3, e4, then e1), which keeps the color filters sharpest early.
     """
     side = _check_kind_side(kind, start_side)
+    nbrs = g.neighbors
     for v1 in sorted(g._adj):
-        for v2, c2 in g.neighbors(v1):
-            for v3, c3 in g.neighbors(v2):
+        for v2, c2 in nbrs(v1):
+            for v3, c3 in nbrs(v2):
                 if c3 <= c2:
                     continue
-                for v4, c4 in g.neighbors(v3):
+                for v4, c4 in nbrs(v3):
                     if c4 <= c3:
                         continue
-                    for v0, c1 in g.neighbors(v1):
-                        # c1 > c2 in both kinds, so e1 != e2 comes for free
-                        if kind == "fast":
-                            if c1 < c4:
-                                continue
-                        else:
-                            if not (c2 < c1 <= c4):
-                                continue
-                            if g.side_of(v0) != side:
-                                continue
+                    first = _first_e1(nbrs, v1, c2, c4, kind, g.side_of, side)
+                    if first is not None:
+                        v0, c1 = first
                         return Walk4((v0, v1, v2, v3, v4), (c1, c2, c3, c4), kind)
     return None
 
@@ -313,7 +344,9 @@ def _walk_through(
     some forbidden walk?
 
     Only walks using e_new in at least one of the four slots can be new, so
-    the scan fixes e_new's slot and direction and extends outward.
+    the scan fixes e_new's slot and direction and extends outward. In the
+    e2, e3 and e4 slots that leaves an ascending path e2 e3 e4 from v1,
+    which ``_first_e1`` completes; in the e1 slot the path starts at v1 = b.
     """
 
     def nbrs(v):
@@ -322,70 +355,34 @@ def _walk_through(
     for a, b in (e_new, e_new[::-1]):
         # e_new as e2 = (v1=a, v2=b)
         for v3, c3 in nbrs(b):
-            if c3 <= cn:
-                continue
-            for v4, c4 in nbrs(v3):
-                if c4 <= c3:
-                    continue
-                for v0, c1 in nbrs(a):
-                    if (v0, c1) == (b, cn):
-                        continue
-                    if kind == "fast":
-                        if c1 >= c4:
-                            return True
-                    elif cn < c1 <= c4 and side_of(v0) == side:
+            if c3 > cn:
+                for v4, c4 in nbrs(v3):
+                    if c4 > c3 and _first_e1(nbrs, a, cn, c4, kind, side_of, side):
                         return True
         # e_new as e3 = (v2=a, v3=b)
         for v1, c2 in nbrs(a):
-            if c2 >= cn:
-                continue
-            for v4, c4 in nbrs(b):
-                if c4 <= cn:
-                    continue
-                for v0, c1 in nbrs(v1):
-                    if (v0, c1) == (a, c2):
-                        continue
-                    if kind == "fast":
-                        if c1 >= c4:
-                            return True
-                    elif c2 < c1 <= c4 and side_of(v0) == side:
+            if c2 < cn:
+                for v4, c4 in nbrs(b):
+                    if c4 > cn and _first_e1(nbrs, v1, c2, c4, kind, side_of, side):
                         return True
         # e_new as e4 = (v3=a, v4=b)
         for v2, c3 in nbrs(a):
-            if c3 >= cn:
-                continue
-            for v1, c2 in nbrs(v2):
-                if c2 >= c3:
-                    continue
-                for v0, c1 in nbrs(v1):
-                    if (v0, c1) == (v2, c2):
-                        continue
-                    if kind == "fast":
-                        if c1 >= cn:
-                            return True
-                    elif c2 < c1 <= cn and side_of(v0) == side:
+            if c3 < cn:
+                for v1, c2 in nbrs(v2):
+                    if c2 < c3 and _first_e1(nbrs, v1, c2, cn, kind, side_of, side):
                         return True
-        # e_new as e1 = (v0=a, v1=b)
+        # e_new as e1 = (v0=a, v1=b): both kinds need c2 < c3 < c4 and
+        # c2 < c1 = cn; fast adds c4 <= cn, slow cn <= c4 and a on the side
         if kind == "slow" and side_of(a) != side:
             continue
         for v2, c2 in nbrs(b):
-            if (v2, c2) == (a, cn):
-                continue
-            if kind == "fast":
-                if c2 >= cn:
-                    continue
-            elif not c2 < cn:
+            if c2 >= cn:
                 continue
             for v3, c3 in nbrs(v2):
                 if c3 <= c2:
                     continue
                 for v4, c4 in nbrs(v3):
-                    if c4 <= c3:
-                        continue
-                    if kind == "fast":
-                        if c4 <= cn:
-                            return True
-                    elif cn <= c4:
+                    if c4 > c3 and (c4 <= cn if kind == "fast" else cn <= c4):
                         return True
     return False
 

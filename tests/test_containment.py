@@ -167,6 +167,28 @@ class TestValidationAndBudget:
         with pytest.raises(InputError):
             list(iter_embeddings(host, OrderedGraph(2, [(1, 2)]), limit=limit))
 
+    @pytest.mark.parametrize("limit", [-1, True])
+    def test_bad_query_raises_at_the_call(self, limit):
+        host = OrderedGraph(5, [(1, 2), (2, 3), (3, 4), (4, 5)])
+        with pytest.raises(InputError):
+            iter_embeddings(host, OrderedGraph(2, [(1, 2)]), limit=limit)
+        with pytest.raises(InputError):
+            iter_embeddings(host, CgGraph(2, [(1, 2)]))
+
+    @pytest.mark.parametrize("image", [(True, 2), (1, 2.0), (0, 2), (2, 4)])
+    def test_validate_rejects_non_vertices(self, image):
+        host = OrderedGraph(3, [(1, 2), (2, 3)])
+        with pytest.raises(InputError):
+            validate_embedding(host, OrderedGraph(2, [(1, 2)]), Embedding("linear", image))
+
+    def test_reflected_limit_counts_both_passes(self):
+        host = CgGraph(6, [(u, v) for u in range(1, 7) for v in range(u + 1, 7)])
+        pattern = CgGraph(3, [(1, 2), (2, 3)])
+        every = list(iter_embeddings(host, pattern, allow_reflection=True))
+        for limit in range(1, len(every) + 2):
+            got = list(iter_embeddings(host, pattern, allow_reflection=True, limit=limit))
+            assert got == every[:limit]
+
 
 def _pairs(n):
     return [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]

@@ -263,6 +263,14 @@ class TestStructure:
         assert g.neighbors(2) == [1, 3, 5]
         assert g.degree(2) == 3
 
+    @pytest.mark.parametrize("v", [0, 7, -1, True, 2.0, "2", None])
+    def test_vertex_queries_reject_non_vertices(self, v):
+        g = OrderedGraph(3, [(1, 2), (2, 3)])
+        with pytest.raises(InputError):
+            g.degree(v)
+        with pytest.raises(InputError):
+            g.neighbors(v)
+
 
 # -- reference versions: every derived graph built and validated by the
 # public constructor, and the interval DP as a table. The arithmetic paths
@@ -392,6 +400,12 @@ class TestArithmeticTransforms:
     @given(colored_graphs(), st.integers(min_value=0, max_value=9))
     def test_cached_accessors_match_a_scan(self, g, v):
         assert g.edge_set == frozenset(g.edges)
+        if not 1 <= v <= g.n:
+            with pytest.raises(InputError):
+                g.neighbors(v)
+            with pytest.raises(InputError):
+                g.degree(v)
+            return
         assert g.neighbors(v) == sorted(w for e in g.edges for w in e if v in e and w != v)
         assert g.degree(v) == sum(1 for e in g.edges if v in e)
         g.neighbors(v).append(99)  # callers get a copy

@@ -1,7 +1,7 @@
 """Self-checks must survive ``python -O``, which strips ``assert`` statements.
 
-The package raises explicitly wherever it checks itself; these tests keep it
-that way and run part of the release gate under ``-O``.
+The package and its scripts raise explicitly wherever they check themselves;
+these tests keep it that way and run part of the release gate under ``-O``.
 """
 
 import ast
@@ -14,9 +14,12 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_no_assert_statements():
+    sources = sorted((ROOT / "src" / "xtrees").glob("*.py"))
+    sources += sorted((ROOT / "scripts").glob("*.py"))
+    assert any(path.parent.name == "scripts" for path in sources)
     found = [
-        f"{path.name}:{node.lineno}"
-        for path in sorted((ROOT / "src" / "xtrees").glob("*.py"))
+        f"{path.relative_to(ROOT)}:{node.lineno}"
+        for path in sources
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
         if isinstance(node, ast.Assert)
     ]

@@ -25,6 +25,7 @@ from xtrees.trees import (
     CrossingPath4,
     LinearFormula,
     NotACgZTree,
+    NotAZTree,
     TwinCrossingPaths,
     Verdict,
     ZDecomposition,
@@ -254,6 +255,103 @@ def ref_cg_z_decompose(t):
     return NotACgZTree("no rotation linearizes to a z-tree")
 
 
+def ref_z_decompose(t):
+    """z_decompose as it was with two algorithms: the hub forced by the first
+    crossing pair, or the smallest cut of one crossing-free increasing chain
+    (whose s_j came out in chain order, not sorted)."""
+    if chi_interval(t) != 2:
+        raise NotApplicableError("interval chromatic number must be 2")
+    crossings = trees._crossing_pairs(t)
+    if crossings:
+        e, f = crossings[0]
+        i, j = f[0], e[1]
+        if (i, j) not in t.edges:
+            return NotAZTree("hub is not an edge")
+        core, s_j, s_i = [], [], []
+        for ed in t.edges:
+            if i <= ed[0] and ed[1] <= j:
+                core.append(ed)
+            elif ed[1] == j and ed[0] < i:
+                s_j.append(ed)
+            elif ed[0] == i and ed[1] > j:
+                s_i.append(ed)
+            else:
+                return NotAZTree("edge outside core and fans")
+        chain = trees.increasing_chain(core)
+        if chain is None or chain[-1] != (i, j):
+            return NotAZTree("core is not a chain ending at the hub")
+        return ZDecomposition((i, j), chain, tuple(sorted(s_j)), tuple(sorted(s_i)))
+    chain = trees.increasing_chain(t.edges)
+    if chain is None:
+        return NotAZTree("not an increasing chain")
+    a = len(chain)
+    for cut in range(1, len(chain)):
+        common = set(chain[cut])
+        for ed in chain[cut + 1:]:
+            common &= set(ed)
+        if common & set(chain[cut - 1]):
+            a = cut
+            break
+    i, j = chain[a - 1]
+    fans = chain[a:]
+    return ZDecomposition(
+        (i, j), chain[:a], tuple(ed for ed in fans if ed[1] == j),
+        tuple(ed for ed in fans if ed[0] == i),
+    )
+
+
+def assert_same_z_decomposition(t):
+    """z_decompose agrees with the reference up to the order of s_j, which
+    is now always sorted; a failure agrees in kind."""
+    got, want = outcome(z_decompose, t), outcome(ref_z_decompose, t)
+    if isinstance(want, ZDecomposition):
+        assert isinstance(got, ZDecomposition), t.edges
+        assert got.hub == want.hub and got.core == want.core, t.edges
+        assert got.s_j == tuple(sorted(want.s_j)) and got.s_i == want.s_i, t.edges
+    elif isinstance(want, NotAZTree):
+        assert isinstance(got, NotAZTree), t.edges
+    else:
+        assert got == want, t.edges
+
+
+@st.composite
+def two_interval_trees(draw, max_n=14):
+    """A spanning tree of the complete bipartite graph between [1, m] and
+    [m + 1, n]: interval chromatic number two, n <= max_n."""
+    n = draw(st.integers(min_value=2, max_value=max_n))
+    m = draw(st.integers(min_value=1, max_value=n - 1))
+    rng = draw(st.randoms(use_true_random=False))
+    a, b = rng.randint(1, m), rng.randint(m + 1, n)
+    placed, edges = [a, b], [(a, b)]
+    for v in rng.sample([v for v in range(1, n + 1) if v not in (a, b)], n - 2):
+        u = rng.choice([w for w in placed if (w <= m) != (v <= m)])
+        edges.append((min(u, v), max(u, v)))
+        placed.append(v)
+    return OrderedGraph(n, edges)
+
+
+@st.composite
+def z_trees(draw, max_n=14):
+    """A z-tree on at most max_n vertices: b left fan vertices, an increasing
+    core of a edges grown by random end extensions, c right fan vertices."""
+    a = draw(st.integers(min_value=1, max_value=max_n - 1))
+    b = draw(st.integers(min_value=0, max_value=max_n - 1 - a))
+    c = draw(st.integers(min_value=0, max_value=max_n - 1 - a - b))
+    grow_left = draw(st.lists(st.booleans(), min_size=a - 1, max_size=a - 1))
+    lo = hi = b + 1 + sum(grow_left)
+    edges = []
+    for left in [None] + grow_left:
+        if left:
+            lo -= 1
+            edges.append((lo, hi))
+        else:
+            hi += 1
+            edges.append((lo, hi))
+    edges += [(h, hi) for h in range(1, lo)]
+    edges += [(lo, k) for k in range(hi + 1, hi + 1 + c)]
+    return OrderedGraph(hi + c, edges)
+
+
 def ref_paths_with_edges(t, length):
     found = []
 
@@ -343,6 +441,18 @@ def cg_graphs(draw, max_n=10):
 
 
 class TestAgainstReferences:
+    def test_z_decompose_every_small_tree(self):
+        """Every ordered tree with <= 6 edges; these are also exactly the
+        linearizations of every cg tree with <= 6 edges."""
+        for k in range(1, 7):
+            for t in enumerate_trees(k, "linear"):
+                assert_same_z_decomposition(t)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(two_interval_trees(), z_trees()))
+    def test_z_decompose_two_interval_trees(self, t):
+        assert_same_z_decomposition(t)
+
     def test_cg_z_decompose_every_small_tree(self):
         for k in range(1, 7):
             for t in enumerate_trees(k, "cyclic"):

@@ -9,12 +9,14 @@ from pathlib import Path
 
 import pytest
 
+from xtrees import walks
 from xtrees.constructions import f_n
 from xtrees.errors import InputError
 from xtrees.walks import (
     EXHAUSTIVE_EDGE_LIMIT,
     ColoredBipartite,
     Walk4,
+    _walk_through,
     enumerate_all_walks,
     extract_walk_free,
     find_forbidden_walk,
@@ -176,3 +178,187 @@ def test_walk_check_rejects_under_optimize():
     proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("debug False rejected"), proc.stdout
+
+
+class TestColoredBipartiteTypes:
+    @pytest.mark.parametrize(
+        "side_a, side_b, edges, d",
+        [
+            ([1], [2], [(1, 2, True)], None),
+            ([1], [2], [(1, 2, 1.0)], None),
+            ([1.0], [2], [(1, 2, 1)], None),
+            ([1], [2], [(1.0, 2, 1)], None),
+            ([True], [2], [(1, 2, 1)], None),
+            ([1], [2], [(1, True, 1)], None),
+            ([1], [2], [(1, 2, 1)], 2.5),
+            ([1], [2], [(1, 2, 1)], True),
+            ([1], [2], [(1, 2, 1)], "2"),
+        ],
+    )
+    def test_non_ints_rejected(self, side_a, side_b, edges, d):
+        with pytest.raises(InputError):
+            ColoredBipartite(side_a, side_b, edges, d=d)
+
+
+# -- reference versions of the walk search, as they were before the colour
+# test of the first edge e1 was shared: every slot of the closure test spells
+# out its own colour rules and its own e1 != e2 exclusion.
+
+
+def ref_find_forbidden_walk(g, kind, start_side=None):
+    side = walks._check_kind_side(kind, start_side)
+    for v1 in sorted(g._adj):
+        for v2, c2 in g.neighbors(v1):
+            for v3, c3 in g.neighbors(v2):
+                if c3 <= c2:
+                    continue
+                for v4, c4 in g.neighbors(v3):
+                    if c4 <= c3:
+                        continue
+                    for v0, c1 in g.neighbors(v1):
+                        if kind == "fast":
+                            if c1 < c4:
+                                continue
+                        else:
+                            if not (c2 < c1 <= c4):
+                                continue
+                            if g.side_of(v0) != side:
+                                continue
+                        return Walk4((v0, v1, v2, v3, v4), (c1, c2, c3, c4), kind)
+    return None
+
+
+def ref_walk_through(adj, cn, e_new, kind, side_of, side):
+    def nbrs(v):
+        return adj.get(v, ())
+
+    for a, b in (e_new, e_new[::-1]):
+        # e_new as e2 = (v1=a, v2=b)
+        for v3, c3 in nbrs(b):
+            if c3 <= cn:
+                continue
+            for v4, c4 in nbrs(v3):
+                if c4 <= c3:
+                    continue
+                for v0, c1 in nbrs(a):
+                    if (v0, c1) == (b, cn):
+                        continue
+                    if kind == "fast":
+                        if c1 >= c4:
+                            return True
+                    elif cn < c1 <= c4 and side_of(v0) == side:
+                        return True
+        # e_new as e3 = (v2=a, v3=b)
+        for v1, c2 in nbrs(a):
+            if c2 >= cn:
+                continue
+            for v4, c4 in nbrs(b):
+                if c4 <= cn:
+                    continue
+                for v0, c1 in nbrs(v1):
+                    if (v0, c1) == (a, c2):
+                        continue
+                    if kind == "fast":
+                        if c1 >= c4:
+                            return True
+                    elif c2 < c1 <= c4 and side_of(v0) == side:
+                        return True
+        # e_new as e4 = (v3=a, v4=b)
+        for v2, c3 in nbrs(a):
+            if c3 >= cn:
+                continue
+            for v1, c2 in nbrs(v2):
+                if c2 >= c3:
+                    continue
+                for v0, c1 in nbrs(v1):
+                    if (v0, c1) == (v2, c2):
+                        continue
+                    if kind == "fast":
+                        if c1 >= cn:
+                            return True
+                    elif c2 < c1 <= cn and side_of(v0) == side:
+                        return True
+        # e_new as e1 = (v0=a, v1=b)
+        if kind == "slow" and side_of(a) != side:
+            continue
+        for v2, c2 in nbrs(b):
+            if (v2, c2) == (a, cn):
+                continue
+            if kind == "fast":
+                if c2 >= cn:
+                    continue
+            elif not c2 < cn:
+                continue
+            for v3, c3 in nbrs(v2):
+                if c3 <= c2:
+                    continue
+                for v4, c4 in nbrs(v3):
+                    if c4 <= c3:
+                        continue
+                    if kind == "fast":
+                        if c4 <= cn:
+                            return True
+                    elif cn <= c4:
+                        return True
+    return False
+
+
+SETTINGS = (("fast", None), ("slow", "A"), ("slow", "B"))
+
+
+def _random_graph(rng):
+    """A properly coloured bipartite graph with up to 7 vertices a side, so
+    that extraction takes both the exhaustive and the greedy route."""
+    na, nb = rng.randint(1, 7), rng.randint(1, 7)
+    side_a, side_b = range(1, na + 1), range(na + 1, na + nb + 1)
+    pairs = [(a, b) for a in side_a for b in side_b]
+    rng.shuffle(pairs)
+    d = rng.randint(1, 7)
+    used = {}
+    edges = []
+    for a, b in pairs[: rng.randint(0, len(pairs))]:
+        free = [c for c in range(1, d + 1) if c not in used.get(a, ()) and c not in used.get(b, ())]
+        if free:
+            c = rng.choice(free)
+            edges.append((a, b, c))
+            used.setdefault(a, set()).add(c)
+            used.setdefault(b, set()).add(c)
+    return ColoredBipartite(side_a, side_b, edges, d=d)
+
+
+def _reference_graphs():
+    rng = random.Random(12)
+    return [_f(n) for n in (8, 16, 32, 64)] + [_random_graph(rng) for _ in range(150)]
+
+
+class TestAgainstReferences:
+    def test_detector_witnesses(self):
+        for g in _reference_graphs():
+            for kind, side in SETTINGS:
+                assert find_forbidden_walk(g, kind, side) == ref_find_forbidden_walk(g, kind, side)
+
+    def test_closure_answers_and_extractions(self, monkeypatch):
+        graphs = _reference_graphs()
+        runs = [(g, kind, side) for g in graphs for kind, side in SETTINGS]
+        want = []
+        monkeypatch.setattr(walks, "_walk_through", ref_walk_through)
+        for g, kind, side in runs:
+            want.append(extract_walk_free(g, kind, side, seed=5).subgraph.edges)
+
+        answers = []
+
+        def both(*args):
+            got = _walk_through(*args)
+            assert got == ref_walk_through(*args), args[1:3]
+            answers.append(got)
+            return got
+
+        monkeypatch.setattr(walks, "_walk_through", both)
+        methods = set()
+        for (g, kind, side), edges in zip(runs, want):
+            ext = extract_walk_free(g, kind, side, seed=5)
+            assert ext.subgraph.edges == edges
+            assert find_forbidden_walk(ext.subgraph, kind, side) is None
+            methods.add(ext.method)
+        assert methods == {"exhaustive", "greedy"}
+        assert True in answers and False in answers
