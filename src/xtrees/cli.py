@@ -23,22 +23,19 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 from typing import Optional
 
 from . import verify as verify_mod
 from .constructions import f_n, f_n0, fh_q, fh_r, gstar, pow2
-from .containment import Embedding, find_embedding, iter_embeddings
+from .containment import find_embedding, iter_embeddings
 from .errors import BudgetError, InputError, NotApplicableError
 from .io import dumps_graph, graph_to_dict, load_graph
-from .order import CgGraph, OrderedGraph
+from .order import _graph_class
 from .solver import embed_dense, extremal_number
 from .trees import (
-    CgZDecomposition,
-    CrossingPath4,
     ObstructionWitness,
-    TwinCrossingPaths,
-    ZDecomposition,
     cg_z_decompose,
     classify_tree,
     derive_obstructions,
@@ -53,8 +50,6 @@ EXIT_VERIFY_FAILED = 1
 EXIT_INPUT = 2
 EXIT_NEGATIVE = 3
 
-_MODE_FLAG = {"linear": "ordered", "cyclic": "cg"}
-
 
 def _emit(text: str, out: Optional[str]) -> None:
     if out is None or out == "-":
@@ -63,35 +58,11 @@ def _emit(text: str, out: Optional[str]) -> None:
         Path(out).write_text(text if text.endswith("\n") else text + "\n")
 
 
-def _embedding_dict(emb: Embedding) -> dict:
-    return {"mode": emb.mode, "map": list(emb.map), "reflected": emb.reflected}
-
-
 def _witness_dict(w) -> object:
-    if w is None:
-        return None
-    if isinstance(w, ZDecomposition):
-        return {
-            "hub": list(w.hub),
-            "core": [list(e) for e in w.core],
-            "s_j": [list(e) for e in w.s_j],
-            "s_i": [list(e) for e in w.s_i],
-        }
-    if isinstance(w, CgZDecomposition):
-        return {"rotation": w.rotation, "linear": _witness_dict(w.linear)}
     if isinstance(w, ObstructionWitness):
-        return {
-            "pattern": graph_to_dict(w.pattern),
-            "embedding": _embedding_dict(w.embedding),
-        }
-    if isinstance(w, CrossingPath4):
-        return {
-            "vertices": list(w.vertices),
-            "crossing": [list(e) for e in w.crossing],
-        }
-    if isinstance(w, TwinCrossingPaths):
-        return {"shared": w.shared, "path1": list(w.path1), "path2": list(w.path2)}
-    return str(w)
+        # a graph is written in its file format, not field by field
+        return {"pattern": graph_to_dict(w.pattern), "embedding": asdict(w.embedding)}
+    return None if w is None else asdict(w)
 
 
 # ---------------------------------------------------------------------------
@@ -104,13 +75,13 @@ def _cmd_contains(args) -> int:
     if args.all:
         found = 0
         for emb in iter_embeddings(host, pattern, allow_reflection=args.reflect):
-            print(json.dumps(_embedding_dict(emb)))
+            print(json.dumps(asdict(emb)))
             found += 1
         return EXIT_OK if found else EXIT_NEGATIVE
     emb = find_embedding(host, pattern, allow_reflection=args.reflect)
     doc = {
         "found": emb is not None,
-        "embedding": None if emb is None else _embedding_dict(emb),
+        "embedding": None if emb is None else asdict(emb),
     }
     print(json.dumps(doc))
     return EXIT_OK if emb is not None else EXIT_NEGATIVE
@@ -178,9 +149,9 @@ def _cmd_construct(args) -> int:
 
 def _cmd_solve(args) -> int:
     pattern = load_graph(args.pattern)
-    if pattern.mode != _MODE_FLAG[args.mode]:
+    if pattern.order != args.mode:
         raise InputError(
-            f"--mode {args.mode} expects a {_MODE_FLAG[args.mode]!r} pattern, "
+            f"--mode {args.mode} expects a {_graph_class(args.mode).mode!r} pattern, "
             f"the file holds a {pattern.mode!r} graph"
         )
     result = extremal_number(args.n, pattern, naive=args.oracle)
@@ -197,7 +168,7 @@ def _cmd_embed(args) -> int:
     emb = embed_dense(host, dec)
     doc = {
         "found": emb is not None,
-        "embedding": None if emb is None else _embedding_dict(emb),
+        "embedding": None if emb is None else asdict(emb),
     }
     print(json.dumps(doc))
     return EXIT_OK if emb is not None else EXIT_NEGATIVE
@@ -209,8 +180,7 @@ def _cmd_extract(args) -> int:
     ext = extract_walk_free(colored, args.kind, args.start, seed=args.seed)
     edges = [(u, v) for u, v, _ in ext.subgraph.edges]
     colors = [c for _, _, c in ext.subgraph.edges]
-    cls = OrderedGraph if g.mode == "ordered" else CgGraph
-    doc = graph_to_dict(cls(g.n, edges, colors=colors))
+    doc = graph_to_dict(type(g)(g.n, edges, colors=colors))
     doc["extraction"] = ext.metadata()
     _emit(json.dumps(doc), args.out)
     return EXIT_OK

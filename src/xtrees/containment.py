@@ -22,12 +22,10 @@ from typing import Iterator, Optional
 
 from .errors import BudgetError, InputError
 from .kernels import order_embeddings
-from .order import CgGraph, OrderedGraph, _Graph, reflect
+from .order import _Graph, reflect
 
 MAX_HOST = 256
 MAX_PATTERN = 7
-
-_MODE_NAME = {"ordered": "linear", "cg": "cyclic"}
 
 
 @dataclass(frozen=True)
@@ -102,7 +100,7 @@ def _embeddings(
     host: _Graph, pattern: _Graph, allow_reflection: bool, limit: int
 ) -> list[Embedding]:
     cyclic = _require_pair(host, pattern, allow_reflection, limit)
-    name = _MODE_NAME[host.mode]
+    name = host.order
     out = [
         Embedding(name, tuple(x + 1 for x in m))
         for m in _kernel_maps(host, pattern, cyclic, limit)
@@ -145,7 +143,7 @@ def validate_embedding(host: _Graph, pattern: _Graph, emb: Embedding) -> bool:
     """
     if host.mode != pattern.mode:
         raise InputError("host/pattern mode mismatch")
-    if emb.mode != _MODE_NAME[host.mode]:
+    if emb.mode != host.order:
         raise InputError(f"embedding mode {emb.mode!r} does not fit {host.mode!r} graphs")
     m = emb.map
     if len(m) != pattern.n:

@@ -15,9 +15,9 @@ import json
 from typing import TextIO, Union
 
 from .errors import InputError
-from .order import CgGraph, OrderedGraph, _Graph
+from .order import GRAPH_CLASSES, _Graph
 
-_MODES = {"ordered": OrderedGraph, "cg": CgGraph}
+_MODES = {cls.mode: cls for cls in GRAPH_CLASSES}
 
 
 def graph_to_dict(g: _Graph) -> dict:

@@ -11,9 +11,9 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Iterator, Optional
 
-from .containment import Embedding, _MODE_NAME
+from .containment import Embedding
 from .errors import BudgetError, InputError
-from .order import CgGraph, OrderedGraph, _Graph
+from .order import GRAPH_CLASSES, _Graph
 
 ORACLE_MAX_HOST = 12
 ORACLE_MAX_EXTREMAL = 5
@@ -41,7 +41,7 @@ def oracle_iter_embeddings(
     if p > n:
         raise InputError("pattern larger than host")
     host_edges = host.edge_set
-    name = _MODE_NAME[host.mode]
+    name = host.order
 
     def ok(mapping: tuple[int, ...]) -> bool:
         return all(
@@ -94,7 +94,7 @@ def oracle_extremal_number(n: int, pattern: _Graph) -> tuple[int, _Graph]:
     if n < 1:
         raise InputError("host size must be positive")
     cls = type(pattern)
-    if cls not in (OrderedGraph, CgGraph):
+    if cls not in GRAPH_CLASSES:
         raise InputError("pattern must be an OrderedGraph or CgGraph")
     if not pattern.edges:
         raise InputError("pattern has no edges, so every host contains it")

@@ -98,7 +98,9 @@ class _Graph:
     colors: Optional[tuple[int, ...]] = None
     _adj_cache: dict = field(default_factory=dict, repr=False, compare=False, hash=False)
 
+    # the file-format name and the order vocabulary of Embedding and Verdict
     mode = "ordered"
+    order = "linear"
 
     def __init__(self, n: int, edges: Iterable[Sequence[int]] = (), colors=None):
         norm = _check_edges(n, edges)
@@ -236,13 +238,24 @@ def _is_spanning_tree(n: int, edges: Sequence[Edge]) -> bool:
 class OrderedGraph(_Graph):
     """Graph on 1 < 2 < ... < n (a linear vertex order)."""
 
-    mode = "ordered"
-
 
 class CgGraph(_Graph):
     """Graph on n points in convex position, labelled 1..n clockwise."""
 
     mode = "cg"
+    order = "cyclic"
+
+
+#: The two graph classes, ordered first.
+GRAPH_CLASSES = (OrderedGraph, CgGraph)
+
+
+def _graph_class(order: str) -> type:
+    """The graph class of the vertex order ``order``, "linear" or "cyclic"."""
+    for cls in GRAPH_CLASSES:
+        if cls.order == order:
+            return cls
+    raise InputError(f"mode must be 'linear' or 'cyclic', not {order!r}")
 
 
 def _crosses(e: Edge, f: Edge) -> bool:

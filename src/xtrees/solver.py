@@ -473,6 +473,6 @@ def embed_dense(
     images = None if steps is None else _run_plan(host, steps)
     if images is None:
         return None
-    emb = Embedding("linear" if mode == "ordered" else "cyclic", images, reflected=False)
+    emb = Embedding(host.order, images, reflected=False)
     validate_embedding(host, tree, emb)
     return emb

@@ -23,15 +23,19 @@ Core notions:
 
 The classifier reports, for a given tree, whether hosts avoiding it have
 linearly many edges (with the exact extremal formula in the ordered case) or
-superlinearly many, together with a machine-checkable witness. Both routes to
-each verdict (decomposition vs. forbidden-configuration detectors) are always
-computed and compared; a mismatch raises, it is never papered over.
+superlinearly many, together with a machine-checkable witness. Both theorems
+have the same shape, so one flow checks both orders: compute the chromatic
+number (interval or cyclic); then run the decomposition route (z_decompose or
+cg_z_decompose) and the forbidden-configuration route (the obstruction
+catalog, or a crossing four-edge path and, only without one, twin crossing
+paths); a mismatch raises, it is never papered over. Only the chromatic
+number, the two routes, the formula and the growth tag depend on the order.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
 from typing import Iterator, Optional, Union
@@ -46,6 +50,7 @@ from .order import (
     _check_int,
     _crosses,
     _Graph,
+    _graph_class,
     arc_side,
     chi_cyclic,
     chi_interval,
@@ -56,9 +61,6 @@ from .order import (
 
 #: The 3-edge crossing path on [4]: the smallest obstruction, pinned a priori.
 CROSSING_P3_EDGES = ((1, 3), (1, 4), (2, 4))
-
-_MODE_TO_CLASS = {"linear": OrderedGraph, "cyclic": CgGraph}
-_CLASS_TO_MODE = {"ordered": "linear", "cg": "cyclic"}
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +123,7 @@ class ZDecomposition:
 
 @dataclass(frozen=True)
 class NotAZTree:
-    """Negative z_decompose result, naming the violated condition."""
+    """Negative (cg_)z_decompose result, naming the violated condition."""
 
     reason: str
 
@@ -198,8 +200,12 @@ def _z_decompose(t: OrderedGraph) -> Union[ZDecomposition, NotAZTree]:
 
 def is_z_tree(t: OrderedGraph) -> bool:
     """Whether the ordered tree admits a z-decomposition."""
+    return _decomposes(z_decompose, t)
+
+
+def _decomposes(decompose, t: _Graph) -> bool:
     try:
-        return isinstance(z_decompose(t), ZDecomposition)
+        return bool(decompose(t))
     except NotApplicableError:
         return False
 
@@ -248,14 +254,6 @@ class CgZDecomposition:
     linear: ZDecomposition
 
 
-@dataclass(frozen=True)
-class NotACgZTree:
-    reason: str
-
-    def __bool__(self) -> bool:
-        return False
-
-
 def linearize(t: CgGraph, r: int) -> OrderedGraph:
     """Rotate a cg tree by r and read it as an ordered graph, reversing labels."""
     if t.mode != "cg":
@@ -271,7 +269,7 @@ def _linearized(t: CgGraph, r: int) -> OrderedGraph:
     return OrderedGraph._trusted(n, flipped.edges)
 
 
-def cg_z_decompose(t: CgGraph) -> Union[CgZDecomposition, NotACgZTree]:
+def cg_z_decompose(t: CgGraph) -> Union[CgZDecomposition, NotAZTree]:
     """Smallest rotation under which the cg tree linearizes to a z-tree.
 
     Raises NotApplicableError unless the input is a tree with cyclic interval
@@ -294,14 +292,12 @@ def cg_z_decompose(t: CgGraph) -> Union[CgZDecomposition, NotACgZTree]:
         dec = _z_decompose(_linearized(t, r))
         if isinstance(dec, ZDecomposition):
             return CgZDecomposition(rotation=r, linear=dec)
-    return NotACgZTree("no rotation linearizes to a z-tree")
+    return NotAZTree("no rotation linearizes to a z-tree")
 
 
 def is_cg_z_tree(t: CgGraph) -> bool:
-    try:
-        return isinstance(cg_z_decompose(t), CgZDecomposition)
-    except NotApplicableError:
-        return False
+    """Whether the cg tree admits a cg z-decomposition."""
+    return _decomposes(cg_z_decompose, t)
 
 
 # ---------------------------------------------------------------------------
@@ -392,7 +388,12 @@ def _self_crossing_paths3(t: CgGraph) -> list[tuple[int, ...]]:
 
 
 def _twin_pair_ok(t: CgGraph, p: tuple, q: tuple) -> Optional[int]:
-    """Number of shared center endpoints if (p, q) form a twin configuration."""
+    """Number of shared center endpoints if (p, q) form a twin configuration.
+
+    The outer edge a0a1 of a self-crossing path a0-a1-a2-a3 separates a2
+    from a3, so a0 alone tells the side of the center a1a2 both outer
+    vertices lie on.
+    """
     e = _norm(p[1], p[2])
     f = _norm(q[1], q[2])
     shared_center = len(set(e) & set(f))
@@ -401,13 +402,7 @@ def _twin_pair_ok(t: CgGraph, p: tuple, q: tuple) -> Optional[int]:
     n = t.n
     if shared_center == 2:
         # same center chord: the two crossings must happen on opposite sides
-        sp = arc_side(n, e, p[0])
-        if sp != arc_side(n, e, p[3]):
-            return None
-        sq = arc_side(n, e, q[0])
-        if sq != arc_side(n, e, q[3]):
-            return None
-        return 2 if sp != sq else None
+        return 2 if arc_side(n, e, p[0]) != arc_side(n, e, q[0]) else None
     # distinct centers: each path's outer vertices must avoid the side of its
     # center that holds the other center's extra endpoints. Crossing centers
     # share no endpoint and put the other center's ends on both sides, so
@@ -416,10 +411,7 @@ def _twin_pair_ok(t: CgGraph, p: tuple, q: tuple) -> Optional[int]:
         ce = _norm(a[1], a[2])
         other = [x for x in (b[1], b[2]) if x not in ce]
         sides = {arc_side(n, ce, x) for x in other}
-        if len(sides) != 1:
-            return None
-        banned = sides.pop()
-        if arc_side(n, ce, a[0]) == banned or arc_side(n, ce, a[3]) == banned:
+        if len(sides) != 1 or arc_side(n, ce, a[0]) in sides:
             return None
     return shared_center
 
@@ -547,12 +539,10 @@ def enumerate_trees(k: int, mode: str, filt: str = "all") -> Iterator[_Graph]:
     """
     if not 1 <= k <= 6:
         raise InputError("tree enumeration supports 1 <= k <= 6 edges")
-    if mode not in _MODE_TO_CLASS:
-        raise InputError(f"mode must be 'linear' or 'cyclic', not {mode!r}")
+    cls = _graph_class(mode)
     if filt not in ("all", "chi2"):
         raise InputError(f"filter must be 'all' or 'chi2', not {filt!r}")
-    cls = _MODE_TO_CLASS[mode]
-    chi = chi_interval if mode == "linear" else chi_cyclic
+    chi = chi_cyclic if cls is CgGraph else chi_interval
     n = k + 1
     for seq in product(range(1, n + 1), repeat=k - 1):
         edges = sorted(_SHARED_EDGES[u][v] for u, v in _prufer_edges(n, seq))
@@ -615,14 +605,13 @@ class Verdict:
 def classify_tree(t: _Graph) -> Verdict:
     """Classify the extremal growth of hosts avoiding the tree ``t``.
 
-    Ordered trees: Linear with formula (k-1)n - C(k,2) exactly when t is a
-    z-tree; otherwise NonLinear (growth at least n log n when the interval
-    chromatic number is two, quadratic beyond). Cg trees: Linear exactly when
-    t is a cg z-tree; otherwise NonLinear (n log log n / quadratic). The
+    Linear, with the formula (k-1)n - C(k,2) for ordered trees, exactly when
+    t is a (cg) z-tree; otherwise NonLinear: at least n log n (ordered) or
+    n log log n (cg) when the chromatic number is two, quadratic beyond. The
     decomposition route and the forbidden-configuration route are both
     evaluated and must agree.
     """
-    mode = _CLASS_TO_MODE.get(t.mode)
+    mode = t.order
     if not t.is_tree():
         return Verdict(
             kind="NotApplicable",
@@ -632,76 +621,36 @@ def classify_tree(t: _Graph) -> Verdict:
     k = len(t.edges)
     if k == 0:
         return Verdict(kind="NotApplicable", mode=mode, reason="tree has no edges")
-
-    if mode == "linear":
-        chi = chi_interval(t)
-        if chi > 2:
-            return Verdict(
-                kind="NonLinear", mode=mode, k=k, chi=chi, growth_tag="Theta(n^2)"
-            )
-        dec = z_decompose(t)
-        obstruction = _find_obstruction(t)
-        if isinstance(dec, ZDecomposition) and obstruction is not None:
-            raise RuntimeError(
-                "internal: z-decomposition succeeded but an obstruction embeds: "
-                f"{obstruction.pattern.edges}"
-            )
-        if isinstance(dec, NotAZTree) and obstruction is None:
-            raise RuntimeError(
-                f"internal: no z-decomposition ({dec.reason}) yet no obstruction embeds"
-            )
-        if isinstance(dec, ZDecomposition):
-            return Verdict(
-                kind="Linear",
-                mode=mode,
-                k=k,
-                chi=chi,
-                formula=LinearFormula(k),
-                growth_tag="Theta(n)",
-                witness=dec,
-            )
-        return Verdict(
-            kind="NonLinear",
-            mode=mode,
-            k=k,
-            chi=chi,
-            growth_tag="Omega(n log n)",
-            witness=obstruction,
-        )
-
-    chi = chi_cyclic(t)
+    cyclic = isinstance(t, CgGraph)
+    chi = chi_cyclic(t) if cyclic else chi_interval(t)
     if chi > 2:
-        return Verdict(
-            kind="NonLinear", mode=mode, k=k, chi=chi, growth_tag="Theta(n^2)"
-        )
-    dec = cg_z_decompose(t)
-    x4 = detect_crossing_path4(t)
-    # a crossing path already rules the tree out; twins could only feed the message below
-    twins = detect_twin_crossing_paths(t) if x4 is None else None
-    clear = x4 is None and twins is None
-    if isinstance(dec, CgZDecomposition) != clear:
-        if x4 is not None:
-            twin_text = "not searched"
+        return Verdict(kind="NonLinear", mode=mode, k=k, chi=chi, growth_tag="Theta(n^2)")
+    if cyclic:
+        dec = cg_z_decompose(t)
+        # twins are searched only when no crossing path already rules the tree out
+        witness = detect_crossing_path4(t) or detect_twin_crossing_paths(t)
+    else:
+        dec = z_decompose(t)
+        witness = _find_obstruction(t)
+    if bool(dec) == (witness is not None):
+        if not cyclic:
+            found = f"obstruction={'none' if witness is None else witness.pattern.edges}"
+        elif isinstance(witness, CrossingPath4):
+            found = f"crossing path={witness.vertices}, twin paths=not searched"
         else:
-            twin_text = "none" if twins is None else (twins.path1, twins.path2)
+            twins = "none" if witness is None else (witness.path1, witness.path2)
+            found = f"crossing path=none, twin paths={twins}"
         raise RuntimeError(
-            "internal: cg decomposition and configuration detectors disagree "
-            f"(decomposition={'yes' if isinstance(dec, CgZDecomposition) else 'no'}, "
-            f"crossing path={'none' if x4 is None else x4.vertices}, "
-            f"twin paths={twin_text})"
+            "internal: decomposition and forbidden-configuration routes disagree "
+            f"(decomposition={'yes' if dec else 'no: ' + dec.reason}, {found})"
         )
-    if isinstance(dec, CgZDecomposition):
-        return Verdict(
-            kind="Linear", mode=mode, k=k, chi=chi, growth_tag="Theta(n)", witness=dec
-        )
-    return Verdict(
-        kind="NonLinear",
-        mode=mode,
-        k=k,
-        chi=chi,
-        growth_tag="Omega(n log log n)",
-        witness=x4 if x4 is not None else twins,
-    )
+    if dec:
+        formula = None if cyclic else LinearFormula(k)
+        return Verdict(kind="Linear", mode=mode, k=k, chi=chi, formula=formula,
+                       growth_tag="Theta(n)", witness=dec)
+    growth = "Omega(n log log n)" if cyclic else "Omega(n log n)"
+    return Verdict(kind="NonLinear", mode=mode, k=k, chi=chi, growth_tag=growth,
+                   witness=witness)
 
 
 def _find_obstruction(t: OrderedGraph) -> Optional[ObstructionWitness]:

@@ -34,7 +34,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Optional
 
 from .errors import InputError
 from .order import _check_int, _Graph
@@ -257,6 +257,22 @@ def _first_e1(nbrs, v1, c2, c4, kind, side_of, side) -> Optional[tuple[int, int]
     return None
 
 
+def _walk_from_e2(nbrs, v1, v2, c2, kind, side_of, side) -> Optional[Walk4]:
+    """First walk with second edge e2 = v1 v2 of colour c2: e2 grows into an
+    ascending path e2 e3 e4, which ``_first_e1`` closes at v1. None if none."""
+    for v3, c3 in nbrs(v2):
+        if c3 <= c2:
+            continue
+        for v4, c4 in nbrs(v3):
+            if c4 <= c3:
+                continue
+            first = _first_e1(nbrs, v1, c2, c4, kind, side_of, side)
+            if first is not None:
+                v0, c1 = first
+                return Walk4((v0, v1, v2, v3, v4), (c1, c2, c3, c4), kind)
+    return None
+
+
 def find_forbidden_walk(
     g: ColoredBipartite, kind: str, start_side: Optional[str] = None
 ) -> Optional[Walk4]:
@@ -270,16 +286,9 @@ def find_forbidden_walk(
     nbrs = g.neighbors
     for v1 in sorted(g._adj):
         for v2, c2 in nbrs(v1):
-            for v3, c3 in nbrs(v2):
-                if c3 <= c2:
-                    continue
-                for v4, c4 in nbrs(v3):
-                    if c4 <= c3:
-                        continue
-                    first = _first_e1(nbrs, v1, c2, c4, kind, g.side_of, side)
-                    if first is not None:
-                        v0, c1 = first
-                        return Walk4((v0, v1, v2, v3, v4), (c1, c2, c3, c4), kind)
+            walk = _walk_from_e2(nbrs, v1, v2, c2, kind, g.side_of, side)
+            if walk is not None:
+                return walk
     return None
 
 
@@ -354,11 +363,8 @@ def _walk_through(
 
     for a, b in (e_new, e_new[::-1]):
         # e_new as e2 = (v1=a, v2=b)
-        for v3, c3 in nbrs(b):
-            if c3 > cn:
-                for v4, c4 in nbrs(v3):
-                    if c4 > c3 and _first_e1(nbrs, a, cn, c4, kind, side_of, side):
-                        return True
+        if _walk_from_e2(nbrs, a, b, cn, kind, side_of, side):
+            return True
         # e_new as e3 = (v2=a, v3=b)
         for v1, c2 in nbrs(a):
             if c2 < cn:

@@ -6,10 +6,19 @@ import json
 import pytest
 
 from xtrees import verify
-from xtrees.cli import main
-from xtrees.io import dumps_graph, load_graph
+from xtrees.cli import _witness_dict, main
+from xtrees.io import dumps_graph, graph_to_dict, load_graph
 from xtrees.order import CgGraph, OrderedGraph
 from xtrees.constructions import f_n
+from xtrees.trees import (
+    CgZDecomposition,
+    CrossingPath4,
+    ObstructionWitness,
+    TwinCrossingPaths,
+    ZDecomposition,
+    classify_tree,
+    enumerate_trees,
+)
 
 P = OrderedGraph(4, [(1, 3), (1, 4), (2, 4)])
 
@@ -75,7 +84,44 @@ class TestContains:
         assert "error:" in capsys.readouterr().err
 
 
+def ref_witness_dict(w):
+    """The verdict witness as the CLI wrote it field by field, one branch per
+    witness type."""
+    if w is None:
+        return None
+    if isinstance(w, ZDecomposition):
+        return {
+            "hub": list(w.hub),
+            "core": [list(e) for e in w.core],
+            "s_j": [list(e) for e in w.s_j],
+            "s_i": [list(e) for e in w.s_i],
+        }
+    if isinstance(w, CgZDecomposition):
+        return {"rotation": w.rotation, "linear": ref_witness_dict(w.linear)}
+    if isinstance(w, ObstructionWitness):
+        emb = w.embedding
+        return {
+            "pattern": graph_to_dict(w.pattern),
+            "embedding": {"mode": emb.mode, "map": list(emb.map), "reflected": emb.reflected},
+        }
+    if isinstance(w, CrossingPath4):
+        return {"vertices": list(w.vertices), "crossing": [list(e) for e in w.crossing]}
+    if isinstance(w, TwinCrossingPaths):
+        return {"shared": w.shared, "path1": list(w.path1), "path2": list(w.path2)}
+    raise TypeError(w)
+
+
 class TestClassifyAndEnumerate:
+    def test_witness_json_matches_the_field_by_field_writer(self):
+        kinds = set()
+        for mode in ("linear", "cyclic"):
+            for k in range(1, 6):
+                for t in enumerate_trees(k, mode):
+                    w = classify_tree(t).witness
+                    kinds.add(type(w))
+                    assert json.dumps(_witness_dict(w)) == json.dumps(ref_witness_dict(w)), t
+        assert len(kinds) == 6  # no witness, and each of the five witness types
+
     def test_classify_crossing_pattern(self, tmp_path, capsys):
         pat = _write(tmp_path, "p.json", P)
         assert main(["classify", "--input", pat]) == 0
@@ -128,6 +174,9 @@ class TestSolve:
     def test_mode_mismatch(self, tmp_path, capsys):
         pat = _write(tmp_path, "l.json", CgGraph(4, [(1, 2), (2, 3), (3, 4)]))
         assert main(["solve", "--n", "5", "--pattern", pat, "--mode", "linear"]) == 2
+        assert "--mode linear expects a 'ordered' pattern, the file holds a 'cg' graph" in (
+            capsys.readouterr().err
+        )
 
 
 class TestEmbed:

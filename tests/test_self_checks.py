@@ -26,6 +26,38 @@ def test_no_assert_statements():
     assert not found, f"assert statements vanish under python -O: {found}"
 
 
+# the file-format names of the two orders, their Embedding/Verdict names and
+# their graph classes; order.py alone says which belong together
+_ORDER_VOCABULARIES = (
+    frozenset({"ordered", "cg"}),
+    frozenset({"linear", "cyclic"}),
+    frozenset({"OrderedGraph", "CgGraph"}),
+)
+
+
+def _vocabulary(node):
+    """Index of the vocabulary that a dict key or value names, or None."""
+    word = node.value if isinstance(node, ast.Constant) else getattr(node, "id", None)
+    return next((i for i, v in enumerate(_ORDER_VOCABULARIES) if word in v), None)
+
+
+def test_one_table_of_order_names():
+    sources = sorted((ROOT / "src" / "xtrees").glob("*.py"))
+    sources += sorted((ROOT / "scripts").glob("*.py"))
+    found = [
+        f"{path.relative_to(ROOT)}:{node.lineno}"
+        for path in sources
+        if path.name != "order.py"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Dict)
+        and any(
+            _vocabulary(k) is not None and _vocabulary(v) not in (None, _vocabulary(k))
+            for k, v in zip(node.keys, node.values)
+        )
+    ]
+    assert not found, f"dict literals that map one order vocabulary to another: {found}"
+
+
 def test_gate_passes_under_optimize():
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(

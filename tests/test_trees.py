@@ -1,7 +1,7 @@
 """Tree structure: z-decompositions (both orders), forbidden configurations,
 the obstruction catalog, enumeration and classification."""
 
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,7 +24,6 @@ from xtrees.trees import (
     CgZDecomposition,
     CrossingPath4,
     LinearFormula,
-    NotACgZTree,
     NotAZTree,
     TwinCrossingPaths,
     Verdict,
@@ -252,7 +251,7 @@ def ref_cg_z_decompose(t):
         dec = z_decompose(lin)
         if isinstance(dec, ZDecomposition):
             return CgZDecomposition(rotation=r, linear=dec)
-    return NotACgZTree("no rotation linearizes to a z-tree")
+    return NotAZTree("no rotation linearizes to a z-tree")
 
 
 def ref_z_decompose(t):
@@ -467,6 +466,12 @@ class TestAgainstReferences:
         assert detect_crossing_path4(g) == ref_detect_crossing_path4(g)
         assert outcome(detect_twin_crossing_paths, g) == outcome(ref_detect_twin_crossing_paths, g)
 
+    def test_twin_search_on_every_small_tree(self):
+        for k in range(1, 7):
+            for t in enumerate_trees(k, "cyclic"):
+                got = outcome(detect_twin_crossing_paths, t)
+                assert got == outcome(ref_detect_twin_crossing_paths, t), t.edges
+
     @given(cg_graphs(max_n=12))
     def test_private_crossing_test(self, g):
         for e, f in combinations(g.edges, 2):
@@ -565,3 +570,69 @@ class TestClassifyTwinSearch:
         for k in range(1, 7):
             for t in enumerate_trees(k, "cyclic", "all"):
                 assert classify_tree(t) == ref_classify_cg(t), t.edges
+
+
+class TestTwinSideRule:
+    """In a self-crossing path a0-a1-a2-a3 the outer edge a0a1 separates a2
+    from a3, so both outer vertices lie on one side of the center a1a2.
+    ``_twin_pair_ok`` relies on this to test a0 alone."""
+
+    def test_outer_vertices_share_a_side_of_the_center(self):
+        for n in range(4, 9):
+            for p in permutations(range(1, n + 1), 4):
+                if trees._crosses(_edge(p[0], p[1]), _edge(p[2], p[3])):
+                    center = _edge(p[1], p[2])
+                    assert arc_side(n, center, p[0]) == arc_side(n, center, p[3]), (n, p)
+
+    def test_holds_on_every_self_crossing_path_of_a_small_tree(self):
+        paths = 0
+        for k in range(3, 7):
+            for t in enumerate_trees(k, "cyclic"):
+                for p in trees._self_crossing_paths3(t):
+                    center = _edge(p[1], p[2])
+                    assert arc_side(t.n, center, p[0]) == arc_side(t.n, center, p[3])
+                    paths += 1
+        assert paths == 28964
+
+
+def ref_classify_linear(t):
+    """classify_tree on an ordered tree with edges, as it was when ordered
+    and cg trees each had their own branch."""
+    k, chi = len(t.edges), chi_interval(t)
+    if chi > 2:
+        return Verdict(kind="NonLinear", mode="linear", k=k, chi=chi, growth_tag="Theta(n^2)")
+    dec = z_decompose(t)
+    obstruction = trees._find_obstruction(t)
+    assert isinstance(dec, ZDecomposition) == (obstruction is None)
+    if isinstance(dec, ZDecomposition):
+        return Verdict(kind="Linear", mode="linear", k=k, chi=chi, formula=LinearFormula(k),
+                       growth_tag="Theta(n)", witness=dec)
+    return Verdict(kind="NonLinear", mode="linear", k=k, chi=chi,
+                   growth_tag="Omega(n log n)", witness=obstruction)
+
+
+class TestClassifyOneFlow:
+    """One classification flow serves both orders; it gives the verdicts of
+    the separate ordered branch it replaced."""
+
+    def test_ordered_verdicts_and_witnesses_unchanged(self):
+        for k in range(1, 7):
+            for t in enumerate_trees(k, "linear", "all"):
+                for g in (t, mirror(t)):
+                    assert classify_tree(g) == ref_classify_linear(g), g.edges
+
+    @pytest.mark.parametrize("cls", [OrderedGraph, CgGraph])
+    def test_not_applicable_names_the_order(self, cls):
+        assert classify_tree(cls(3, [(1, 2)])) == Verdict(
+            kind="NotApplicable",
+            mode=cls.order,
+            reason="input is not a tree (connected and acyclic on all vertices)",
+        )
+        assert classify_tree(cls(1, [])) == Verdict(
+            kind="NotApplicable", mode=cls.order, reason="tree has no edges"
+        )
+
+    def test_ordered_disagreement_raises(self, monkeypatch):
+        monkeypatch.setattr(trees, "_find_obstruction", lambda t: None)
+        with pytest.raises(RuntimeError, match="decomposition=no: .*obstruction=none"):
+            classify_tree(OrderedGraph(4, CROSSING_P3_EDGES))
