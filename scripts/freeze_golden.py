@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Regenerate the frozen reference data under golden/.
 
-Every value here is computed from scratch by the library's own oracles
-(exhaustive search, kernel containment); the files pin those outcomes so the
+Every value here is computed from scratch by the library itself (exact
+search, kernel containment); the files pin those outcomes so the
 test suite can detect drift. Rerunning must be a no-op on a correct build.
 """
 
@@ -14,11 +14,10 @@ from pathlib import Path
 from xtrees.constructions import f_n, fh_q, fh_r
 from xtrees.containment import contains
 from xtrees.io import graph_to_dict
-from xtrees.order import CgGraph, OrderedGraph, mirror
+from xtrees.order import OrderedGraph, mirror
 from xtrees.solver import extremal_number
 from xtrees.trees import (
     CROSSING_P3_EDGES,
-    cg_z_decompose,
     derive_obstructions,
     enumerate_trees,
     is_cg_z_tree,
@@ -144,10 +143,7 @@ def extremal_file() -> None:
 def extraction_file() -> None:
     entries = []
     for n in (16, 64):
-        g = f_n(n)
-        cb = ColoredBipartite.from_colored_graph(
-            g, sides=(range(1, n + 1, 2), range(2, n + 1, 2))
-        )
+        cb = ColoredBipartite.from_colored_graph(f_n(n))
         for kind, start in (("fast", None), ("slow", "A"), ("slow", "B")):
             ex = extract_walk_free(cb, kind, start, seed=0)
             entries.append(

@@ -154,7 +154,7 @@ def _cmd_solve(args) -> int:
             f"--mode {args.mode} expects a {_graph_class(args.mode).mode!r} pattern, "
             f"the file holds a {pattern.mode!r} graph"
         )
-    result = extremal_number(args.n, pattern, naive=args.oracle)
+    result = extremal_number(args.n, pattern)
     print(json.dumps(result.as_dict()))
     return EXIT_OK
 
@@ -261,9 +261,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True, help="host vertex count (2..8)")
     p.add_argument("--pattern", required=True, help="pattern graph JSON file")
     p.add_argument("--mode", choices=("linear", "cyclic"), required=True)
-    p.add_argument(
-        "--oracle", action="store_true", help="force the naive full enumeration"
-    )
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("embed", help="embed a (cg) z-tree into a dense host")

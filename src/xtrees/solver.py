@@ -95,7 +95,6 @@ class ExtremalResult:
     pattern: _Graph
     nodes: int
     seconds: float
-    method: str
 
     def as_dict(self) -> dict:
         from .io import graph_to_dict
@@ -108,7 +107,6 @@ class ExtremalResult:
             "pattern": graph_to_dict(self.pattern),
             "nodes": self.nodes,
             "seconds": round(self.seconds, 6),
-            "method": self.method,
         }
 
 
@@ -154,12 +152,12 @@ def _relabellings(n: int, pattern: _Graph) -> list[list[int]]:
     return maps
 
 
-def extremal_number(n: int, pattern: _Graph, naive: bool = False) -> ExtremalResult:
+def extremal_number(n: int, pattern: _Graph) -> ExtremalResult:
     """Maximum edges of an n-vertex graph (same mode as the pattern) that
     does not contain the pattern, by exhaustive branch-and-bound.
 
-    ``naive=True`` runs the full 2^C(n,2) enumeration instead (n <= 5); it
-    exists to cross-check the search, not to be fast.
+    The full 2^C(n,2) enumeration that checks this search is
+    ``oracles.oracle_extremal_number``, which shares no code with it.
     """
     if not isinstance(n, int):
         raise InputError(f"n must be an integer, got {n!r}")
@@ -178,17 +176,6 @@ def extremal_number(n: int, pattern: _Graph, naive: bool = False) -> ExtremalRes
         raise InputError("pattern has no edges, so every host contains it")
 
     t0 = time.perf_counter()
-    if naive:
-        from .oracles import oracle_extremal_number
-
-        value, witness = oracle_extremal_number(n, pattern)
-        result = ExtremalResult(
-            n, pattern.mode, value, witness, pattern,
-            1 << (n * (n - 1) // 2), time.perf_counter() - t0, "naive",
-        )
-        _check_result(result)
-        return result
-
     edges = _canonical_edges(n)
     index = {e: i for i, e in enumerate(edges)}
     masks = _placement_masks(n, pattern, index)
@@ -267,8 +254,7 @@ def extremal_number(n: int, pattern: _Graph, naive: bool = False) -> ExtremalRes
     cls = type(pattern)
     witness = cls(n, sorted(chosen))
     result = ExtremalResult(
-        n, pattern.mode, best, witness, pattern,
-        nodes, time.perf_counter() - t0, "branch-and-bound",
+        n, pattern.mode, best, witness, pattern, nodes, time.perf_counter() - t0
     )
     _check_result(result)
     return result

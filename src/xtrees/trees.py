@@ -51,10 +51,8 @@ from .order import (
     _crosses,
     _Graph,
     _graph_class,
-    arc_side,
     chi_cyclic,
     chi_interval,
-    crosses,
     cyclic_split,
     mirror,
 )
@@ -228,10 +226,6 @@ def validate_decomposition(t: OrderedGraph, dec: ZDecomposition) -> bool:
     for ii, k in dec.s_i:
         if ii != i or k <= j:
             raise InputError(f"fan edge {(ii, k)} is not of the form ik with k > j")
-    for e in dec.s_j:
-        for f in dec.s_i:
-            if not crosses(t, e, f):
-                raise InputError(f"opposite fan edges {e}, {f} fail to cross")
     if len(_crossing_pairs(t)) != dec.b * dec.c:
         raise InputError("the tree has crossings outside the two fans")
     return True
@@ -387,31 +381,30 @@ def _self_crossing_paths3(t: CgGraph) -> list[tuple[int, ...]]:
     ]
 
 
-def _twin_pair_ok(t: CgGraph, p: tuple, q: tuple) -> Optional[int]:
+def _twin_pair_ok(p: tuple, q: tuple) -> Optional[int]:
     """Number of shared center endpoints if (p, q) form a twin configuration.
 
     The outer edge a0a1 of a self-crossing path a0-a1-a2-a3 separates a2
     from a3, so a0 alone tells the side of the center a1a2 both outer
-    vertices lie on.
+    vertices lie on. A vertex tested against a normalised center (u, v) is
+    never u or v, so u < x < v tells its side, as ``arc_side`` would.
     """
     e = _norm(p[1], p[2])
     f = _norm(q[1], q[2])
     shared_center = len(set(e) & set(f))
     if len(set(p) & set(q)) != shared_center:
         return None
-    n = t.n
     if shared_center == 2:
         # same center chord: the two crossings must happen on opposite sides
-        return 2 if arc_side(n, e, p[0]) != arc_side(n, e, q[0]) else None
+        return 2 if (e[0] < p[0] < e[1]) != (e[0] < q[0] < e[1]) else None
     # distinct centers: each path's outer vertices must avoid the side of its
     # center that holds the other center's extra endpoints. Crossing centers
     # share no endpoint and put the other center's ends on both sides, so
     # ``sides`` has two elements and they are rejected here.
     for a, b in ((p, q), (q, p)):
-        ce = _norm(a[1], a[2])
-        other = [x for x in (b[1], b[2]) if x not in ce]
-        sides = {arc_side(n, ce, x) for x in other}
-        if len(sides) != 1 or arc_side(n, ce, a[0]) in sides:
+        lo, hi = _norm(a[1], a[2])
+        sides = {lo < x < hi for x in (b[1], b[2]) if x != lo and x != hi}
+        if len(sides) != 1 or (lo < a[0] < hi) in sides:
             return None
     return shared_center
 
@@ -425,7 +418,7 @@ def detect_twin_crossing_paths(t: CgGraph) -> Optional[TwinCrossingPaths]:
             f"the cap of {_TWIN_SEARCH_CAP}"
         )
     for p, q in combinations(selfx, 2):
-        shared = _twin_pair_ok(t, p, q)
+        shared = _twin_pair_ok(p, q)
         if shared is not None:
             return TwinCrossingPaths(shared, p, q)
     return None

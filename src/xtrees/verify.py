@@ -28,7 +28,7 @@ from typing import Callable, Iterable, Optional
 from .constructions import f_n, f_n0, fh_q, fh_r, gstar, pow2
 from .containment import contains
 from .errors import InputError
-from .oracles import oracle_contains
+from .oracles import oracle_contains, oracle_extremal_number
 from .order import (
     CgGraph,
     OrderedGraph,
@@ -579,7 +579,7 @@ def _c10_solver_oracle(seed: int) -> tuple[dict, list[str]]:
     for pat in patterns:
         for n in range(max(2, pat.n), 6):
             fast = extremal_number(n, pat).value
-            naive = extremal_number(n, pat, naive=True).value
+            naive, _ = oracle_extremal_number(n, pat)
             comparisons += 1
             if fast != naive:
                 failures.append(

@@ -158,21 +158,15 @@ class ColoredBipartite:
         return ColoredBipartite(self.side_a, self.side_b, sub, d=self.d)
 
     @classmethod
-    def from_colored_graph(
-        cls,
-        g: _Graph,
-        sides: Optional[tuple[Iterable[int], Iterable[int]]] = None,
-    ) -> "ColoredBipartite":
-        """Adopt an edge-colored graph, inferring sides when not given.
+    def from_colored_graph(cls, g: _Graph) -> "ColoredBipartite":
+        """Adopt an edge-colored graph, inferring its sides.
 
         Inference two-colors each connected component and puts the class of
         the component's smallest vertex into A; isolated vertices land in A.
+        A caller with sides of its own passes them to the constructor.
         """
         if g.colors is None:
             raise InputError("graph has no edge colors")
-        if sides is not None:
-            a, b = sides
-            return cls(a, b, [(u, v, c) for (u, v), c in zip(g.edges, g.colors)])
         adj: dict[int, set[int]] = {v: set() for v in range(1, g.n + 1)}
         for u, v in g.edges:
             adj[u].add(v)

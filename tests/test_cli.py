@@ -166,6 +166,18 @@ class TestSolve:
         assert doc["value"] == 7
         assert len(doc["witness"]["edges"]) == 7
 
+    def test_output_keys(self, tmp_path, capsys):
+        pat = _write(tmp_path, "z.json", OrderedGraph(4, [(1, 3), (2, 3), (2, 4)]))
+        assert main(["solve", "--n", "5", "--pattern", pat, "--mode", "linear"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert set(doc) == {"n", "mode", "value", "witness", "pattern", "nodes", "seconds"}
+
+    def test_oracle_flag_rejected(self, tmp_path):
+        pat = _write(tmp_path, "z.json", OrderedGraph(4, [(1, 3), (2, 3), (2, 4)]))
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--n", "5", "--pattern", pat, "--mode", "linear", "--oracle"])
+        assert exc.value.code == 2
+
     def test_budget_refusal(self, tmp_path, capsys):
         pat = _write(tmp_path, "z.json", OrderedGraph(4, [(1, 3), (2, 3), (2, 4)]))
         assert main(["solve", "--n", "9", "--pattern", pat, "--mode", "linear"]) == 3

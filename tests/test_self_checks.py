@@ -58,6 +58,33 @@ def test_one_table_of_order_names():
     assert not found, f"dict literals that map one order vocabulary to another: {found}"
 
 
+def _imported_modules(node):
+    """Absolute names of the modules and members an import statement in
+    src/xtrees or scripts/ names."""
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    if isinstance(node, ast.ImportFrom):
+        base = ".".join(filter(None, ["xtrees" if node.level else None, node.module]))
+        return [base] + [f"{base}.{alias.name}" for alias in node.names]
+    return []
+
+
+def test_only_the_gate_imports_the_oracles():
+    """The brute-force references share no code with the paths they check:
+    in the package and its scripts only the release gate calls them, and
+    the tests call them directly."""
+    sources = sorted((ROOT / "src" / "xtrees").glob("*.py"))
+    sources += sorted((ROOT / "scripts").glob("*.py"))
+    found = [
+        f"{path.relative_to(ROOT)}:{node.lineno}"
+        for path in sources
+        if path != ROOT / "src" / "xtrees" / "verify.py"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if "xtrees.oracles" in _imported_modules(node)
+    ]
+    assert not found, f"imports of xtrees.oracles outside verify.py: {found}"
+
+
 def test_gate_passes_under_optimize():
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(

@@ -77,14 +77,14 @@ class TestOracleAgreement:
         for t in enumerate_trees(2, "linear", "all"):
             if not is_z_tree(t) or t.n > n:
                 continue
-            assert extremal_number(n, t).value == extremal_number(n, t, naive=True).value
+            assert extremal_number(n, t).value == oracle_extremal_number(n, t)[0]
 
     def test_crossing_pattern(self):
-        assert extremal_number(5, P).value == extremal_number(5, P, naive=True).value
+        assert extremal_number(5, P).value == oracle_extremal_number(5, P)[0]
 
     def test_cyclic_pattern(self):
         star = CgGraph(3, [(1, 2), (1, 3)])
-        assert extremal_number(5, star).value == extremal_number(5, star, naive=True).value
+        assert extremal_number(5, star).value == oracle_extremal_number(5, star)[0]
 
     @settings(max_examples=150, deadline=None)
     @given(st.data())
@@ -97,13 +97,13 @@ class TestOracleAgreement:
         pattern = cls(p, chosen)
         n = data.draw(st.integers(min_value=p, max_value=5))
         r = extremal_number(n, pattern)
-        assert r.value == extremal_number(n, pattern, naive=True).value
+        assert r.value == oracle_extremal_number(n, pattern)[0]
         assert len(r.witness.edges) == r.value
         assert not contains(r.witness, pattern)
 
     def test_naive_refuses_above_five(self):
         with pytest.raises(BudgetError):
-            extremal_number(6, Z3, naive=True)
+            oracle_extremal_number(6, Z3)
 
 
 def _kernel_masks(n, pattern, index):
@@ -308,7 +308,6 @@ class TestRefusalsAndValidation:
 
     def test_result_metadata(self):
         r = extremal_number(5, Z3)
-        assert r.method == "branch-and-bound"
         assert r.nodes > 0 and r.seconds >= 0
         d = r.as_dict()
         assert d["value"] == 7 and d["mode"] == "ordered"

@@ -94,6 +94,91 @@ class TestZDecompose:
         assert validate_decomposition(t, dec)
 
 
+def ref_validate_decomposition(t, dec):
+    """validate_decomposition as it was, with the loop that asked every pair
+    of opposite fan edges to cross after the two fan form checks passed."""
+    parts = list(dec.core) + list(dec.s_j) + list(dec.s_i)
+    if len(parts) != len(set(parts)):
+        raise InputError("core and fans overlap")
+    if set(parts) != set(t.edges):
+        raise InputError("core and fans do not partition the tree's edges")
+    if trees.increasing_chain(dec.core) != dec.core:
+        raise InputError("core is not an increasing chain in chain order")
+    if dec.core[-1] != dec.hub:
+        raise InputError("hub is not the longest core edge")
+    i, j = dec.hub
+    for h, jj in dec.s_j:
+        if jj != j or h >= i:
+            raise InputError(f"fan edge {(h, jj)} is not of the form hj with h < i")
+    for ii, k in dec.s_i:
+        if ii != i or k <= j:
+            raise InputError(f"fan edge {(ii, k)} is not of the form ik with k > j")
+    for e in dec.s_j:
+        for f in dec.s_i:
+            if not crosses(t, e, f):
+                raise InputError(f"opposite fan edges {e}, {f} fail to cross")
+    if len(trees._crossing_pairs(t)) != dec.b * dec.c:
+        raise InputError("the tree has crossings outside the two fans")
+    return True
+
+
+def hub_splits(t):
+    """Per edge ij of t, the split with ij as hub: the edges inside [i, j]
+    form the core, sorted by length; hj with h < i go to s_j, ik with k > j
+    to s_i, and every other edge to s_j, so the split still covers t."""
+    for i, j in t.edges:
+        core = tuple(sorted((e for e in t.edges if i <= e[0] and e[1] <= j),
+                            key=lambda e: e[1] - e[0]))
+        s_i = tuple(e for e in t.edges if e[0] == i and e[1] > j)
+        s_j = tuple(e for e in t.edges if e not in core and e not in s_i)
+        yield ZDecomposition((i, j), core, s_j, s_i)
+
+
+def fan_corruptions(dec):
+    """Copies of dec with its fans swapped, or one edge moved between the
+    parts, dropped, or listed twice."""
+    hub, core, s_j, s_i = dec.hub, dec.core, dec.s_j, dec.s_i
+    yield ZDecomposition(hub, core, s_i, s_j)
+    for e in s_j:
+        rest = tuple(f for f in s_j if f != e)
+        yield ZDecomposition(hub, core, rest, s_i + (e,))
+        yield ZDecomposition(hub, core, rest, s_i)
+        yield ZDecomposition(hub, core, s_j, s_i + (e,))
+    for e in s_i:
+        rest = tuple(f for f in s_i if f != e)
+        yield ZDecomposition(hub, core, s_j + (e,), rest)
+        yield ZDecomposition(hub, core, s_j, rest)
+    for e in core[:-1]:
+        rest = tuple(f for f in core if f != e)
+        yield ZDecomposition(hub, rest, s_j + (e,), s_i)
+        yield ZDecomposition(hub, rest, s_j, s_i + (e,))
+
+
+class TestValidateDecomposition:
+    def test_same_outcome_as_the_validator_with_the_crossing_loop(self):
+        """Every hub split of every z-tree with <= 5 edges, and its fan
+        corruptions: the validator accepts or raises exactly as the old one
+        with the opposite-fan crossing loop did."""
+        def verdict(validate, t, dec):
+            try:
+                return validate(t, dec)
+            except InputError as exc:
+                return str(exc)
+
+        accepted = raised = 0
+        for k in range(1, 6):
+            for t in enumerate_trees(k, "linear"):
+                if not is_z_tree(t):
+                    continue
+                for split in hub_splits(t):
+                    for dec in (split, *fan_corruptions(split)):
+                        got = verdict(validate_decomposition, t, dec)
+                        assert got == verdict(ref_validate_decomposition, t, dec), (t.edges, dec)
+                        accepted += got is True
+                        raised += got is not True
+        assert accepted > 0 and raised > 0
+
+
 class TestCgDecompose:
     def test_rotation_is_searched(self):
         t = CgGraph(4, [(1, 2), (1, 3), (1, 4)])
