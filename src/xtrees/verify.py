@@ -4,9 +4,12 @@ Eleven checks (c01..c11) cover the public surface: the exact linear extremal
 formula, the obstruction characterisations in both vertex orders, avoidance
 and edge-count guarantees of the named constructions, the matching-host
 properties, the cyclic path census, walk extraction, dense embedding, the
-solver/oracle agreement and a metamorphic invariance sweep.  Frozen expected
-values live under ``golden/`` at the repository root; checks that consume
-them recompute everything and compare.
+solver/oracle agreement and a metamorphic invariance sweep.
+
+The files under ``golden/`` are computed here alone: ``GOLDEN_FILES`` maps
+each name to a builder that also checks the paper's rules for its file, and
+c02, c04, c08 and c10 compare the whole recomputed file with the frozen one.
+``scripts/freeze_golden.py`` only writes ``golden_text`` to disk.
 
 ``run_suite`` runs the checks serially in the calling process, times each
 check in that process, and reports in check-id order.  ``write_csv`` /
@@ -18,16 +21,18 @@ from __future__ import annotations
 import csv
 import json
 import random
+import reprlib
 import time
 import traceback
 from dataclasses import dataclass, field
 from itertools import combinations, permutations
 from pathlib import Path
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from .constructions import f_n, f_n0, fh_q, fh_r, gstar, pow2
 from .containment import contains
 from .errors import InputError
+from .io import graph_to_dict
 from .oracles import oracle_contains, oracle_extremal_number
 from .order import (
     CgGraph,
@@ -76,7 +81,7 @@ class CheckResult:
 
     check_id: str
     name: str
-    status: str  # "pass" | "fail" | "skip"
+    status: str  # "pass" | "fail"
     measured: dict = field(default_factory=dict)
     seconds: float = 0.0
     detail: str = ""
@@ -138,6 +143,134 @@ def _cg_z_trees(k: int) -> list[CgGraph]:
 
 
 # ---------------------------------------------------------------------------
+# golden files: one builder each, which also checks the paper's rules for it
+
+
+def _edge_lists(g) -> list[list[int]]:
+    return [list(e) for e in g.edges]
+
+
+def _golden_catalog() -> dict:
+    cat = derive_obstructions(4)
+    patterns = [{"n": p.n, "edges": _edge_lists(p), "provenance": prov}
+                for p, prov in zip(cat.patterns, cat.provenance)]
+    return {"max_edges": 4, "patterns": patterns}
+
+
+def _golden_fh_assignment() -> dict:
+    """Which 4-edge obstruction each fh_q / fh_r stage contains.
+
+    The obstructions form two mirror pairs, pair1 and pair2 with members a and
+    b, in lexicographic order.  fh_q must avoid one pair and contain both
+    members of the other; fh_r must avoid one member of that other pair and
+    contain its mirror at stage 4, on 8 vertices.
+    """
+    four = [p for p in derive_obstructions(4) if len(p.edges) == 4]
+    pairs = sorted({tuple(sorted((p.edges, mirror(p).edges))) for p in four})
+    if len(four) != 4 or len(pairs) != 2:
+        raise RuntimeError(f"expected two mirror pairs of 4-edge obstructions, got {pairs}")
+    patterns = {f"pair{i}_{member}": OrderedGraph(5, edges)
+                for i, pair in enumerate(pairs, 1) for member, edges in zip("ab", pair)}
+    table = {}
+    for variant, build in (("fh_q", fh_q), ("fh_r", fh_r)):
+        hosts = {str(s): build(s) for s in FH_STAGES}
+        table[variant] = {
+            name: {s: p.n <= g.n and contains(g, p) for s, g in hosts.items()}
+            for name, p in patterns.items()
+        }
+    seen = {v: {name for name, row in rows.items() if any(row.values())}
+            for v, rows in table.items()}
+    q_pair = [i for i in (1, 2) if not seen["fh_q"] & {f"pair{i}_a", f"pair{i}_b"}]
+    if len(q_pair) != 1:
+        raise RuntimeError(f"fh_q avoids {len(q_pair)} full mirror pairs, expected 1")
+    r_pair = 3 - q_pair[0]
+    other = {f"pair{r_pair}_a", f"pair{r_pair}_b"}
+    if not other <= seen["fh_q"]:
+        raise RuntimeError("fh_q misses a member of the non-avoided pair")
+    kept = sorted(other & seen["fh_r"])
+    if len(kept) != 1:
+        raise RuntimeError(f"fh_r avoids {2 - len(kept)} members of pair{r_pair}, expected 1")
+    if not table["fh_r"][kept[0]]["4"]:
+        raise RuntimeError(f"fh_r(4) should contain {kept[0]} on 8 vertices")
+    assignment = {"fh_q_avoids_pair": q_pair[0], "fh_r_pair": r_pair,
+                  "fh_r_avoids": (other - seen["fh_r"]).pop(), "fh_r_contains": kept[0]}
+    return {"stages": list(FH_STAGES), "contains": table, "assignment": assignment,
+            "patterns": {name: _edge_lists(p) for name, p in patterns.items()}}
+
+
+def _golden_extremal() -> dict:
+    """Exact extremal numbers of the crossing 3-edge path for n = 6..8 and of
+    every cg z-tree with 2 or 3 edges for n up to 7."""
+    cases = [(n, OrderedGraph(4, CROSSING_P3_EDGES), "crossing 3-edge path") for n in (6, 7, 8)]
+    cases += [(n, t, f"cg z-tree k={k}")
+              for k in (2, 3) for t in _cg_z_trees(k) for n in range(k + 1, 8)]
+    entries = []
+    for n, p, note in cases:
+        r = extremal_number(n, p)
+        entries.append({"n": n, "mode": p.mode, "pattern": _edge_lists(p), "pattern_n": p.n,
+                        "value": r.value, "witness": graph_to_dict(r.witness), "note": note})
+    return {"entries": entries}
+
+
+def _golden_extractions() -> dict:
+    """The three walk-free extractions of f_16 and f_64 at seed 0, each no
+    smaller than the size guarantee and the largest colour class, and each
+    certified walk-free."""
+    entries = []
+    for n in (16, 64):
+        g = ColoredBipartite.from_colored_graph(f_n(n))
+        for kind, start in _WALK_SETTINGS:
+            ext = extract_walk_free(g, kind, start, seed=0)
+            label = f"extract(f_n({n}), {kind}, {start})"
+            if ext.size < max(size_bound(len(g.edges), g.d), ext.largest_class):
+                raise RuntimeError(f"{label}: size {ext.size} below the guarantee")
+            witness = find_forbidden_walk(ext.subgraph, kind, start)
+            if witness is not None:
+                raise RuntimeError(f"{label}: not walk-free, found {witness}")
+            entries.append({"graph": "f_n", "n": n, "kind": kind, "start": start, "seed": 0,
+                            "bound": ext.bound, "largest_class": ext.largest_class,
+                            "size": ext.size, "method": ext.method,
+                            "edges": _edge_lists(ext.subgraph)})
+    return {"entries": entries}
+
+
+GOLDEN_FILES: dict[str, Callable[[], dict]] = {
+    "obstruction_catalog.json": _golden_catalog,
+    "fh_obstruction_assignment.json": _golden_fh_assignment,
+    "extremal.json": _golden_extremal,
+    "extraction_sizes.json": _golden_extractions,
+}
+
+
+def golden_text(name: str) -> str:
+    """The golden file ``name`` as its builder recomputes it, byte for byte as stored."""
+    return json.dumps(GOLDEN_FILES[name](), indent=1, sort_keys=True) + "\n"
+
+
+def _leaf_diffs(path: str, got, want) -> Iterator[str]:
+    if isinstance(got, dict) and isinstance(want, dict) and got.keys() == want.keys():
+        for key in sorted(got):
+            yield from _leaf_diffs(f"{path}/{key}", got[key], want[key])
+    elif isinstance(got, list) and isinstance(want, list) and len(got) == len(want):
+        for i, (g, w) in enumerate(zip(got, want)):
+            yield from _leaf_diffs(f"{path}/{i}", g, w)
+    elif type(got) is not type(want) or got != want:
+        yield f"{path}: recomputed {reprlib.repr(got)}, golden {reprlib.repr(want)}"
+
+
+def _golden_diffs(name: str) -> list[str]:
+    """Each leaf where the recomputed golden file differs from the frozen one,
+    named by its path, in file order; a dict with other keys or a list of
+    another length counts as one leaf.  A paper rule that the builder finds
+    broken is one failure, so the calling check still runs its other half."""
+    try:
+        text = golden_text(name)
+    except RuntimeError as exc:
+        return [f"{name}: {exc}"]
+    return list(_leaf_diffs(name, json.loads(text), _load_golden(name)))
+
+
+# ---------------------------------------------------------------------------
 # c01 -- exact linear extremal formula
 
 
@@ -173,15 +306,11 @@ def _c01_linear_formula(seed: int) -> tuple[dict, list[str]]:
 def _c02_linear_obstructions(seed: int) -> tuple[dict, list[str]]:
     """z_decompose succeeds iff no catalog pattern embeds, all trees <= 5 edges.
 
-    Also pins the derived catalog against its golden copy and confirms that
-    raising the derivation bound to 5 edges adds no new pattern.
+    Also compares golden/obstruction_catalog.json with its recomputation and
+    confirms that raising the derivation bound to 5 edges adds no new pattern.
     """
-    failures: list[str] = []
+    failures = _golden_diffs("obstruction_catalog.json")
     catalog = derive_obstructions(4)
-    golden = _load_golden("obstruction_catalog.json")
-    frozen = [tuple(tuple(e) for e in p["edges"]) for p in golden["patterns"]]
-    if [t.edges for t in catalog] != frozen:
-        failures.append("derived catalog differs from golden/obstruction_catalog.json")
     if [t.edges for t in derive_obstructions(5)] != [t.edges for t in catalog]:
         failures.append("5-edge derivation changed the catalog")
     trees = zs = 0
@@ -227,60 +356,19 @@ def _c03_cyclic_structure(seed: int) -> tuple[dict, list[str]]:
 
 
 def _c04_construction_avoidance(seed: int) -> tuple[dict, list[str]]:
-    """pow2 avoids the crossing 3-edge pattern; fh containments match golden.
+    """pow2 avoids the crossing 3-edge pattern; the fh table matches golden.
 
-    The golden table fixes, per variant and stage, which of the four 4-edge
-    catalog patterns embeds.  Beyond equality with the table, the shape of
-    the assignment is asserted directly: one mirror pair is avoided by fh_q
-    at every stage while both members of the other pair appear, and fh_r
-    avoids exactly one member of that other pair while containing its mirror
-    already on 8 vertices.
+    The recomputed golden/fh_obstruction_assignment.json fixes, per variant
+    and stage, which of the four 4-edge catalog patterns embeds; its builder
+    raises unless the table has the shape the paper proves.
     """
-    failures: list[str] = []
+    failures = _golden_diffs("fh_obstruction_assignment.json")
     p = OrderedGraph(4, CROSSING_P3_EDGES)
     for n in range(2, 65):
         if p.n <= n and contains(pow2(n), p):
             failures.append(f"pow2({n}) contains the crossing 3-edge pattern")
-    golden = _load_golden("fh_obstruction_assignment.json")
-    patterns = {
-        name: OrderedGraph(5, [tuple(e) for e in edges])
-        for name, edges in golden["patterns"].items()
-    }
-    table: dict[str, dict[str, dict[int, bool]]] = {}
-    for variant, build in (("fh_q", fh_q), ("fh_r", fh_r)):
-        table[variant] = {name: {} for name in patterns}
-        for s in FH_STAGES:
-            g = build(s)
-            for name, pat in patterns.items():
-                got = pat.n <= g.n and contains(g, pat)
-                table[variant][name][s] = got
-                want = golden["contains"][variant][name][str(s)]
-                if got != want:
-                    failures.append(
-                        f"{variant}({s}) vs {name}: contains={got}, golden says {want}"
-                    )
-
-    def avoided(variant: str, name: str) -> bool:
-        return not any(table[variant][name].values())
-
-    pairs = (("pair1_a", "pair1_b"), ("pair2_a", "pair2_b"))
-    q_avoided = [pair for pair in pairs if all(avoided("fh_q", m) for m in pair)]
-    if len(q_avoided) != 1:
-        failures.append(f"fh_q avoids {len(q_avoided)} full mirror pairs, expected 1")
-    else:
-        other = pairs[0] if q_avoided[0] == pairs[1] else pairs[1]
-        if not all(any(table["fh_q"][m].values()) for m in other):
-            failures.append("fh_q misses a member of the non-avoided pair")
-        r_avoided = [m for m in other if avoided("fh_r", m)]
-        if len(r_avoided) != 1:
-            failures.append(
-                f"fh_r avoids {len(r_avoided)} members of {other}, expected exactly 1"
-            )
-        else:
-            kept = other[0] if r_avoided[0] == other[1] else other[1]
-            if not table["fh_r"][kept][4]:
-                failures.append(f"fh_r(4) should contain {kept} on 8 vertices")
-    return {"pow2_hosts": 63, "containments": len(patterns) * len(FH_STAGES) * 2}, failures
+    # two variants times the four 4-edge obstructions the builder requires
+    return {"pow2_hosts": 63, "containments": 2 * 4 * len(FH_STAGES)}, failures
 
 
 # ---------------------------------------------------------------------------
@@ -428,33 +516,14 @@ def _random_colored_bipartite(rng: random.Random) -> ColoredBipartite:
 def _c08_walk_machinery(seed: int) -> tuple[dict, list[str]]:
     """Extractions reproduce golden and certify; detector == full enumeration.
 
-    The agreement half runs the one-witness detector against the brute-force
-    enumeration of all 4-edge walks on a generated family of small colored
-    graphs (f_n(8), every union of color classes of f_n(16), and seeded
-    random properly-colored bipartite graphs with at most 14 edges), under
-    all three kind/start-side settings.
+    The recomputed golden/extraction_sizes.json must match the frozen file;
+    its builder certifies each extraction.  The agreement half runs the
+    one-witness detector against the brute-force enumeration of all 4-edge
+    walks on a generated family of small colored graphs (f_n(8), every union
+    of color classes of f_n(16), and seeded random properly-colored bipartite
+    graphs with at most 14 edges), under all three kind/start-side settings.
     """
-    failures: list[str] = []
-    for entry in _load_golden("extraction_sizes.json")["entries"]:
-        g = ColoredBipartite.from_colored_graph(f_n(entry["n"]))
-        ext = extract_walk_free(g, entry["kind"], entry["start"], seed=entry["seed"])
-        label = f"extract(f_n({entry['n']}), {entry['kind']}, {entry['start']})"
-        for key, got in (
-            ("size", ext.size),
-            ("method", ext.method),
-            ("bound", ext.bound),
-            ("largest_class", ext.largest_class),
-            ("edges", [list(e) for e in ext.subgraph.edges]),
-        ):
-            if got != entry[key]:
-                failures.append(f"{label}: {key}={got!r}, golden {entry[key]!r}")
-        if ext.size < size_bound(len(g.edges), g.d):
-            failures.append(f"{label}: size {ext.size} below the guarantee")
-        if ext.size < ext.largest_class:
-            failures.append(f"{label}: size below the largest color class")
-        witness = find_forbidden_walk(ext.subgraph, entry["kind"], entry["start"])
-        if witness is not None:
-            failures.append(f"{label}: not walk-free, found {witness}")
+    failures = _golden_diffs("extraction_sizes.json")
 
     family: list[ColoredBipartite] = [ColoredBipartite.from_colored_graph(f_n(8))]
     f16 = ColoredBipartite.from_colored_graph(f_n(16))
@@ -568,9 +637,10 @@ def _c10_solver_oracle(seed: int) -> tuple[dict, list[str]]:
     """Branch-and-bound equals full 2^C(n,2) enumeration for n <= 5.
 
     The patterns are the ordered obstructions and z-trees and every cg tree
-    with up to 3 edges, whose solves prune by rotation and reflection.
+    with up to 3 edges, whose solves prune by rotation and reflection.  The
+    recomputed golden/extremal.json must also match the frozen file.
     """
-    failures: list[str] = []
+    failures = _golden_diffs("extremal.json")
     patterns: list[OrderedGraph | CgGraph] = list(derive_obstructions(4))
     for k in (1, 2, 3):
         patterns.extend(_z_trees(k))

@@ -4,13 +4,20 @@ Runs the same suite as ``xtrees verify --suite all`` and reports each
 check on its own line, so a red criterion is immediately attributable.
 """
 
+import importlib.util
+import json
 import random
+import shutil
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
+from xtrees import verify
 from xtrees.order import CgGraph, OrderedGraph
-from xtrees.verify import CHECK_IDS, CHECKS, _random_subgraph, all_passed, run_suite
+from xtrees.verify import CHECK_IDS, CHECKS, _random_subgraph, all_passed, run_check, run_suite
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture(scope="module")
@@ -51,3 +58,113 @@ def test_c09_hosts_equal_their_validated_builds():
         want = (CgGraph if cyclic else OrderedGraph)(n, picked)
         assert type(host) is type(want)
         assert host == want and repr(host) == repr(want)
+
+
+# the check that compares each golden file, and leaves to flip in it
+GOLDEN_OWNERS = {
+    "obstruction_catalog.json": (
+        "c02",
+        [("patterns", 1, "edges", 0, 1), ("patterns", 0, "provenance")],
+    ),
+    "fh_obstruction_assignment.json": (
+        "c04",
+        [("contains", "fh_q", "pair1_a", "32"), ("assignment", "fh_r_pair")],
+    ),
+    "extremal.json": (
+        "c10",
+        [("entries", 0, "value"), ("entries", 40, "witness", "edges", 3, 0)],
+    ),
+    "extraction_sizes.json": ("c08", [("entries", 3, "size"), ("entries", 5, "seed")]),
+}
+
+
+def _flipped(value):
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, int):
+        return value + 1
+    return value + "x"
+
+
+@pytest.fixture
+def golden_copy(tmp_path, monkeypatch):
+    shutil.copytree(ROOT / "golden", tmp_path, dirs_exist_ok=True)
+    monkeypatch.setattr(verify, "GOLDEN_DIR", tmp_path)
+    return tmp_path
+
+
+def test_unmodified_golden_copy_passes(golden_copy):
+    for cid, _ in GOLDEN_OWNERS.values():
+        r = run_check(cid)
+        assert r.passed, f"{cid}: {r.detail}"
+
+
+@pytest.mark.parametrize(
+    "name, leaf",
+    [
+        pytest.param(name, leaf, id="/".join([name, *map(str, leaf)]))
+        for name, (_, leaves) in GOLDEN_OWNERS.items()
+        for leaf in leaves
+    ],
+)
+def test_flipped_golden_leaf_fails_its_check_by_path(golden_copy, name, leaf):
+    path = golden_copy / name
+    doc = json.loads(path.read_text())
+    node = doc
+    for key in leaf[:-1]:
+        node = node[key]
+    node[leaf[-1]] = _flipped(node[leaf[-1]])
+    path.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+    r = run_check(GOLDEN_OWNERS[name][0])
+    assert not r.passed
+    assert "/".join([name, *map(str, leaf)]) + ": recomputed" in r.detail, r.detail
+
+
+def test_leaf_diffs_name_other_keys_lengths_and_types():
+    got = {"a": [1, 2, 3], "b": {"x": True}, "c": 1}
+    want = {"a": [1, 2], "b": {"y": True}, "c": True}
+    assert list(verify._leaf_diffs("f.json", got, want)) == [
+        "f.json/a: recomputed [1, 2, 3], golden [1, 2]",
+        "f.json/b: recomputed {'x': True}, golden {'y': True}",
+        "f.json/c: recomputed 1, golden True",
+    ]
+
+
+def _load_freezer():
+    spec = importlib.util.spec_from_file_location(
+        "freeze_golden", ROOT / "scripts" / "freeze_golden.py"
+    )
+    freeze = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(freeze)
+    return freeze
+
+
+@pytest.mark.parametrize(
+    "cid, name, target, fake",
+    [
+        ("c04", "fh_obstruction_assignment.json", "contains", lambda host, pattern: False),
+        (
+            "c08",
+            "extraction_sizes.json",
+            "find_forbidden_walk",
+            lambda graph, kind, start: "a walk",
+        ),
+    ],
+)
+def test_broken_golden_rule_fails_its_check_and_the_freezer(
+    tmp_path, monkeypatch, cid, name, target, fake
+):
+    """A builder whose paper rule fails raises; the owning check reports the
+    broken rule as one failure and still runs its other half, and the freezer
+    writes nothing."""
+    (clean,) = run_suite([cid])
+    monkeypatch.setattr(verify, target, fake)
+    (r,) = run_suite([cid])
+    assert not r.passed
+    assert r.detail.startswith(f"{name}: "), r.detail
+    assert r.measured == clean.measured
+    freeze = _load_freezer()
+    monkeypatch.setattr(freeze, "GOLDEN", tmp_path)
+    with pytest.raises(RuntimeError):
+        freeze.main()
+    assert not any(tmp_path.iterdir())

@@ -85,6 +85,23 @@ def test_only_the_gate_imports_the_oracles():
     assert not found, f"imports of xtrees.oracles outside verify.py: {found}"
 
 
+def test_only_the_gate_names_the_golden_files():
+    """verify.py alone decides what each golden file holds; the rest of the
+    package and its scripts reach the files through its GOLDEN_FILES."""
+    names = sorted(p.name for p in (ROOT / "golden").glob("*.json"))
+    assert len(names) == 4
+    sources = sorted((ROOT / "src" / "xtrees").glob("*.py"))
+    sources += sorted((ROOT / "scripts").glob("*.py"))
+    found = [
+        f"{path.relative_to(ROOT)}: {name}"
+        for path in sources
+        if path != ROOT / "src" / "xtrees" / "verify.py"
+        for name in names
+        if name in path.read_text()
+    ]
+    assert not found, f"golden file names outside verify.py: {found}"
+
+
 def test_gate_passes_under_optimize():
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(

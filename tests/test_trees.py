@@ -1,6 +1,7 @@
 """Tree structure: z-decompositions (both orders), forbidden configurations,
 the obstruction catalog, enumeration and classification."""
 
+import random
 from itertools import combinations, permutations
 
 import pytest
@@ -96,7 +97,8 @@ class TestZDecompose:
 
 def ref_validate_decomposition(t, dec):
     """validate_decomposition as it was, with the loop that asked every pair
-    of opposite fan edges to cross after the two fan form checks passed."""
+    of opposite fan edges to cross after the two fan form checks passed, and
+    the count of all the tree's crossings after that."""
     parts = list(dec.core) + list(dec.s_j) + list(dec.s_i)
     if len(parts) != len(set(parts)):
         raise InputError("core and fans overlap")
@@ -154,17 +156,30 @@ def fan_corruptions(dec):
         yield ZDecomposition(hub, rest, s_j, s_i + (e,))
 
 
+def random_corruption(rng, t):
+    """A random hub split of t with up to three edges moved between its
+    parts; the core is re-sorted by length, so it may still be a chain."""
+    split = rng.choice(list(hub_splits(t)))
+    parts = [list(split.core), list(split.s_j), list(split.s_i)]
+    for _ in range(rng.randint(0, 3)):
+        src = rng.choice([part for part in parts if part])
+        rng.choice(parts).append(src.pop(rng.randrange(len(src))))
+    core = tuple(sorted(parts[0], key=lambda e: e[1] - e[0]))
+    return ZDecomposition(split.hub, core, tuple(parts[1]), tuple(parts[2]))
+
+
+def verdict(validate, t, dec):
+    try:
+        return validate(t, dec)
+    except InputError as exc:
+        return repr(exc)
+
+
 class TestValidateDecomposition:
     def test_same_outcome_as_the_validator_with_the_crossing_loop(self):
         """Every hub split of every z-tree with <= 5 edges, and its fan
         corruptions: the validator accepts or raises exactly as the old one
         with the opposite-fan crossing loop did."""
-        def verdict(validate, t, dec):
-            try:
-                return validate(t, dec)
-            except InputError as exc:
-                return str(exc)
-
         accepted = raised = 0
         for k in range(1, 6):
             for t in enumerate_trees(k, "linear"):
@@ -177,6 +192,24 @@ class TestValidateDecomposition:
                         accepted += got is True
                         raised += got is not True
         assert accepted > 0 and raised > 0
+
+    def test_random_corruptions_need_no_crossing_count(self):
+        """40 seeded random corruptions of every z-tree with <= 6 edges: the
+        validator without the crossing count accepts or raises exactly as
+        the old one did, so the count never decided anything."""
+        rng = random.Random(15)
+        accepted = raised = 0
+        for k in range(1, 7):
+            for t in enumerate_trees(k, "linear"):
+                if not is_z_tree(t):
+                    continue
+                for _ in range(40):
+                    dec = random_corruption(rng, t)
+                    got = verdict(validate_decomposition, t, dec)
+                    assert got == verdict(ref_validate_decomposition, t, dec), (t.edges, dec)
+                    accepted += got is True
+                    raised += got is not True
+        assert accepted > 500 and raised > 500
 
 
 class TestCgDecompose:
