@@ -32,7 +32,6 @@ from .constructions import f_n, f_n0, fh_q, fh_r, gstar, pow2
 from .containment import find_embedding, iter_embeddings
 from .errors import BudgetError, InputError, NotApplicableError
 from .io import dumps_graph, graph_to_dict, load_graph
-from .order import _graph_class
 from .solver import embed_dense, extremal_number
 from .trees import (
     ObstructionWitness,
@@ -148,13 +147,7 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    pattern = load_graph(args.pattern)
-    if pattern.order != args.mode:
-        raise InputError(
-            f"--mode {args.mode} expects a {_graph_class(args.mode).mode!r} pattern, "
-            f"the file holds a {pattern.mode!r} graph"
-        )
-    result = extremal_number(args.n, pattern)
+    result = extremal_number(args.n, load_graph(args.pattern))
     print(json.dumps(result.as_dict()))
     return EXIT_OK
 
@@ -260,7 +253,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="exact extremal number")
     p.add_argument("--n", type=int, required=True, help="host vertex count (2..8)")
     p.add_argument("--pattern", required=True, help="pattern graph JSON file")
-    p.add_argument("--mode", choices=("linear", "cyclic"), required=True)
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("embed", help="embed a (cg) z-tree into a dense host")

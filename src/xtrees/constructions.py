@@ -25,7 +25,7 @@ returning.
 from __future__ import annotations
 
 from .errors import InputError
-from .order import CgGraph, OrderedGraph
+from .order import CgGraph, OrderedGraph, _check_int
 
 
 def _is_power_of_two(x: int) -> bool:
@@ -34,6 +34,7 @@ def _is_power_of_two(x: int) -> bool:
 
 def pow2(n: int) -> OrderedGraph:
     """All edges ij on [n] with j - i a power of two (2^h, h >= 0)."""
+    _check_int("n", n)
     if n < 2:
         raise InputError("pow2 needs n >= 2")
     edges = []
@@ -75,6 +76,7 @@ def _fh_edges(s: int, variant: str) -> list[tuple[int, int]]:
 
 
 def _fh(s: int, variant: str) -> OrderedGraph:
+    _check_int("stage", s)
     if not _is_power_of_two(s):
         raise InputError("stage must be a power of two")
     g = OrderedGraph(2 * s, _fh_edges(s, variant))
@@ -102,6 +104,8 @@ def gstar(n: int, a: int, b: int, c: int) -> OrderedGraph:
     Avoids every z-tree whose decomposition has core size a and fan sizes
     (b, c); its (k-1)n - C(k,2) edges make it extremal for those trees.
     """
+    for what, x in (("n", n), ("a", a), ("b", b), ("c", c)):
+        _check_int(what, x)
     if a < 1 or b < 0 or c < 0:
         raise InputError("gstar needs a >= 1 and b, c >= 0")
     k = a + b + c
@@ -126,6 +130,7 @@ def f_n(n: int) -> CgGraph:
     M_j matches the odd vertices 1, 3, ..., n/2 - 1 into even vertices, so
     the coloring is proper and all edges go from odd to even labels.
     """
+    _check_int("n", n)
     if not _is_power_of_two(n) or n < 8:
         raise InputError("f_n needs n a power of two with n >= 8")
     kappa = n.bit_length() - 1
@@ -143,6 +148,7 @@ def f_n(n: int) -> CgGraph:
 
 def f_n0(n: int) -> CgGraph:
     """Complete bipartite cg graph between the arcs [1, n/2] and [n/2+1, n]."""
+    _check_int("n", n)
     if n < 2 or n % 2:
         raise InputError("f_n0 needs an even n >= 2")
     half = n // 2

@@ -468,6 +468,7 @@ def derive_obstructions(max_edges: int) -> ObstructionCatalog:
     contain one another (an order-preserving self-injection is the identity),
     so processing by increasing edge count is sound.
     """
+    _check_int("max_edges", max_edges)
     if max_edges < 3:
         raise InputError("the obstruction catalog needs max_edges >= 3")
     if max_edges > 6:
@@ -531,6 +532,7 @@ def enumerate_trees(k: int, mode: str, filt: str = "all") -> Iterator[_Graph]:
     lexicographic order. A decoding is a tree on 1..k+1 by construction, so
     the graphs are built without validating them again.
     """
+    _check_int("k", k)
     if not 1 <= k <= 6:
         raise InputError("tree enumeration supports 1 <= k <= 6 edges")
     cls = _graph_class(mode)

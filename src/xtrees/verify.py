@@ -6,6 +6,10 @@ and edge-count guarantees of the named constructions, the matching-host
 properties, the cyclic path census, walk extraction, dense embedding, the
 solver/oracle agreement and a metamorphic invariance sweep.
 
+A claim made in both vertex orders is checked by one loop over the two:
+c02 and c03 share ``_route_sweep``, c09 loops over (order, k, n, threshold)
+cells, and c11 runs one unary sweep and one containment-sample loop.
+
 The files under ``golden/`` are computed here alone: ``GOLDEN_FILES`` maps
 each name to a builder that also checks the paper's rules for its file, and
 c02, c04, c08 and c10 compare the whole recomputed file with the frozen one.
@@ -24,7 +28,7 @@ import random
 import reprlib
 import time
 import traceback
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import combinations, permutations
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Optional
@@ -37,6 +41,7 @@ from .oracles import oracle_contains, oracle_extremal_number
 from .order import (
     CgGraph,
     OrderedGraph,
+    _check_int,
     chi_cyclic,
     chi_interval,
     mirror,
@@ -91,14 +96,7 @@ class CheckResult:
         return self.status == "pass"
 
     def as_dict(self) -> dict:
-        return {
-            "check_id": self.check_id,
-            "name": self.name,
-            "status": self.status,
-            "measured": self.measured,
-            "seconds": round(self.seconds, 3),
-            "detail": self.detail,
-        }
+        return {**asdict(self), "seconds": round(self.seconds, 3)}
 
 
 def _load_golden(filename: str) -> dict:
@@ -117,6 +115,8 @@ def canonical_z_tree(a: int, b: int, c: int) -> tuple[OrderedGraph, ZDecompositi
     hub (b+1, j)), and the ik-fan joins b+1 to everything right of j.  The
     returned decomposition is validated before use.
     """
+    for what, x in (("a", a), ("b", b), ("c", c)):
+        _check_int(what, x)
     if a < 1 or b < 0 or c < 0:
         raise InputError("fan counts need a >= 1 and b, c >= 0")
     k = a + b + c
@@ -134,12 +134,24 @@ def canonical_z_tree(a: int, b: int, c: int) -> tuple[OrderedGraph, ZDecompositi
     return tree, dec
 
 
-def _z_trees(k: int) -> list[OrderedGraph]:
-    return [t for t in enumerate_trees(k, "linear", "chi2") if is_z_tree(t)]
+def _fan_counts(k: int) -> Iterator[tuple[int, int, int]]:
+    """Every (a, b, c) with a >= 1, b, c >= 0 and a + b + c = k, a then b ascending."""
+    for a in range(1, k + 1):
+        for b in range(k - a + 1):
+            yield a, b, k - a - b
 
 
-def _cg_z_trees(k: int) -> list[CgGraph]:
-    return [t for t in enumerate_trees(k, "cyclic", "chi2") if is_cg_z_tree(t)]
+def _decompose(t):
+    """The (cg) z-decomposition of a two-interval tree, or NotAZTree."""
+    return z_decompose(t) if t.order == "linear" else cg_z_decompose(t)
+
+
+def _z_trees(k: int, order: str) -> Iterator[tuple]:
+    """Each (cg) z-tree with k edges in ``order``, with its decomposition."""
+    for t in enumerate_trees(k, order, "chi2"):
+        dec = _decompose(t)
+        if dec:
+            yield t, dec
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +215,7 @@ def _golden_extremal() -> dict:
     every cg z-tree with 2 or 3 edges for n up to 7."""
     cases = [(n, OrderedGraph(4, CROSSING_P3_EDGES), "crossing 3-edge path") for n in (6, 7, 8)]
     cases += [(n, t, f"cg z-tree k={k}")
-              for k in (2, 3) for t in _cg_z_trees(k) for n in range(k + 1, 8)]
+              for k in (2, 3) for t, _ in _z_trees(k, "cyclic") for n in range(k + 1, 8)]
     entries = []
     for n, p, note in cases:
         r = extremal_number(n, p)
@@ -285,7 +297,7 @@ def _c01_linear_formula(seed: int) -> tuple[dict, list[str]]:
     cells = 0
     for k in (2, 3, 4):
         formula = LinearFormula(k)
-        for t in _z_trees(k):
+        for t, _ in _z_trees(k, "linear"):
             key = min(t.edges, mirror(t).edges)
             if key in reps:
                 continue
@@ -300,7 +312,23 @@ def _c01_linear_formula(seed: int) -> tuple[dict, list[str]]:
 
 
 # ---------------------------------------------------------------------------
-# c02 -- ordered obstruction equivalence
+# c02, c03 -- the decomposition route against the forbidden configurations
+
+
+def _route_sweep(order: str, obstructed: Callable, failures: list[str]) -> tuple[int, int]:
+    """Each two-interval tree in ``order`` with 2..5 edges must decompose exactly
+    when ``obstructed`` finds no forbidden configuration in it; returns the
+    numbers of trees and of (cg) z-trees seen."""
+    trees = zs = 0
+    for k in range(2, 6):
+        for t in enumerate_trees(k, order, "chi2"):
+            decomposed = bool(_decompose(t))
+            found = obstructed(t)
+            trees += 1
+            zs += decomposed
+            if decomposed == found:
+                failures.append(f"{t.mode} {t.edges}: decomposes={decomposed}, obstructed={found}")
+    return trees, zs
 
 
 def _c02_linear_obstructions(seed: int) -> tuple[dict, list[str]]:
@@ -313,41 +341,17 @@ def _c02_linear_obstructions(seed: int) -> tuple[dict, list[str]]:
     catalog = derive_obstructions(4)
     if [t.edges for t in derive_obstructions(5)] != [t.edges for t in catalog]:
         failures.append("5-edge derivation changed the catalog")
-    trees = zs = 0
-    for k in range(2, 6):
-        for t in enumerate_trees(k, "linear", "chi2"):
-            decomposed = is_z_tree(t)
-            obstructed = any(p.n <= t.n and contains(t, p) for p in catalog)
-            trees += 1
-            zs += decomposed
-            if decomposed == obstructed:
-                failures.append(
-                    f"{t.edges}: z-tree={decomposed} but obstruction found={obstructed}"
-                )
+    trees, zs = _route_sweep(
+        "linear", lambda t: any(p.n <= t.n and contains(t, p) for p in catalog), failures
+    )
     return {"trees": trees, "z_trees": zs, "catalog": len(catalog)}, failures
-
-
-# ---------------------------------------------------------------------------
-# c03 -- cyclic structure equivalence
 
 
 def _c03_cyclic_structure(seed: int) -> tuple[dict, list[str]]:
     """cg_z_decompose succeeds iff no crossing 4-edge path and no twin pair."""
     failures: list[str] = []
-    trees = zs = 0
-    for k in range(2, 6):
-        for t in enumerate_trees(k, "cyclic", "chi2"):
-            decomposed = bool(is_cg_z_tree(t))
-            clean = (
-                detect_crossing_path4(t) is None
-                and detect_twin_crossing_paths(t) is None
-            )
-            trees += 1
-            zs += decomposed
-            if decomposed != clean:
-                failures.append(
-                    f"{t.edges}: cg-z-tree={decomposed}, configuration-free={clean}"
-                )
+    trees, zs = _route_sweep("cyclic", lambda t: bool(
+        detect_crossing_path4(t) or detect_twin_crossing_paths(t)), failures)
     return {"trees": trees, "cg_z_trees": zs}, failures
 
 
@@ -392,14 +396,12 @@ def _c05_edge_counts(seed: int) -> tuple[dict, list[str]]:
             if len(build(s).edges) != want:
                 failures.append(f"{label}({s}) edge count != {want}")
     for k in range(2, 6):
-        for a in range(1, k + 1):
-            for b in range(0, k - a + 1):
-                c = k - a - b
-                for n in range(k + 1, 21):
-                    want = (k - 1) * n - k * (k - 1) // 2
-                    checked += 1
-                    if len(gstar(n, a, b, c).edges) != want:
-                        failures.append(f"gstar({n},{a},{b},{c}) edge count != {want}")
+        for a, b, c in _fan_counts(k):
+            for n in range(k + 1, 21):
+                want = (k - 1) * n - k * (k - 1) // 2
+                checked += 1
+                if len(gstar(n, a, b, c).edges) != want:
+                    failures.append(f"gstar({n},{a},{b},{c}) edge count != {want}")
     for n in (8, 16, 32, 64):
         kappa = n.bit_length() - 1
         checked += 1
@@ -570,62 +572,44 @@ def _random_subgraph(rng: random.Random, n: int, num_edges: int, cyclic: bool):
 def _c09_dense_embedding(seed: int) -> tuple[dict, list[str]]:
     """Above the edge threshold embed_dense always succeeds; on gstar it finds nothing.
 
-    1000 seeded hosts per cell, each paired round-robin with a decomposed
-    (cg) z-tree of the cell's edge count.  The negative half feeds
+    1000 seeded hosts per (order, k, n, threshold) cell, each with more edges
+    than the threshold: (k-1)n - C(k,2) for ordered hosts and 2(k-1)n for cg
+    hosts.  Each is paired round-robin with a decomposed (cg) z-tree with k
+    edges.  The negative half feeds
     gstar(n, a, b, c) the matching double-star z-tree: embed_dense must
     return None, and (as the hosts are small) a full containment check
     confirms the tree is genuinely absent.
     """
     failures: list[str] = []
     rng = random.Random(f"{seed}-c09")
+    cells = [("linear", k, n, LinearFormula(k).value(n)) for k in (3, 4) for n in (6, 7, 8)]
+    cells += [("cyclic", k, n, 2 * (k - 1) * n) for k, n in ((2, 8), (3, 12))]
+    pools = {(o, k): list(_z_trees(k, o)) for o, k in {(o, k) for o, k, _, _ in cells}}
     embeds = 0
-
-    lin = {k: [(t, z_decompose(t)) for t in _z_trees(k)] for k in (3, 4)}
-    for k in (3, 4):
-        for n in (6, 7, 8):
-            threshold = (k - 1) * n - k * (k - 1) // 2
-            top = n * (n - 1) // 2
-            for trial in range(1000):
-                host = _random_subgraph(
-                    rng, n, rng.randint(threshold + 1, top), cyclic=False
-                )
-                tree, dec = lin[k][trial % len(lin[k])]
-                if embed_dense(host, dec) is None:
-                    failures.append(
-                        f"no embedding of {tree.edges} in a {len(host.edges)}-edge "
-                        f"ordered host on {n} vertices (trial {trial})"
-                    )
-                embeds += 1
-
-    cyc = {k: [(t, cg_z_decompose(t)) for t in _cg_z_trees(k)] for k in (2, 3)}
-    for k, n in ((2, 8), (3, 12)):
-        threshold = 2 * (k - 1) * n
+    for order, k, n, threshold in cells:
+        pool = pools[order, k]
         top = n * (n - 1) // 2
         for trial in range(1000):
-            host = _random_subgraph(
-                rng, n, rng.randint(threshold + 1, top), cyclic=True
-            )
-            tree, dec = cyc[k][trial % len(cyc[k])]
+            host = _random_subgraph(rng, n, rng.randint(threshold + 1, top), order == "cyclic")
+            tree, dec = pool[trial % len(pool)]
             if embed_dense(host, dec) is None:
                 failures.append(
-                    f"no embedding of cg {tree.edges} in a {len(host.edges)}-edge "
-                    f"host on {n} vertices (trial {trial})"
+                    f"no embedding of {tree.edges} in a {len(host.edges)}-edge "
+                    f"{host.mode} host on {n} vertices (trial {trial})"
                 )
             embeds += 1
 
     negatives = 0
     for k in range(2, 5):
-        for a in range(1, k + 1):
-            for b in range(0, k - a + 1):
-                c = k - a - b
-                tree, dec = canonical_z_tree(a, b, c)
-                for n in range(k + 1, 13):
-                    host = gstar(n, a, b, c)
-                    negatives += 1
-                    if embed_dense(host, dec) is not None:
-                        failures.append(f"gstar({n},{a},{b},{c}) embedded {tree.edges}")
-                    if contains(host, tree):
-                        failures.append(f"gstar({n},{a},{b},{c}) contains {tree.edges}")
+        for a, b, c in _fan_counts(k):
+            tree, dec = canonical_z_tree(a, b, c)
+            for n in range(k + 1, 13):
+                host = gstar(n, a, b, c)
+                negatives += 1
+                if embed_dense(host, dec) is not None:
+                    failures.append(f"gstar({n},{a},{b},{c}) embedded {tree.edges}")
+                if contains(host, tree):
+                    failures.append(f"gstar({n},{a},{b},{c}) contains {tree.edges}")
     return {"embeddings": embeds, "gstar_negatives": negatives}, failures
 
 
@@ -643,7 +627,7 @@ def _c10_solver_oracle(seed: int) -> tuple[dict, list[str]]:
     failures = _golden_diffs("extremal.json")
     patterns: list[OrderedGraph | CgGraph] = list(derive_obstructions(4))
     for k in (1, 2, 3):
-        patterns.extend(_z_trees(k))
+        patterns.extend(t for t, _ in _z_trees(k, "linear"))
         patterns.extend(enumerate_trees(k, "cyclic"))
     comparisons = 0
     for pat in patterns:
@@ -674,64 +658,46 @@ def _c11_metamorphic(seed: int) -> tuple[dict, list[str]]:
     full quadratic pairing is redundant.
     """
     failures: list[str] = []
+    trees: dict[tuple[str, int], list] = {}
     instances = 0
-    ordered: dict[int, list[OrderedGraph]] = {}
-    for k in range(1, 6):
-        ordered[k] = list(enumerate_trees(k, "linear", "all"))
-        for t in ordered[k]:
-            m = mirror(t)
-            instances += 1
-            if chi_interval(t) != chi_interval(m):
-                failures.append(f"chi_interval changed under mirror: {t.edges}")
-            if is_z_tree(t) != is_z_tree(m):
-                failures.append(f"z-tree status changed under mirror: {t.edges}")
-            if _verdict_key(classify_tree(t)) != _verdict_key(classify_tree(m)):
-                failures.append(f"verdict changed under mirror: {t.edges}")
-
-    cyclic: dict[int, list[CgGraph]] = {}
-    for k in range(1, 6):
-        cyclic[k] = list(enumerate_trees(k, "cyclic", "all"))
-        for t in cyclic[k]:
-            chi = chi_cyclic(t)
-            zt = bool(is_cg_z_tree(t))
-            key = _verdict_key(classify_tree(t))
-            instances += 1
-            for r in range(1, t.n):
-                rt = rotate(t, r)
-                if chi_cyclic(rt) != chi or bool(is_cg_z_tree(rt)) != zt:
-                    failures.append(f"rotation by {r} changed {t.edges}")
-            rf = reflect(t)
-            if chi_cyclic(rf) != chi or bool(is_cg_z_tree(rf)) != zt:
-                failures.append(f"reflection changed {t.edges}")
-            if _verdict_key(classify_tree(rf)) != key:
-                failures.append(f"verdict changed under reflection: {t.edges}")
+    for order, chi, is_z, flip in (("linear", chi_interval, is_z_tree, mirror),
+                                   ("cyclic", chi_cyclic, is_cg_z_tree, reflect)):
+        for k in range(1, 6):
+            trees[order, k] = list(enumerate_trees(k, order, "all"))
+            for t in trees[order, k]:
+                instances += 1
+                invariants = (chi(t), is_z(t))
+                flipped = flip(t)
+                moved = [(f"rotation by {r}", rotate(t, r)) for r in range(1, t.n)
+                         if order == "cyclic"]
+                for how, u in moved + [(flip.__name__, flipped)]:
+                    if (chi(u), is_z(u)) != invariants:
+                        failures.append(f"{t.mode} {t.edges}: chi or z-status changed under {how}")
+                if _verdict_key(classify_tree(flipped)) != _verdict_key(classify_tree(t)):
+                    failures.append(f"{t.mode} {t.edges}: verdict changed under {flip.__name__}")
 
     # First-hit queries may refute in a mirrored or rotated orientation, so
     # both sides of a pair can run the same search; each side is therefore
     # also held to the brute-force oracle on the original pair.
     rng = random.Random(f"{seed}-c11")
     samples = 0
-    for _ in range(300):
-        host = rng.choice(ordered[5])
-        pat = rng.choice(ordered[rng.randint(1, 3)])
-        expected = oracle_contains(host, pat)
-        samples += 1
-        if contains(host, pat) != expected:
-            failures.append(f"ordered containment disagrees with the oracle: {host.edges}")
-        if contains(mirror(host), mirror(pat)) != expected:
-            failures.append(f"ordered containment broke under mirror: {host.edges}")
-    for _ in range(300):
-        host = rng.choice(cyclic[5])
-        pat = rng.choice(cyclic[rng.randint(1, 3)])
-        expected = oracle_contains(host, pat)
-        r, s = rng.randrange(host.n), rng.randrange(pat.n)
-        samples += 1
-        if contains(host, pat) != expected:
-            failures.append(f"cyclic containment disagrees with the oracle: {host.edges}")
-        if contains(rotate(host, r), rotate(pat, s)) != expected:
-            failures.append(f"cyclic containment broke under rotation: {host.edges}")
-        if contains(reflect(host), reflect(pat)) != expected:
-            failures.append(f"cyclic containment broke under reflection: {host.edges}")
+    for order in ("linear", "cyclic"):
+        for _ in range(300):
+            host = rng.choice(trees[order, 5])
+            pat = rng.choice(trees[order, rng.randint(1, 3)])
+            expected = oracle_contains(host, pat)
+            moved = [("as given", host, pat)]
+            if order == "cyclic":
+                r, s = rng.randrange(host.n), rng.randrange(pat.n)
+                moved += [("under rotation", rotate(host, r), rotate(pat, s)),
+                          ("under reflection", reflect(host), reflect(pat))]
+            else:
+                moved.append(("under mirror", mirror(host), mirror(pat)))
+            samples += 1
+            for how, h, p in moved:
+                if contains(h, p) != expected:
+                    failures.append(f"{host.mode} containment {how} disagrees with "
+                                    f"the oracle: {host.edges}")
     return {"unary_instances": instances, "containment_samples": samples}, failures
 
 
@@ -757,35 +723,25 @@ CHECK_IDS = tuple(CHECKS)
 _DETAIL_CAP = 5
 
 
-def run_check(check_id: str, seed: int = 0) -> CheckResult:
-    """Run one check; unexpected exceptions fail it rather than the suite."""
+def _require_check(check_id: str) -> None:
     if check_id not in CHECKS:
         raise InputError(f"unknown check {check_id!r}; expected one of {CHECK_IDS}")
+
+
+def run_check(check_id: str, seed: int = 0) -> CheckResult:
+    """Run one check; unexpected exceptions fail it rather than the suite."""
+    _require_check(check_id)
     name, fn = CHECKS[check_id]
     start = time.perf_counter()
     try:
         measured, failures = fn(seed)
     except Exception:
-        return CheckResult(
-            check_id,
-            name,
-            "fail",
-            {},
-            time.perf_counter() - start,
-            traceback.format_exc(limit=3).strip().splitlines()[-1],
-        )
-    hidden = len(failures) - _DETAIL_CAP
+        measured, failures = {}, [traceback.format_exc(limit=3).strip().splitlines()[-1]]
+    seconds = time.perf_counter() - start
     detail = "; ".join(failures[:_DETAIL_CAP])
-    if hidden > 0:
-        detail += f"; ... {hidden} more"
-    return CheckResult(
-        check_id,
-        name,
-        "pass" if not failures else "fail",
-        measured,
-        time.perf_counter() - start,
-        detail,
-    )
+    if len(failures) > _DETAIL_CAP:
+        detail += f"; ... {len(failures) - _DETAIL_CAP} more"
+    return CheckResult(check_id, name, "fail" if failures else "pass", measured, seconds, detail)
 
 
 def run_suite(
@@ -797,8 +753,7 @@ def run_suite(
     results come back in id order."""
     ids = list(check_ids) if check_ids is not None else list(CHECK_IDS)
     for cid in ids:
-        if cid not in CHECKS:
-            raise InputError(f"unknown check {cid!r}; expected one of {CHECK_IDS}")
+        _require_check(cid)
     return [run_check(cid, seed) for cid in sorted(ids)]
 
 

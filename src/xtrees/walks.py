@@ -418,6 +418,8 @@ class Extraction:
 
 def size_bound(num_edges: int, d: int) -> int:
     """ceil(log2(d) / (480 d) * |E|) — the guaranteed extraction size."""
+    _check_int("num_edges", num_edges)
+    _check_int("d", d)
     if d < 1:
         raise InputError("d must be positive")
     return math.ceil(math.log2(d) / (480 * d) * num_edges)

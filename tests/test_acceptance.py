@@ -42,6 +42,57 @@ def test_gate_is_green(suite_results):
     assert all_passed(suite_results.values())
 
 
+# what each check counts at seed 0; a change here changes a check's domain
+MEASURED_AT_SEED_0 = {
+    "c01": {"z_tree_reps": 10, "cells": 35},
+    "c02": {"trees": 181, "z_trees": 46, "catalog": 5},
+    "c03": {"trees": 521, "cg_z_trees": 169},
+    "c04": {"pow2_hosts": 63, "containments": 48},
+    "c05": {"identities": 620},
+    "c06": {"f_n_sizes": 4, "f_n0_hosts": 31},
+    "c07": {"types": 24, "zigzag_types": 2, "hosts": 4},
+    "c08": {"extractions": 6, "graphs": 88, "agreements": 264},
+    "c09": {"embeddings": 8000, "gstar_negatives": 164},
+    "c10": {"patterns": 33, "comparisons": 71},
+    "c11": {"unary_instances": 2882, "containment_samples": 600},
+}
+
+
+def test_measured_at_seed_0(suite_results):
+    assert {cid: r.measured for cid, r in suite_results.items()} == MEASURED_AT_SEED_0
+
+
+def _flipped_on(order, real):
+    return lambda host, *args: (not real(host, *args)) if host.order == order else real(host, *args)
+
+
+def _none_on(order, real):
+    return lambda host, *args: None if host.order == order else real(host, *args)
+
+
+@pytest.mark.parametrize(
+    "cid, target, fault, order",
+    [
+        ("c02", "contains", _flipped_on, "linear"),
+        ("c03", "detect_twin_crossing_paths", _none_on, "cyclic"),
+        ("c09", "embed_dense", _none_on, "cyclic"),
+        ("c09", "embed_dense", _none_on, "linear"),
+        ("c11", "contains", _flipped_on, "cyclic"),
+        ("c11", "contains", _flipped_on, "linear"),
+    ],
+)
+def test_fault_in_one_order_fails_its_check_and_names_the_order(
+    monkeypatch, cid, target, fault, order
+):
+    """A check that loops over both vertex orders still catches a fault that
+    only one order shows, and its detail says which order broke."""
+    monkeypatch.setattr(verify, target, fault(order, getattr(verify, target)))
+    r = run_check(cid)
+    broken, intact = ("ordered", "cg") if order == "linear" else ("cg", "ordered")
+    assert not r.passed
+    assert f"{broken} " in r.detail and f"{intact} " not in r.detail, r.detail
+
+
 def test_results_come_back_in_id_order():
     assert [r.check_id for r in run_suite(["c06", "c05"])] == ["c05", "c06"]
 

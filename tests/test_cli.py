@@ -10,6 +10,7 @@ from xtrees.cli import _witness_dict, main
 from xtrees.io import dumps_graph, graph_to_dict, load_graph
 from xtrees.order import CgGraph, OrderedGraph
 from xtrees.constructions import f_n
+from xtrees.solver import extremal_number
 from xtrees.trees import (
     CgZDecomposition,
     CrossingPath4,
@@ -161,34 +162,39 @@ class TestCatalog:
 class TestSolve:
     def test_known_value(self, tmp_path, capsys):
         pat = _write(tmp_path, "z.json", OrderedGraph(4, [(1, 3), (2, 3), (2, 4)]))
-        assert main(["solve", "--n", "5", "--pattern", pat, "--mode", "linear"]) == 0
+        assert main(["solve", "--n", "5", "--pattern", pat]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["value"] == 7
         assert len(doc["witness"]["edges"]) == 7
 
     def test_output_keys(self, tmp_path, capsys):
         pat = _write(tmp_path, "z.json", OrderedGraph(4, [(1, 3), (2, 3), (2, 4)]))
-        assert main(["solve", "--n", "5", "--pattern", pat, "--mode", "linear"]) == 0
+        assert main(["solve", "--n", "5", "--pattern", pat]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert set(doc) == {"n", "mode", "value", "witness", "pattern", "nodes", "seconds"}
 
     def test_oracle_flag_rejected(self, tmp_path):
         pat = _write(tmp_path, "z.json", OrderedGraph(4, [(1, 3), (2, 3), (2, 4)]))
         with pytest.raises(SystemExit) as exc:
-            main(["solve", "--n", "5", "--pattern", pat, "--mode", "linear", "--oracle"])
+            main(["solve", "--n", "5", "--pattern", pat, "--oracle"])
         assert exc.value.code == 2
 
     def test_budget_refusal(self, tmp_path, capsys):
         pat = _write(tmp_path, "z.json", OrderedGraph(4, [(1, 3), (2, 3), (2, 4)]))
-        assert main(["solve", "--n", "9", "--pattern", pat, "--mode", "linear"]) == 3
+        assert main(["solve", "--n", "9", "--pattern", pat]) == 3
         assert "refused:" in capsys.readouterr().err
 
-    def test_mode_mismatch(self, tmp_path, capsys):
-        pat = _write(tmp_path, "l.json", CgGraph(4, [(1, 2), (2, 3), (3, 4)]))
-        assert main(["solve", "--n", "5", "--pattern", pat, "--mode", "linear"]) == 2
-        assert "--mode linear expects a 'ordered' pattern, the file holds a 'cg' graph" in (
-            capsys.readouterr().err
-        )
+    def test_cg_pattern_solves_in_its_own_order(self, tmp_path, capsys):
+        """The pattern file names its order, so solve takes no --mode."""
+        ell = CgGraph(4, [(1, 2), (2, 3), (3, 4)])
+        pat = _write(tmp_path, "l.json", ell)
+        assert main(["solve", "--n", "5", "--pattern", pat]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["mode"] == "cg" and doc["pattern"]["mode"] == "cg"
+        assert doc["value"] == extremal_number(5, ell).value
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--n", "5", "--pattern", pat, "--mode", "cyclic"])
+        assert exc.value.code == 2
 
 
 class TestEmbed:

@@ -7,7 +7,9 @@ from xtrees.constructions import f_n, f_n0, fh_q, fh_r, gstar, pow2
 from xtrees.containment import contains
 from xtrees.errors import InputError
 from xtrees.order import CgGraph, OrderedGraph, mirror
-from xtrees.trees import CROSSING_P3_EDGES
+from xtrees.trees import CROSSING_P3_EDGES, derive_obstructions, enumerate_trees
+from xtrees.verify import canonical_z_tree
+from xtrees.walks import size_bound
 
 
 class TestPow2:
@@ -142,3 +144,37 @@ class TestFn0:
     def test_odd_size_rejected(self):
         with pytest.raises(InputError):
             f_n0(7)
+
+
+def _linear_trees(k):
+    return list(enumerate_trees(k, "linear"))
+
+
+# each entry point that takes integer parameters, with arguments it accepts
+INTEGER_ENTRY_POINTS = [
+    (pow2, (8,)),
+    (fh_q, (4,)),
+    (fh_r, (4,)),
+    (gstar, (8, 1, 1, 1)),
+    (f_n, (16,)),
+    (f_n0, (8,)),
+    (_linear_trees, (2,)),
+    (derive_obstructions, (4,)),
+    (size_bound, (10, 2)),
+    (canonical_z_tree, (1, 1, 1)),
+]
+
+
+@pytest.mark.parametrize(
+    "fn, args",
+    [
+        pytest.param(fn, args[:i] + (bad,) + args[i + 1:], id=f"{fn.__name__}-arg{i}-{bad!r}")
+        for fn, args in INTEGER_ENTRY_POINTS
+        for i in range(len(args))
+        for bad in (True, float(args[i]))
+    ],
+)
+def test_non_integer_scalar_rejected(fn, args):
+    """A bool or a float where an integer belongs is rejected, never coerced."""
+    with pytest.raises(InputError, match="must be an integer"):
+        fn(*args)
