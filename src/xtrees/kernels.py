@@ -222,6 +222,7 @@ def _search(n, adj, p, plan, cyclic, limit):
         top = [(1 << (end - p + v + 1)) - 1 for v in range(p)]
         if extend(0, 1 << t if cyclic else top[0]):
             break
+    del extend  # extend reaches itself through its closure cell
     return out
 
 

@@ -14,7 +14,9 @@ they are counted out from vertex subsets rather than searched for.
   Greedily pick live placements whose undecided parts are pairwise disjoint;
   each must still lose one of its own undecided edges, so count + undecided
   minus the number picked bounds every completion. A node is pruned as soon
-  as that bound is at most the best count found.
+  as that bound is at most the best count found, that is once the picks
+  reach slack = count + undecided - best: the scan stops there, and is
+  skipped when fewer than slack placements are live.
 * Symmetry: a relabelling of the host that carries the placements onto
   themselves maps pattern-free graphs to pattern-free graphs of the same
   size. For cg these are the n rotations, and the n reflections when the
@@ -23,7 +25,12 @@ they are counted out from vertex subsets rather than searched for.
   compare cur with its image g(cur) up to the first position not known on
   both sides (lex-leader; Crawford, Ginsberg, Luks and Roy, KR 1996). If the
   first difference is an edge of g(cur) the node is pruned; if it is an edge
-  of cur, g can never prune below and is dropped for the subtree.
+  of cur, g can never prune below and is retired for the subtree. g(cur)
+  holds position k iff cur holds inv[k], the edge g carries onto k, so the
+  image is never built: a node compares cur's bits k and inv[k] only on the
+  positions that became known on both sides at its depth, as the earlier
+  ones were equal at an ancestor. The relabellings not yet retired are the
+  bits of one int.
 
 The include-first DFS meets leaves in decreasing word order, so it returns
 the largest optimal word. Its images are optimal too, so it is the leader of
@@ -186,29 +193,30 @@ def extremal_number(n: int, pattern: _Graph) -> ExtremalResult:
         top = m.bit_length() - 1
         closing[top].append(m ^ (1 << top))
     total = len(edges)
-    # Per relabelling g: the image bit of each edge, and per depth i the mask
-    # of the positions known in both cur and g(cur), cut at the first unknown
-    # one, or 0 where that prefix did not grow since depth i - 1.
-    syms = []
-    for img in _relabellings(n, pattern):
-        bits, inv = [], [0] * total
+    # Per relabelling g, inv[k] is the edge that g carries onto position k, so
+    # g(cur) holds k iff cur holds inv[k]. Position k is known on both sides
+    # once k and inv[k] are decided; at depth i the known prefix of g grows
+    # from lo to hi, and tests[i] holds (bit of g, inv, lo, hi).
+    maps = _relabellings(n, pattern)
+    tests: list[list[tuple]] = [[] for _ in range(total + 1)]
+    for g, img in enumerate(maps):
+        inv = [0] * total
         for e, (a, b) in enumerate(edges):
-            k = index[(min(img[a], img[b]), max(img[a], img[b]))]
-            bits.append(1 << k)
-            inv[k] = e
-        known, prefix = [0], 0
+            x, y = img[a], img[b]
+            inv[index[(x, y) if x < y else (y, x)]] = e
+        prefix = 0
         for i in range(1, total + 1):
             grown = prefix
             while grown < i and inv[grown] < i:
                 grown += 1
-            known.append((1 << grown) - 1 if grown > prefix else 0)
+            if grown > prefix:
+                tests[i].append((1 << g, inv, prefix, grown))
             prefix = grown
-        syms.append((bits, known, 0))
     best = -1
     best_mask = 0
     nodes = 0
 
-    def rec(i: int, cur: int, count: int, live: list[int], syms: list) -> None:
+    def rec(i: int, cur: int, count: int, live: list[int], alive: int) -> None:
         nonlocal best, best_mask, nodes
         nodes += 1
         undecided = total - i
@@ -217,39 +225,44 @@ def extremal_number(n: int, pattern: _Graph) -> ExtremalResult:
         if i == total:
             best, best_mask = count, cur
             return
-        # Lex-leader test, bit 0 most significant: at the first decided
+        # Lex-leader test, bit 0 most significant, on the newly known
+        # positions only (the earlier ones are equal): at the first
         # difference, g(cur) ahead prunes; cur ahead retires g for the subtree.
-        if syms:
-            kept = []
-            for s in syms:
-                _, known, gx = s
-                d = (cur ^ gx) & known[i]
-                if not d:
-                    kept.append(s)
-                elif gx & d & -d:
-                    return
-            syms = kept
+        if alive:
+            for g, inv, lo, hi in tests[i]:
+                if alive & g:
+                    for k in range(lo, hi):
+                        x = cur >> inv[k] & 1
+                        if x != cur >> k & 1:
+                            if x:
+                                return
+                            alive ^= g
+                            break
         # Live placements (no edge excluded) with pairwise disjoint undecided
-        # parts each still have to lose one of their own undecided edges.
-        used = 0
-        packed = 0
-        for m in live:
-            r = m >> i
-            if not r & used:
-                used |= r
-                packed += 1
-        if count + undecided - packed <= best:
-            return
+        # parts each still have to lose one of their own undecided edges, so
+        # slack picks prune: too short a list cannot, and the scan stops at
+        # the slack-th pick. A live placement's decided edges are all in cur,
+        # so its undecided part is m & high.
+        slack = count + undecided - best
+        if len(live) >= slack:
+            used = 0
+            high = -1 << i
+            for m in live:
+                if not m & used:
+                    used |= m & high
+                    slack -= 1
+                    if not slack:
+                        return
         bit = 1 << i
         for r in closing[i]:
             if r & cur == r:
                 break
         else:
-            rec(i + 1, cur | bit, count + 1, live,
-                syms and [(bits, known, gx | bits[i]) for bits, known, gx in syms])
-        rec(i + 1, cur, count, [m for m in live if not m & bit], syms)
+            rec(i + 1, cur | bit, count + 1, live, alive)
+        rec(i + 1, cur, count, [m for m in live if not m & bit], alive)
 
-    rec(0, 0, 0, masks, syms)
+    rec(0, 0, 0, masks, (1 << len(maps)) - 1)
+    del rec  # rec reaches itself through its closure cell
     chosen = [edges[i] for i in range(total) if best_mask >> i & 1]
     cls = type(pattern)
     witness = cls(n, sorted(chosen))

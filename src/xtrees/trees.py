@@ -530,7 +530,8 @@ def enumerate_trees(k: int, mode: str, filt: str = "all") -> Iterator[_Graph]:
     "all" or "chi2" (keep only interval/cyclic chromatic number two). The
     unfiltered stream has (k+1)^(k-1) trees, decoded from Prüfer sequences in
     lexicographic order. A decoding is a tree on 1..k+1 by construction, so
-    the graphs are built without validating them again.
+    the graphs are built without validating them again. The arguments are
+    checked at the call, so a bad one raises here.
     """
     _check_int("k", k)
     if not 1 <= k <= 6:
@@ -538,12 +539,16 @@ def enumerate_trees(k: int, mode: str, filt: str = "all") -> Iterator[_Graph]:
     cls = _graph_class(mode)
     if filt not in ("all", "chi2"):
         raise InputError(f"filter must be 'all' or 'chi2', not {filt!r}")
+    return _trees(k, cls, filt == "chi2")
+
+
+def _trees(k: int, cls: type, chi2: bool) -> Iterator[_Graph]:
     chi = chi_cyclic if cls is CgGraph else chi_interval
     n = k + 1
     for seq in product(range(1, n + 1), repeat=k - 1):
         edges = sorted(_SHARED_EDGES[u][v] for u, v in _prufer_edges(n, seq))
         g = cls._trusted(n, tuple(edges))
-        if filt == "chi2" and chi(g) != 2:
+        if chi2 and chi(g) != 2:
             continue
         yield g
 

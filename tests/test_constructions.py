@@ -146,11 +146,8 @@ class TestFn0:
             f_n0(7)
 
 
-def _linear_trees(k):
-    return list(enumerate_trees(k, "linear"))
-
-
-# each entry point that takes integer parameters, with arguments it accepts
+# each entry point that takes integer parameters, with integer arguments it
+# accepts, then any fixed arguments
 INTEGER_ENTRY_POINTS = [
     (pow2, (8,)),
     (fh_q, (4,)),
@@ -158,7 +155,7 @@ INTEGER_ENTRY_POINTS = [
     (gstar, (8, 1, 1, 1)),
     (f_n, (16,)),
     (f_n0, (8,)),
-    (_linear_trees, (2,)),
+    (enumerate_trees, (2,), "linear"),
     (derive_obstructions, (4,)),
     (size_bound, (10, 2)),
     (canonical_z_tree, (1, 1, 1)),
@@ -168,8 +165,9 @@ INTEGER_ENTRY_POINTS = [
 @pytest.mark.parametrize(
     "fn, args",
     [
-        pytest.param(fn, args[:i] + (bad,) + args[i + 1:], id=f"{fn.__name__}-arg{i}-{bad!r}")
-        for fn, args in INTEGER_ENTRY_POINTS
+        pytest.param(fn, args[:i] + (bad,) + args[i + 1:] + tuple(fixed),
+                     id=f"{fn.__name__}-arg{i}-{bad!r}")
+        for fn, args, *fixed in INTEGER_ENTRY_POINTS
         for i in range(len(args))
         for bad in (True, float(args[i]))
     ],

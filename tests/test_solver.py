@@ -2,6 +2,7 @@
 symmetry breaking against the unpruned search, bounds and refusal behavior."""
 
 import dataclasses
+import gc
 import itertools
 import json
 import random
@@ -32,6 +33,7 @@ from xtrees.trees import (
 )
 
 GOLDEN = Path(__file__).resolve().parents[1] / "golden" / "extremal.json"
+SOLVER_NODES = Path(__file__).resolve().parent / "data" / "solver_nodes.json"
 
 Z3 = OrderedGraph(4, [(1, 3), (2, 3), (2, 4)])
 P = OrderedGraph(4, CROSSING_P3_EDGES)
@@ -69,6 +71,37 @@ class TestGolden:
             r = extremal_number(entry["n"], pattern)
             assert r.value == entry["value"], entry
             assert graph_to_dict(r.witness) == entry["witness"], entry
+
+
+class TestPinnedSearch:
+    """The search itself, not only its answer: value, witness and node count
+    of every tree with <= 3 edges in both orders at n = max(2, p)..7, as the
+    search recorded them. A change that keeps the values but visits other
+    nodes fails here."""
+
+    def test_every_tree_solves_as_recorded(self):
+        entries = json.loads(SOLVER_NODES.read_text())
+        keys = {(e["mode"], tuple(map(tuple, e["edges"])), e["n"]) for e in entries}
+        trees = [t for k in (1, 2, 3) for mode in ("linear", "cyclic") for t in enumerate_trees(k, mode)]
+        assert keys == {(t.mode, t.edges, n) for t in trees for n in range(max(2, t.n), 8)}
+        assert len(entries) == 170
+        for e in entries:
+            cls = OrderedGraph if e["mode"] == "ordered" else CgGraph
+            r = extremal_number(e["n"], cls(len(e["edges"]) + 1, [tuple(x) for x in e["edges"]]))
+            got = (r.value, [list(x) for x in r.witness.edges], r.nodes)
+            assert got == (e["value"], e["witness"], e["nodes"]), e
+
+    def test_searches_leave_no_cyclic_garbage(self):
+        """The recursive closures of the solver and the kernel would keep
+        their tables alive until a collection; they break their own cycles."""
+        gc.disable()
+        try:
+            gc.collect()
+            extremal_number(7, CgGraph(4, [(1, 2), (1, 3), (3, 4)]))
+            contains(OrderedGraph(5, [(1, 3), (2, 4), (3, 5)]), OrderedGraph(3, [(1, 2), (2, 3)]))
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestOracleAgreement:

@@ -303,11 +303,18 @@ class TestEnumeration:
 
     def test_unknown_mode(self):
         with pytest.raises(InputError):
-            list(enumerate_trees(2, "diagonal"))
+            enumerate_trees(2, "diagonal")
 
     def test_out_of_range_edge_count(self):
         with pytest.raises(InputError):
-            list(enumerate_trees(7, "linear"))
+            enumerate_trees(7, "linear")
+
+    @pytest.mark.parametrize("args", [(3, "bogus"), (2.0, "linear"), (True, "cyclic"),
+                                      (0, "linear"), (2, "linear", "bogus")])
+    def test_bad_arguments_raise_at_the_call(self, args):
+        """The checks run when the stream is built, not at its first item."""
+        with pytest.raises(InputError):
+            enumerate_trees(*args)
 
     @pytest.mark.parametrize("mode", ["linear", "cyclic"])
     def test_trees_equal_their_validated_builds(self, mode):
