@@ -1,10 +1,21 @@
 """Exact extremal numbers and constructive embeddings into dense hosts.
 
 ``extremal_number`` finds the maximum edge count of an n-vertex pattern-free
-graph by branch-and-bound over the edges of the complete host, in a canonical
-order (by length, then left endpoint), include-branch first. The placements
-of the pattern are precomputed as edge-image bitmasks; on the complete host
-they are counted out from vertex subsets rather than searched for.
+graph by branch-and-bound over the edges of the complete host, include-branch
+first, in two runs of one search (``_search``):
+
+1. The value: the edges are decided by their length on the circle,
+   min(j - i, n - j + i), then left endpoint, with symmetry breaking. One
+   key for both modes; at n = 8 the proof visits 2-5x fewer nodes in this
+   order than in the canonical one.
+2. The witness: the edges are decided in the canonical order (by length,
+   then left endpoint) with the value known, that is counting only graphs
+   above value - 1, without symmetry breaking, and the search stops at its
+   first leaf.
+
+The placements of the pattern are precomputed as edge-image bitmasks for the
+order at hand; on the complete host they are counted out from vertex subsets
+rather than searched for.
 
 * Closing lists: when edge i is decided every later edge is still absent, so
   including i can only complete a placement whose highest edge index is i.
@@ -32,16 +43,20 @@ they are counted out from vertex subsets rather than searched for.
   ones were equal at an ancestor. The relabellings not yet retired are the
   bits of one int.
 
-The include-first DFS meets leaves in decreasing word order, so it returns
-the largest optimal word. Its images are optimal too, so it is the leader of
-its orbit and no symmetry test prunes its path; the bounds are admissible,
-so no ancestor of it is pruned before it is reached. The value and the
-witness are those of the plain undecided-edges bound, only with far fewer
-nodes. A leaf cut by a symmetry has a larger image of the same size, which
-the DFS meets earlier or cuts by a bound no smaller, so the best count at
-each point of the DFS, and with it every bound test, is unchanged: the
-search visits a subset of the nodes it would visit without symmetry. n is
-capped at 8; larger requests are refused rather than approximated.
+Every rule above holds for any fixed edge order. A leaf cut by a symmetry
+has a larger image of the same size, which the DFS meets earlier or cuts by
+a bound no smaller, so the best count at each point of the DFS, and with it
+every bound test, is unchanged: the proof visits a subset of the nodes the
+search in its order would visit without symmetry, and finds the same value.
+
+Why the witness is that of one canonical search: the include-first DFS
+meets leaves in decreasing word order, so without a known value it would
+return the largest optimal word, the witness before the two runs were split.
+With the value known only leaves of that size are counted, and the bounds
+are admissible, so no ancestor of the largest optimal word is pruned: it is
+the first leaf the witness run reaches, and the graphs under ``golden/`` do
+not depend on the order the proof uses. n is capped at 8; larger requests
+are refused rather than approximated.
 
 ``embed_dense`` turns the inductive extremal proofs into algorithms. Each
 induction step deletes a bounded set of extreme edges from the host, embeds
@@ -93,7 +108,8 @@ SOLVER_MAX_N = 8
 
 @dataclass(frozen=True)
 class ExtremalResult:
-    """The exact answer for one (n, pattern) query, with its witness."""
+    """The exact answer for one (n, pattern) query, with its witness. nodes
+    is the sum over both runs: the proof of the value and the witness run."""
 
     n: int
     mode: str
@@ -118,9 +134,16 @@ class ExtremalResult:
 
 
 def _canonical_edges(n: int) -> list[tuple[int, int]]:
+    """The witness order: by length, then left endpoint."""
     es = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
     es.sort(key=lambda e: (e[1] - e[0], e[0]))
     return es
+
+
+def _cyclic_length_edges(n: int) -> list[tuple[int, int]]:
+    """The proof order: by length on the circle, min(j - i, n - j + i), then
+    left endpoint; of two chords tied on both, the shorter one first."""
+    return sorted(_canonical_edges(n), key=lambda e: (min(e[1] - e[0], n - e[1] + e[0]), e[0]))
 
 
 def _placement_masks(n: int, pattern: _Graph, index: dict) -> list[int]:
@@ -128,17 +151,23 @@ def _placement_masks(n: int, pattern: _Graph, index: dict) -> list[int]:
 
     The host is complete, so placements are counted out rather than searched
     for: every increasing p-tuple is a linear placement, and every p-subset
-    read from each of its p starting points is a cyclic one.
+    read from each of its p starting points is a cyclic one. Each distinct
+    rotation of the pattern is read once, through a pair -> bit table.
     """
     p = pattern.n
-    shifts = range(p) if pattern.mode == "cg" else range(1)
+    bit = [[0] * (n + 1) for _ in range(n + 1)]
+    for (a, b), i in index.items():
+        bit[a][b] = bit[b][a] = 1 << i
+    turns = range(p) if pattern.mode == "cg" else range(1)
+    shapes = {tuple(sorted(((u - 1 + s) % p, (v - 1 + s) % p) for u, v in pattern.edges))
+              for s in turns}
     masks = set()
     for c in combinations(range(1, n + 1), p):
-        for s in shifts:
+        rows = [bit[x] for x in c]
+        for shape in shapes:
             mask = 0
-            for u, v in pattern.edges:
-                a, b = c[(u - 1 + s) % p], c[(v - 1 + s) % p]
-                mask |= 1 << index[(min(a, b), max(a, b))]
+            for u, v in shape:
+                mask |= rows[u][c[v]]
             masks.add(mask)
     return sorted(masks)
 
@@ -159,31 +188,15 @@ def _relabellings(n: int, pattern: _Graph) -> list[list[int]]:
     return maps
 
 
-def extremal_number(n: int, pattern: _Graph) -> ExtremalResult:
-    """Maximum edges of an n-vertex graph (same mode as the pattern) that
-    does not contain the pattern, by exhaustive branch-and-bound.
+class _Found(Exception):
+    """Raised at the first leaf of a search asked to stop there."""
 
-    The full 2^C(n,2) enumeration that checks this search is
-    ``oracles.oracle_extremal_number``, which shares no code with it.
-    """
-    if not isinstance(n, int):
-        raise InputError(f"n must be an integer, got {n!r}")
-    if n < SOLVER_MIN_N:
-        raise InputError(f"extremal queries need n >= {SOLVER_MIN_N}")
-    if n > SOLVER_MAX_N:
-        raise BudgetError(
-            f"exact extremal search is refused above n = {SOLVER_MAX_N}; "
-            "no approximation is attempted"
-        )
-    if not isinstance(pattern, (OrderedGraph, CgGraph)):
-        raise InputError("pattern must be an OrderedGraph or CgGraph")
-    if pattern.n > n:
-        raise InputError(f"pattern on {pattern.n} vertices exceeds host size {n}")
-    if not pattern.edges:
-        raise InputError("pattern has no edges, so every host contains it")
 
-    t0 = time.perf_counter()
-    edges = _canonical_edges(n)
+def _search(n: int, pattern: _Graph, edges: list[tuple[int, int]], best: int,
+            first: bool) -> tuple[int, list[tuple[int, int]], int]:
+    """(best count, its edges, nodes) of the branch-and-bound that decides the
+    edges in the given order, counting only graphs above best. first: stop at
+    the first leaf, with no symmetry breaking."""
     index = {e: i for i, e in enumerate(edges)}
     masks = _placement_masks(n, pattern, index)
     # Edges are decided in index order and every later edge is still absent,
@@ -197,7 +210,7 @@ def extremal_number(n: int, pattern: _Graph) -> ExtremalResult:
     # g(cur) holds k iff cur holds inv[k]. Position k is known on both sides
     # once k and inv[k] are decided; at depth i the known prefix of g grows
     # from lo to hi, and tests[i] holds (bit of g, inv, lo, hi).
-    maps = _relabellings(n, pattern)
+    maps = [] if first else _relabellings(n, pattern)
     tests: list[list[tuple]] = [[] for _ in range(total + 1)]
     for g, img in enumerate(maps):
         inv = [0] * total
@@ -212,7 +225,6 @@ def extremal_number(n: int, pattern: _Graph) -> ExtremalResult:
             if grown > prefix:
                 tests[i].append((1 << g, inv, prefix, grown))
             prefix = grown
-    best = -1
     best_mask = 0
     nodes = 0
 
@@ -224,6 +236,8 @@ def extremal_number(n: int, pattern: _Graph) -> ExtremalResult:
             return
         if i == total:
             best, best_mask = count, cur
+            if first:
+                raise _Found
             return
         # Lex-leader test, bit 0 most significant, on the newly known
         # positions only (the earlier ones are equal): at the first
@@ -261,14 +275,42 @@ def extremal_number(n: int, pattern: _Graph) -> ExtremalResult:
             rec(i + 1, cur | bit, count + 1, live, alive)
         rec(i + 1, cur, count, [m for m in live if not m & bit], alive)
 
-    rec(0, 0, 0, masks, (1 << len(maps)) - 1)
+    try:
+        rec(0, 0, 0, masks, (1 << len(maps)) - 1)
+    except _Found:
+        pass
     del rec  # rec reaches itself through its closure cell
-    chosen = [edges[i] for i in range(total) if best_mask >> i & 1]
-    cls = type(pattern)
-    witness = cls(n, sorted(chosen))
-    result = ExtremalResult(
-        n, pattern.mode, best, witness, pattern, nodes, time.perf_counter() - t0
-    )
+    return best, sorted(edges[i] for i in range(total) if best_mask >> i & 1), nodes
+
+
+def extremal_number(n: int, pattern: _Graph) -> ExtremalResult:
+    """Maximum edges of an n-vertex graph (same mode as the pattern) that
+    does not contain the pattern, by exhaustive branch-and-bound.
+
+    The full 2^C(n,2) enumeration that checks this search is
+    ``oracles.oracle_extremal_number``, which shares no code with it.
+    """
+    if not isinstance(n, int):
+        raise InputError(f"n must be an integer, got {n!r}")
+    if n < SOLVER_MIN_N:
+        raise InputError(f"extremal queries need n >= {SOLVER_MIN_N}")
+    if n > SOLVER_MAX_N:
+        raise BudgetError(
+            f"exact extremal search is refused above n = {SOLVER_MAX_N}; "
+            "no approximation is attempted"
+        )
+    if not isinstance(pattern, (OrderedGraph, CgGraph)):
+        raise InputError("pattern must be an OrderedGraph or CgGraph")
+    if pattern.n > n:
+        raise InputError(f"pattern on {pattern.n} vertices exceeds host size {n}")
+    if not pattern.edges:
+        raise InputError("pattern has no edges, so every host contains it")
+
+    t0 = time.perf_counter()
+    value, _, proof_nodes = _search(n, pattern, _cyclic_length_edges(n), -1, False)
+    _, chosen, witness_nodes = _search(n, pattern, _canonical_edges(n), value - 1, True)
+    result = ExtremalResult(n, pattern.mode, value, type(pattern)(n, chosen), pattern,
+                            proof_nodes + witness_nodes, time.perf_counter() - t0)
     _check_result(result)
     return result
 

@@ -485,6 +485,7 @@ def extract_walk_free(
             rec(idx + 1)
 
         rec(0)
+        del rec  # rec reaches itself through its closure cell
         return best, "exhaustive"
 
     if len(g.edges) <= EXHAUSTIVE_EDGE_LIMIT:
