@@ -29,8 +29,9 @@ colours must be ints, edges in range, loop-free and distinct. The transforms
 arithmetic and build through the unchecked ``_Graph._trusted``, because a
 permutation of a valid graph is valid. The neighbour lists, adjacency
 masks, tree test and interval splits are computed on first use and kept on
-the graph, outside equality and hashing. ``edge_set`` is rebuilt on each
-call: kept, it would cost more memory than time.
+the graph, outside equality and hashing; a transform hands a known tree
+test on to its result. ``edge_set`` is rebuilt on each call: kept, it
+would cost more memory than time.
 """
 
 from __future__ import annotations
@@ -188,16 +189,21 @@ class _Graph:
 
     def _mapped(self, img: list[int]):
         """The graph with each vertex v renamed img[v]; img must be a
-        permutation of 1..n (img[0] is unused), so no check is needed."""
+        permutation of 1..n (img[0] is unused), so no check is needed. A
+        relabelling keeps a tree a tree, so a known tree test carries over."""
         edges = [(img[u], img[v]) for u, v in self.edges]
         edges = [(a, b) if a < b else (b, a) for a, b in edges]
         if self.colors is None:
             edges.sort()
-            return self._trusted(self.n, tuple(edges))
-        pairs = sorted(zip(edges, self.colors))
-        return self._trusted(
-            self.n, tuple(e for e, _ in pairs), tuple(c for _, c in pairs)
-        )
+            g = self._trusted(self.n, tuple(edges))
+        else:
+            pairs = sorted(zip(edges, self.colors))
+            g = self._trusted(
+                self.n, tuple(e for e, _ in pairs), tuple(c for _, c in pairs)
+            )
+        if "tree" in self._adj_cache:
+            g._adj_cache["tree"] = self._adj_cache["tree"]
+        return g
 
     def __len__(self):
         return len(self.edges)

@@ -45,6 +45,7 @@ from .errors import BudgetError, InputError, NotApplicableError
 from .order import (
     _SHARED_EDGES,
     CgGraph,
+    Edge,
     OrderedGraph,
     _adjacency_lists,
     _check_int,
@@ -174,26 +175,36 @@ def _z_decompose(t: OrderedGraph) -> Union[ZDecomposition, NotAZTree]:
     """z_decompose for a graph already known to be an ordered tree."""
     if chi_interval(t) != 2:
         raise NotApplicableError("interval chromatic number must be 2")
+    dec = _z_scan(t.edges)
+    if isinstance(dec, ZDecomposition):
+        return dec
+    return NotAZTree(
+        f"no edge of the increasing chain {dec} has all other edges in its two fans"
+    )
+
+
+def _z_scan(edges: tuple[Edge, ...]) -> Union[ZDecomposition, tuple[Edge, ...]]:
+    """The scan of z_decompose over the sorted edges of an ordered tree with
+    interval chromatic number two: the decomposition, validated, or else
+    the increasing chain the scan built before it stopped."""
     # by (length, edge): the edges are sorted, and the sort is stable
-    edges = sorted(t.edges, key=lambda e: e[1] - e[0])
+    by_length = sorted(edges, key=lambda e: e[1] - e[0])
     core = []
-    for i, j in edges:
+    for i, j in by_length:
         # a core edge is one longer than the last and contains it
         if j - i != len(core) + 1 or core and not (i <= core[-1][0] and core[-1][1] <= j):
             break
         core.append((i, j))
-        rest = edges[len(core):]
+        rest = by_length[len(core):]
         for h, k in rest:
             if not (k == j and h < i or h == i and k > j):
                 break  # hk is in neither fan of ij
         else:
             s_j = tuple(sorted(e for e in rest if e[1] == j))
             dec = ZDecomposition((i, j), tuple(core), s_j, tuple(e for e in rest if e[0] == i))
-            validate_decomposition(t, dec)
+            _check_decomposition(edges, dec)
             return dec
-    return NotAZTree(
-        f"no edge of the increasing chain {tuple(core)} has all other edges in its two fans"
-    )
+    return tuple(core)
 
 
 def is_z_tree(t: OrderedGraph) -> bool:
@@ -213,10 +224,15 @@ def validate_decomposition(t: OrderedGraph, dec: ZDecomposition) -> bool:
 
     The fan forms leave no crossing to check: only opposite fan edges cross.
     """
+    return _check_decomposition(t.edges, dec)
+
+
+def _check_decomposition(edges: tuple[Edge, ...], dec: ZDecomposition) -> bool:
+    """validate_decomposition against the tree with edge list ``edges``."""
     parts = list(dec.core) + list(dec.s_j) + list(dec.s_i)
     if len(parts) != len(set(parts)):
         raise InputError("core and fans overlap")
-    if set(parts) != set(t.edges):
+    if set(parts) != set(edges):
         raise InputError("core and fans do not partition the tree's edges")
     if increasing_chain(dec.core) != dec.core:
         raise InputError("core is not an increasing chain in chain order")
@@ -254,14 +270,17 @@ def linearize(t: CgGraph, r: int) -> OrderedGraph:
     if t.mode != "cg":
         raise InputError("linearize expects a cg graph")
     _check_int("rotation", r)
-    return _linearized(t, r)
+    # colors are dropped
+    return OrderedGraph._trusted(t.n, _linear_edges(t, r))
 
 
-def _linearized(t: CgGraph, r: int) -> OrderedGraph:
-    # v -> n+1-(((v-1+r) mod n)+1), a permutation of 1..n; colors are dropped
+def _linear_edges(t: CgGraph, r: int) -> tuple[Edge, ...]:
+    """The sorted edge list of linearize(t, r), built as no graph."""
+    # v -> n+1-(((v-1+r) mod n)+1), a permutation of 1..n
     n = t.n
-    flipped = t._mapped([0] + [n - (v + r) % n for v in range(n)])
-    return OrderedGraph._trusted(n, flipped.edges)
+    img = [0] + [n - (v + r) % n for v in range(n)]
+    edges = [(img[u], img[v]) for u, v in t.edges]
+    return tuple(sorted([(a, b) if a < b else (b, a) for a, b in edges]))
 
 
 def cg_z_decompose(t: CgGraph) -> Union[CgZDecomposition, NotAZTree]:
@@ -274,6 +293,11 @@ def cg_z_decompose(t: CgGraph) -> Union[CgZDecomposition, NotAZTree]:
     connected, so its two colour classes are unique, and so is that split:
     only the rotations r = (n - b) mod n for its two boundaries b can work,
     and they are tried in ascending order.
+
+    Each try runs the z-scan on the linearized edge list alone, without
+    building a graph or re-checking its interval chromatic number: a cut at
+    a boundary turns the two edge-free arcs into two edge-free intervals, so
+    that number is two by construction.
     """
     if not isinstance(t, CgGraph):
         raise InputError("cg_z_decompose expects a cg graph")
@@ -284,7 +308,7 @@ def cg_z_decompose(t: CgGraph) -> Union[CgZDecomposition, NotAZTree]:
     n = t.n
     for r in sorted((n - b) % n for b in split.boundaries):
         # every linearization of a tree is a tree
-        dec = _z_decompose(_linearized(t, r))
+        dec = _z_scan(_linear_edges(t, r))
         if isinstance(dec, ZDecomposition):
             return CgZDecomposition(rotation=r, linear=dec)
     return NotAZTree("no rotation linearizes to a z-tree")
@@ -530,8 +554,9 @@ def enumerate_trees(k: int, mode: str, filt: str = "all") -> Iterator[_Graph]:
     "all" or "chi2" (keep only interval/cyclic chromatic number two). The
     unfiltered stream has (k+1)^(k-1) trees, decoded from Prüfer sequences in
     lexicographic order. A decoding is a tree on 1..k+1 by construction, so
-    the graphs are built without validating them again. The arguments are
-    checked at the call, so a bad one raises here.
+    the graphs are built without validating them again and are marked as
+    trees without a test. The arguments are checked at the call, so a bad
+    one raises here.
     """
     _check_int("k", k)
     if not 1 <= k <= 6:
@@ -548,6 +573,7 @@ def _trees(k: int, cls: type, chi2: bool) -> Iterator[_Graph]:
     for seq in product(range(1, n + 1), repeat=k - 1):
         edges = sorted(_SHARED_EDGES[u][v] for u, v in _prufer_edges(n, seq))
         g = cls._trusted(n, tuple(edges))
+        g._adj_cache["tree"] = True
         if chi2 and chi(g) != 2:
             continue
         yield g

@@ -30,7 +30,6 @@ edges, a seeded greedy augmentation everything larger.
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -292,46 +291,53 @@ def enumerate_all_walks(
     """Brute-force reference: every walk of the kind, via raw edge 4-tuples.
 
     Deliberately shares no search logic with find_forbidden_walk — it ranges
-    over all ordered edge quadruples and all ways to chain them. Capped at
-    14 edges.
+    over all ordered edge quadruples (e1, e2, e3, e4), in the order of
+    ``itertools.product(edges, repeat=4)``, and all ways to chain them. Nested
+    loops drop a prefix as soon as it fails: e2 must differ from e1 and share
+    an endpoint v1 with it, e3 must differ from e2, hold v2 and have c2 < c3,
+    and e4 must differ from e3, hold v3 and have c3 < c4; the kind's test on
+    c1 (and the start side) is made on the full quadruple. A quadruple chains
+    in at most one way, so the list and its order are those of the product.
+    Capped at 14 edges.
     """
     side = _check_kind_side(kind, start_side)
     if len(g.edges) > ORACLE_EDGE_LIMIT:
         raise InputError(f"reference enumeration capped at {ORACLE_EDGE_LIMIT} edges")
-    plain = [(u, v) for u, v, _ in g.edges]
+    colored = [((u, v), c) for u, v, c in g.edges]
 
     def other(e, x):
         return e[0] if e[1] == x else e[1]
 
     found = []
-    for e1, e2, e3, e4 in itertools.product(plain, repeat=4):
-        if e1 == e2 or e2 == e3 or e3 == e4:
-            continue
-        # e2 = {v1, v2}: choosing v1 fixes the whole vertex sequence
-        for v1 in e1:
-            if v1 not in e2:
+    for e1, c1 in colored:
+        for e2, c2 in colored:
+            if e1 == e2:
+                continue
+            # e2 = {v1, v2}: choosing v1 fixes the whole vertex sequence
+            for v1 in e1:
+                if v1 in e2:
+                    break
+            else:
                 continue
             v0 = other(e1, v1)
             v2 = other(e2, v1)
-            if v2 not in e3:
-                continue
-            v3 = other(e3, v2)
-            if v3 not in e4:
-                continue
-            v4 = other(e4, v3)
-            cs = tuple(g.color_of(*e) for e in (e1, e2, e3, e4))
-            c1, c2, c3, c4 = cs
-            if not c2 < c3 < c4:
-                continue
-            if kind == "fast":
-                if not c4 <= c1:
+            for e3, c3 in colored:
+                if e2 == e3 or v2 not in e3 or not c2 < c3:
                     continue
-            else:
-                if not c2 < c1 <= c4:
-                    continue
-                if g.side_of(v0) != side:
-                    continue
-            found.append(Walk4((v0, v1, v2, v3, v4), cs, kind))
+                v3 = other(e3, v2)
+                for e4, c4 in colored:
+                    if e3 == e4 or v3 not in e4 or not c3 < c4:
+                        continue
+                    if kind == "fast":
+                        if not c4 <= c1:
+                            continue
+                    else:
+                        if not c2 < c1 <= c4:
+                            continue
+                        if g.side_of(v0) != side:
+                            continue
+                    walk = (v0, v1, v2, v3, other(e4, v3))
+                    found.append(Walk4(walk, (c1, c2, c3, c4), kind))
     return found
 
 

@@ -430,3 +430,46 @@ def test_derived_graphs_skip_validation(monkeypatch):
         mirror(t)
         reflect(t)
     assert calls == []
+
+
+@st.composite
+def trees_and_graphs(draw):
+    """Either mode, n <= 8, with colours on some draws: a tree (parent
+    pointers under a drawn labelling) on about half the draws, any edge set
+    on the rest."""
+    cls = draw(st.sampled_from([OrderedGraph, CgGraph]))
+    n = draw(st.integers(min_value=1, max_value=8))
+    if draw(st.booleans()):
+        label = draw(st.permutations(range(1, n + 1)))
+        es = [(label[v], label[draw(st.integers(0, v - 1))]) for v in range(1, n)]
+    else:
+        es = draw(_edges(n)) if n > 1 else []
+    colors = None
+    if draw(st.booleans()):
+        colors = draw(st.lists(st.integers(1, 4), min_size=len(es), max_size=len(es)))
+    return cls(n, es, colors=colors)
+
+
+class TestTreeFlag:
+    """A transform hands a known tree test on to its result; the answer must
+    be the one a fresh test gives."""
+
+    @given(trees_and_graphs(), st.booleans(), st.integers(min_value=-1, max_value=9), st.data())
+    def test_transforms(self, g, known, r, data):
+        if known:
+            g.is_tree()
+        perm = dict(zip(range(1, g.n + 1), data.draw(st.permutations(range(1, g.n + 1)))))
+        derived = [mirror(g), g.relabeled(perm)]
+        if g.mode == "cg":
+            derived += [rotate(g, r), reflect(g)]
+        for h in derived:
+            assert h.is_tree() == order._is_spanning_tree(h.n, h.edges)
+        assert g.is_tree() == order._is_spanning_tree(g.n, g.edges)
+
+    @pytest.mark.parametrize("mode", ["linear", "cyclic"])
+    def test_every_enumerated_tree(self, mode):
+        for k in range(1, 7):
+            for t in enumerate_trees(k, mode):
+                assert order._is_spanning_tree(t.n, t.edges)
+                derived = [t, mirror(t)] + ([rotate(t, 1)] if mode == "cyclic" else [])
+                assert all(h.is_tree() for h in derived), t.edges

@@ -608,13 +608,13 @@ class TestWorkDone:
 
     def test_cg_z_decompose_tries_two_cuts(self, monkeypatch):
         calls = []
-        linearized = trees._linearized
+        linear_edges = trees._linear_edges
 
         def counting(t, r):
             calls.append(r)
-            return linearized(t, r)
+            return linear_edges(t, r)
 
-        monkeypatch.setattr(trees, "_linearized", counting)
+        monkeypatch.setattr(trees, "_linear_edges", counting)
         most = 0
         for k in range(1, 6):
             for t in enumerate_trees(k, "cyclic"):

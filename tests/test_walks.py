@@ -1,5 +1,6 @@
 """Walk detection and walk-free extraction in edge-colored bipartite graphs."""
 
+import itertools
 import json
 import os
 import random
@@ -8,6 +9,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from xtrees import walks
 from xtrees.constructions import f_n
@@ -362,3 +364,78 @@ class TestAgainstReferences:
             methods.add(ext.method)
         assert methods == {"exhaustive", "greedy"}
         assert True in answers and False in answers
+
+
+# -- the brute-force walk reference as it was before it dropped failing
+# prefixes: every ordered edge quadruple from itertools.product, chained and
+# tested in full.
+
+
+def ref_enumerate_all_walks(g, kind, start_side=None):
+    side = walks._check_kind_side(kind, start_side)
+    plain = [(u, v) for u, v, _ in g.edges]
+
+    def other(e, x):
+        return e[0] if e[1] == x else e[1]
+
+    found = []
+    for e1, e2, e3, e4 in itertools.product(plain, repeat=4):
+        if e1 == e2 or e2 == e3 or e3 == e4:
+            continue
+        for v1 in e1:
+            if v1 not in e2:
+                continue
+            v0 = other(e1, v1)
+            v2 = other(e2, v1)
+            if v2 not in e3:
+                continue
+            v3 = other(e3, v2)
+            if v3 not in e4:
+                continue
+            v4 = other(e4, v3)
+            cs = tuple(g.color_of(*e) for e in (e1, e2, e3, e4))
+            c1, c2, c3, c4 = cs
+            if not c2 < c3 < c4:
+                continue
+            if kind == "fast":
+                if not c4 <= c1:
+                    continue
+            else:
+                if not c2 < c1 <= c4:
+                    continue
+                if g.side_of(v0) != side:
+                    continue
+            found.append(Walk4((v0, v1, v2, v3, v4), cs, kind))
+    return found
+
+
+@st.composite
+def colored_bipartites(draw, max_edges=8):
+    """A properly coloured bipartite graph with at most max_edges edges, up
+    to 4 vertices a side and up to 5 colours; endpoints in either order."""
+    na, nb = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    side_a, side_b = range(1, na + 1), range(na + 1, na + nb + 1)
+    pairs = [(a, b) for a in side_a for b in side_b]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=max_edges))
+    d = draw(st.integers(1, 5))
+    used = {}
+    edges = []
+    for a, b in chosen:
+        free = [c for c in range(1, d + 1) if c not in used.get(a, ()) and c not in used.get(b, ())]
+        if free:
+            c = draw(st.sampled_from(free))
+            edges.append((b, a, c) if draw(st.booleans()) else (a, b, c))
+            used.setdefault(a, set()).add(c)
+            used.setdefault(b, set()).add(c)
+    return ColoredBipartite(side_a, side_b, edges, d=d)
+
+
+class TestWalkReference:
+    @settings(max_examples=400, deadline=None)
+    @given(colored_bipartites())
+    def test_matches_the_product_version(self, g):
+        for kind, side in SETTINGS:
+            got = enumerate_all_walks(g, kind, side)
+            assert got == ref_enumerate_all_walks(g, kind, side)
+            for w in got:
+                w.check(g, side)
