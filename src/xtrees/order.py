@@ -15,13 +15,12 @@ Conventions used throughout the package:
   interleaving test as in linear mode;
 * an *interval split* partitions 1..n into consecutive intervals (linear) or
   consecutive arcs (cyclic) with no edge inside a part. chi_interval /
-  chi_cyclic return the minimum number of parts, exactly. chi_cyclic reads
-  the circle as a line cut after each vertex in turn, one mask test per
-  vertex, and stops at the first cut that reaches the lower bound the
-  first cut sets: O(m + n^2) steps at worst for m edges, and O(m + n) when
-  a cut near the start is optimal. On the complete graph K_64 it takes
-  0.0006 s, on a random 64-vertex tree 0.0004 s (best of 5, Python 3.11,
-  one core of a 2-vCPU machine).
+  chi_cyclic return the minimum number of parts, exactly. Both orders run
+  one greedy scan, one mask test per vertex: the linear order is the circle
+  cut after vertex n, and chi_cyclic tries the cuts after n, n - 1, ... in
+  turn, stopping at the first that reaches the lower bound the first cut
+  sets: O(m + n^2) steps at worst for m edges, and O(m + n) when a cut near
+  the start is optimal.
 
 A graph is validated once, in its constructor: n, the endpoints and the
 colours must be ints, edges in range, loop-free and distinct. The transforms
@@ -162,11 +161,7 @@ class _Graph:
     def adjacency_masks(self) -> list[int]:
         """adj[v] for v in 0..n-1 (0-based), as bitmasks over 0..n-1."""
         if "masks" not in self._adj_cache:
-            adj = [0] * self.n
-            for u, v in self.edges:
-                adj[u - 1] |= 1 << (v - 1)
-                adj[v - 1] |= 1 << (u - 1)
-            self._adj_cache["masks"] = adj
+            self._adj_cache["masks"] = _adjacency_masks(self.n, self.edges)
         return self._adj_cache["masks"]
 
     def is_tree(self) -> bool:
@@ -292,120 +287,88 @@ def arc_side(n: int, chord: Sequence[int], x: int) -> int:
     return 1 if u < x < v else -1
 
 
-@dataclass(frozen=True)
-class IntervalSplit:
-    """A witness partition into consecutive intervals (or arcs).
-
-    boundaries holds the last vertex of each part in ascending order. In
-    linear mode the final boundary is always n and parts are
-    (prev+1 .. b). In cyclic mode the part after boundary b_k wraps around to
-    b_1; a single boundary means one arc covering the whole circle.
-    """
-
-    mode: str
-    n: int
-    boundaries: tuple[int, ...]
-
-    @property
-    def k(self) -> int:
-        return len(self.boundaries)
-
-
-def _interval_bounds(n: int, edges: Iterable[Edge]) -> tuple[int, ...]:
-    """Boundaries of a fewest-parts split of 1..n into consecutive intervals
-    with no edge (u, v), u < v, inside a part.
-
-    reach[e] becomes the largest left endpoint of an edge ending at or before
-    e, so the widest edge-free interval ending at e starts at reach[e] + 1.
-    Taking that widest part from the right end is optimal, because the
-    fewest parts covering 1..e never decrease in e.
-    """
-    reach = [0] * (n + 1)
+def _adjacency_masks(n: int, edges: Iterable[Edge]) -> list[int]:
+    """adj[v] for v in 0..n-1 (0-based), as bitmasks over 0..n-1."""
+    adj = [0] * n
     for u, v in edges:
-        if u > reach[v]:
-            reach[v] = u
-    for e in range(2, n + 1):
-        if reach[e - 1] > reach[e]:
-            reach[e] = reach[e - 1]
-    bounds = []
-    e = n
-    while e > 0:
-        bounds.append(e)
-        e = reach[e]
-    bounds.reverse()
-    return tuple(bounds)
+        adj[u - 1] |= 1 << (v - 1)
+        adj[v - 1] |= 1 << (u - 1)
+    return adj
+
+
+def _split_scan(adj: list[int], cut: int, most: int) -> Optional[tuple[int, ...]]:
+    """Boundaries of a fewest-parts split into consecutive intervals with no
+    edge inside a part, of the circle read as a line ending at vertex n - cut
+    (cut 0 is the linear order 1..n), or None once it needs more than
+    ``most`` parts.
+
+    The line is split greedily from its right end: a part grows leftward
+    while the next vertex has no edge into it (one mask test per vertex).
+    Taking the widest part from the right end is optimal, because the
+    fewest parts covering a prefix never decrease as the prefix grows.
+    """
+    n = len(adj)
+    s = n - 1 - cut
+    ends = [s + 1]
+    part = 0
+    # 0-based vertices from s down, wrapping through negative indices
+    for x in range(s, s - n, -1):
+        if adj[x] & part:
+            ends.append(x % n + 1)
+            if len(ends) > most:
+                return None
+            part = 0
+        part |= 1 << (x % n)
+    ends.sort()
+    return tuple(ends)
 
 
 def chi_interval(g: _Graph) -> int:
     """Minimum number of consecutive intervals of 1..n with no edge inside any
     part (treats the labels linearly regardless of g's mode)."""
-    return interval_split(g).k
+    return len(interval_split(g))
 
 
-def interval_split(g: _Graph) -> IntervalSplit:
-    """chi_interval together with a witness partition."""
+def interval_split(g: _Graph) -> tuple[int, ...]:
+    """The last vertex of each part of a fewest-parts interval split, in
+    ascending order; the final boundary is n and the parts are
+    (prev+1 .. b)."""
     cache = g._adj_cache
     if "interval" not in cache:
-        cache["interval"] = _interval_bounds(g.n, g.edges)
-    return IntervalSplit("ordered", g.n, cache["interval"])
+        cache["interval"] = _split_scan(_adjacency_masks(g.n, g.edges), 0, g.n)
+    return cache["interval"]
 
 
 def chi_cyclic(g: CgGraph) -> int:
-    return cyclic_split(g).k
+    return len(cyclic_split(g))
 
 
-def cyclic_split(g: CgGraph) -> IntervalSplit:
-    """Minimum partition of the circle into consecutive arcs with no edge
-    inside a part, minimised over every possible cut position."""
+def cyclic_split(g: CgGraph) -> tuple[int, ...]:
+    """The last vertex of each part of a fewest-parts split of the circle
+    into consecutive arcs with no edge inside a part, in ascending order; the
+    part after the last boundary wraps around to the first, and a single
+    boundary means one arc covering the whole circle.
+
+    This is the split of the first cut 0, 1, ... with the fewest parts. A
+    cut adds at most one part to an optimal split of the circle, so no cut
+    beats k0 - 1 parts, k0 those of cut 0, and the first cut that reaches
+    max(2, k0 - 1) is the answer; if none does, cut 0 is. A cut is dropped
+    as soon as it needs more parts than that.
+    """
     if g.mode != "cg":
         raise InputError("cyclic split needs a cg graph")
     cache = g._adj_cache
     if "cyclic" not in cache:
-        cache["cyclic"] = _cyclic_bounds(g.n, g.edges)
-    return IntervalSplit("cg", g.n, cache["cyclic"])
-
-
-def _cyclic_bounds(n: int, edges: tuple[Edge, ...]) -> tuple[int, ...]:
-    """The interval split of the first cut r = 0, 1, ... with the fewest
-    parts, where cut r reads the circle as a line ending at vertex n - r.
-
-    Each cut is split greedily from its right end, as _interval_bounds does:
-    a part grows leftward while the next vertex has no edge into it (one
-    mask test per vertex). A cut adds at most one part to an optimal split
-    of the circle, so no cut beats k0 - 1 parts, k0 those of cut 0, and the
-    first cut that reaches max(2, k0 - 1) is the answer; if none does, cut 0
-    is. A cut is dropped as soon as it needs more parts than that.
-    """
-    if not edges:
-        return (n,)
-    bit = [1 << x for x in range(n)]
-    adj = [0] * n
-    for u, v in edges:
-        adj[u - 1] |= bit[v - 1]
-        adj[v - 1] |= bit[u - 1]
-    first = None
-    target = n
-    for r in range(n):
-        # 0-based vertices from n-1-r down, wrapping through negative indices
-        s = n - 1 - r
-        ends = [s]
-        part = 0
-        for x in range(s, s - n, -1):
-            if adj[x] & part:
-                ends.append(x)
-                if len(ends) > target:
+        adj = _adjacency_masks(g.n, g.edges)
+        bounds = _split_scan(adj, 0, g.n)
+        if len(bounds) > 2:
+            for cut in range(1, g.n):
+                fewer = _split_scan(adj, cut, len(bounds) - 1)
+                if fewer is not None:
+                    bounds = fewer
                     break
-                part = bit[x]
-            else:
-                part |= bit[x]
-        else:
-            bounds = tuple(sorted(x % n + 1 for x in ends))
-            if first is None:
-                first = bounds
-                target = max(2, len(ends) - 1)
-            if len(ends) <= target:
-                return bounds
-    return first
+        cache["cyclic"] = bounds
+    return cache["cyclic"]
 
 
 def mirror(g: _Graph):

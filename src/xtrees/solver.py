@@ -98,9 +98,9 @@ from typing import Optional, Union
 
 from .containment import Embedding, contains, validate_embedding
 from .errors import BudgetError, InputError
-from .order import CgGraph, OrderedGraph, _adjacency_lists, _Graph, mirror, rotate
-from .trees import CgZDecomposition, ZDecomposition, _z_decompose, cg_z_decompose, z_decompose
-from .trees import validate_decomposition
+from .order import CgGraph, OrderedGraph, _adjacency_lists, _check_int, _Graph, mirror, rotate
+from .trees import CgZDecomposition, ZDecomposition, _linear_edges, _linear_image, _z_decompose
+from .trees import cg_z_decompose, validate_decomposition, z_decompose
 
 SOLVER_MIN_N = 2
 SOLVER_MAX_N = 8
@@ -290,8 +290,7 @@ def extremal_number(n: int, pattern: _Graph) -> ExtremalResult:
     The full 2^C(n,2) enumeration that checks this search is
     ``oracles.oracle_extremal_number``, which shares no code with it.
     """
-    if not isinstance(n, int):
-        raise InputError(f"n must be an integer, got {n!r}")
+    _check_int("n", n)
     if n < SOLVER_MIN_N:
         raise InputError(f"extremal queries need n >= {SOLVER_MIN_N}")
     if n > SOLVER_MAX_N:
@@ -423,7 +422,8 @@ def _cyclic_steps(tree: CgGraph, dec: CgZDecomposition) -> Optional[tuple]:
         y_lin = e1[0] if e1[0] in e2 else e1[1]
         x_lin = e1[0] if e1[1] == y_lin else e1[1]
         z_lin = e2[0] if e2[1] == y_lin else e2[1]
-        x, y, z = ((p - v - dec.rotation) % p + 1 for v in (x_lin, y_lin, z_lin))
+        img = _linear_image(p, dec.rotation)
+        x, y, z = img[x_lin], img[y_lin], img[z_lin]
         # dropping x keeps the order of the other labels, so the edges stay
         # normalised and sorted
         drop = [v - (v > x) for v in range(p + 1)]
@@ -441,8 +441,7 @@ def _plan(dec: Union[ZDecomposition, CgZDecomposition]) -> tuple[_Graph, Optiona
     if isinstance(dec, ZDecomposition):
         return _checked_tree(dec), _linear_steps(dec, [])
     lin = _checked_tree(dec.linear)
-    p, r = lin.n, dec.rotation
-    tree = CgGraph(p, [((p - u - r) % p + 1, (p - v - r) % p + 1) for u, v in lin.edges])
+    tree = CgGraph._trusted(lin.n, _linear_edges(lin, dec.rotation))
     return tree, _cyclic_steps(tree, dec)
 
 

@@ -45,6 +45,7 @@ from .errors import BudgetError, InputError, NotApplicableError
 from .order import (
     _SHARED_EDGES,
     CgGraph,
+    GRAPH_CLASSES,
     Edge,
     OrderedGraph,
     _adjacency_lists,
@@ -274,11 +275,18 @@ def linearize(t: CgGraph, r: int) -> OrderedGraph:
     return OrderedGraph._trusted(t.n, _linear_edges(t, r))
 
 
-def _linear_edges(t: CgGraph, r: int) -> tuple[Edge, ...]:
-    """The sorted edge list of linearize(t, r), built as no graph."""
-    # v -> n+1-(((v-1+r) mod n)+1), a permutation of 1..n
-    n = t.n
-    img = [0] + [n - (v + r) % n for v in range(n)]
+def _linear_image(n: int, r: int) -> list[int]:
+    """img[v] for v in 1..n (img[0] is unused): the label of vertex v after
+    linearize(., r), v -> n+1-(((v-1+r) mod n)+1). This is a reflection of
+    the circle, so it is its own inverse and also maps the labels of a
+    linearized tree back to the cg tree."""
+    return [0] + [n - (v + r) % n for v in range(n)]
+
+
+def _linear_edges(t: _Graph, r: int) -> tuple[Edge, ...]:
+    """The sorted edge list of linearize(t, r), built as no graph; applied to
+    linearize(t, r) it gives back t's edges."""
+    img = _linear_image(t.n, r)
     edges = [(img[u], img[v]) for u, v in t.edges]
     return tuple(sorted([(a, b) if a < b else (b, a) for a, b in edges]))
 
@@ -303,10 +311,10 @@ def cg_z_decompose(t: CgGraph) -> Union[CgZDecomposition, NotAZTree]:
         raise InputError("cg_z_decompose expects a cg graph")
     _require_tree(t)
     split = cyclic_split(t)
-    if split.k != 2:
+    if len(split) != 2:
         raise NotApplicableError("cyclic interval chromatic number must be 2")
     n = t.n
-    for r in sorted((n - b) % n for b in split.boundaries):
+    for r in sorted((n - b) % n for b in split):
         # every linearization of a tree is a tree
         dec = _z_scan(_linear_edges(t, r))
         if isinstance(dec, ZDecomposition):
@@ -638,6 +646,8 @@ def classify_tree(t: _Graph) -> Verdict:
     decomposition route and the forbidden-configuration route are both
     evaluated and must agree.
     """
+    if not isinstance(t, GRAPH_CLASSES):
+        raise InputError(f"classify_tree expects an ordered or cg graph, got {t!r}")
     mode = t.order
     if not t.is_tree():
         return Verdict(

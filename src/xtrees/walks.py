@@ -437,6 +437,7 @@ def extract_walk_free(
     start_side: Optional[str] = None,
     seed: int = 0,
 ) -> Extraction:
+    _check_int("seed", seed)
     side = _check_kind_side(kind, start_side)
     bound = size_bound(len(g.edges), g.d)
     classes = g.color_classes()

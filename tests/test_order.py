@@ -1,6 +1,7 @@
 """Graph types: validation, crossings, interval/cyclic chromatic numbers,
 and the label symmetries (mirror, rotate, reflect)."""
 
+import random
 from itertools import combinations
 
 import pytest
@@ -21,7 +22,7 @@ from xtrees.order import (
     reflect,
     rotate,
 )
-from xtrees.trees import _crossing_pairs, cg_z_decompose, enumerate_trees, linearize
+from xtrees.trees import _crossing_pairs, _linear_edges, cg_z_decompose, enumerate_trees, linearize
 
 
 def _edges(draw_n):
@@ -48,6 +49,15 @@ def colored_graphs(draw):
     if draw(st.booleans()):
         colors = draw(st.lists(st.integers(1, 4), min_size=len(es), max_size=len(es)))
     return cls(n, es, colors=colors)
+
+
+def drawn_graph(cls, n, density, rng):
+    """A spanning tree under a drawn labelling (density None), or each pair
+    of 1..n an edge with probability density."""
+    if density is None:
+        label = rng.sample(range(1, n + 1), n)
+        return cls(n, [(label[rng.randrange(i)], label[i]) for i in range(1, n)])
+    return cls(n, [e for e in combinations(range(1, n + 1), 2) if rng.random() < density])
 
 
 class TestValidation:
@@ -343,14 +353,14 @@ def assert_same_graph(fast, ref):
 
 def check_against_references(g):
     assert_same_graph(mirror(g), ref_mirror(g))
-    assert interval_split(g).boundaries == ref_interval_bounds(g)
+    assert interval_split(g) == ref_interval_bounds(g)
     assert chi_interval(g) == len(ref_interval_bounds(g))
     if g.mode != "cg":
         return
     assert_same_graph(reflect(g), ref_mirror(g))
     split = cyclic_split(g)
-    assert split.boundaries == ref_cyclic_bounds(g)
-    assert chi_cyclic(g) == split.k
+    assert split == ref_cyclic_bounds(g)
+    assert chi_cyclic(g) == len(split)
     for r in range(-1, g.n + 2):
         assert_same_graph(rotate(g, r), ref_rotate(g, r))
         assert_same_graph(linearize(g, r), ref_linearize(g, r))
@@ -360,7 +370,8 @@ class TestArithmeticTransforms:
     """Transforms and chi computed by label arithmetic equal the
     construct-and-validate references, on every tree with <= 5 edges, on
     drawn graphs with and without colours, on drawn cg graphs up to 12
-    vertices and on complete and empty graphs."""
+    vertices and on complete and empty graphs; the splits also on drawn
+    graphs of 13..80 vertices."""
 
     @pytest.mark.parametrize("mode", ["linear", "cyclic"])
     def test_every_small_tree(self, mode):
@@ -379,6 +390,23 @@ class TestArithmeticTransforms:
     def test_complete_and_empty(self, cls, n):
         check_against_references(cls(n, combinations(range(1, n + 1), 2)))
         check_against_references(cls(n, []))
+
+    @pytest.mark.parametrize("cls", [OrderedGraph, CgGraph])
+    @pytest.mark.parametrize("n", [13, 31, 64, 65, 80])
+    def test_splits_of_drawn_graphs_on_13_to_80_vertices(self, cls, n):
+        # from 65 vertices on the adjacency masks are wider than 64 bits
+        rng = random.Random(n)
+        for density in (None, None, 2 / n, 4 / n, 0.1, 0.5, 0.9):
+            g = drawn_graph(cls, n, density, rng)
+            assert interval_split(g) == ref_interval_bounds(g)
+            if g.mode == "cg":
+                assert cyclic_split(g) == ref_cyclic_bounds(g)
+
+    @pytest.mark.parametrize("k", range(1, 6))
+    def test_linearization_is_its_own_inverse(self, k):
+        for t in enumerate_trees(k, "cyclic"):
+            for r in range(-1, t.n + 2):
+                assert _linear_edges(linearize(t, r), r) == t.edges
 
     @given(colored_graphs())
     def test_drawn_graphs(self, g):

@@ -26,6 +26,25 @@ def test_no_assert_statements():
     assert not found, f"assert statements vanish under python -O: {found}"
 
 
+def test_no_isinstance_int_checks():
+    """isinstance(x, int) accepts a bool; integer arguments go through
+    order._check_int, which rejects it."""
+    sources = sorted((ROOT / "src" / "xtrees").glob("*.py"))
+    sources += sorted((ROOT / "scripts").glob("*.py"))
+    found = [
+        f"{path.relative_to(ROOT)}:{node.lineno}"
+        for path in sources
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", None) == "isinstance"
+        and len(node.args) == 2
+        and any(getattr(t, "id", None) == "int"
+                for t in (node.args[1].elts if isinstance(node.args[1], ast.Tuple)
+                          else [node.args[1]]))
+    ]
+    assert not found, f"isinstance int checks let bools through: {found}"
+
+
 # the file-format names of the two orders, their Embedding/Verdict names and
 # their graph classes; order.py alone says which belong together
 _ORDER_VOCABULARIES = (

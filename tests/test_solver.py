@@ -358,6 +358,11 @@ class TestRefusalsAndValidation:
         with pytest.raises(InputError):
             extremal_number(1, Z3)
 
+    @pytest.mark.parametrize("n", [True, 5.0, "5"])
+    def test_non_int_n_rejected(self, n):
+        with pytest.raises(InputError, match="must be an integer"):
+            extremal_number(n, Z3)
+
     def test_pattern_larger_than_host(self):
         with pytest.raises(InputError):
             extremal_number(3, Z3)

@@ -356,6 +356,11 @@ class TestClassify:
         v = classify_tree(OrderedGraph(4, [(1, 2)]))
         assert v.kind == "NotApplicable"
 
+    @pytest.mark.parametrize("t", ["x", None])
+    def test_non_graph_rejected(self, t):
+        with pytest.raises(InputError):
+            classify_tree(t)
+
     def test_formula_values(self):
         assert LinearFormula(2).value(5) == 4
         assert LinearFormula(4).value(7) == 15

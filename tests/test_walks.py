@@ -163,6 +163,12 @@ class TestExtraction:
         b = extract_walk_free(g, "fast", seed=123)
         assert a.size == b.size  # exhaustive search ignores the shuffle order
 
+    @pytest.mark.parametrize("seed", [None, True, 1.5, "1"])
+    def test_non_int_seed_rejected(self, seed):
+        # None would seed from the OS and True would act as seed 1
+        with pytest.raises(InputError):
+            extract_walk_free(_f(16), "fast", seed=seed)
+
 
 def test_walk_check_rejects_under_optimize():
     """Walk4.check raises explicitly, so python -O keeps the check."""
