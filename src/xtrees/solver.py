@@ -58,39 +58,32 @@ the first leaf the witness run reaches, and the graphs under ``golden/`` do
 not depend on the order the proof uses. n is capped at 8; larger requests
 are refused rather than approximated.
 
-``embed_dense`` turns the inductive extremal proofs into algorithms. Each
-induction step deletes a bounded set of extreme edges from the host, embeds
-a one-edge-smaller tree in what remains, and re-extends with one of the
-deleted edges. Only the steps depend on the decomposition, so it is
-validated and compiled once into a cached plan, the steps down to one edge;
-one loop for both modes peels a host down the plan, takes its first
-remaining edge, and extends the image back up:
+``embed_dense`` turns the inductive extremal proof into an algorithm, one
+for both vertex orders. With fan counts (a, b, c) and c >= 1, an induction
+step deletes the longest rightward edge at every vertex g with
+b < g <= n-a-c+1 (n-k+1 deletions), embeds the tree minus its top right-fan
+edge, then re-extends at the image of the hub's left endpoint: the deleted
+edge there ends beyond every used vertex. When c = 0 the mirror image has
+c >= 1 and is solved instead. A cg z-tree is a rotation of its ordered
+z-tree ``dec.linear`` read in reverse label order, and a cg host is read
+the same way: cutting the circle open before vertex 1 keeps every edge, and
+an order-preserving embedding into that line is also one on the circle once
+both reversals are undone. So above (k-1)n - C(k,2) edges this always
+succeeds, in either order. Only the steps depend on the decomposition, so it
+is validated and compiled once into a cached plan, the steps down to one
+edge (for cg: unroll, mirror, then the plan of ``dec.linear``); one loop
+peels a host down the plan, takes its first remaining edge, and extends the
+image back up.
 
-* linear: with fan counts (a, b, c) and c >= 1, delete the longest rightward
-  edge at every vertex g with b < g <= n-a-c+1 (n-k+1 deletions), embed the
-  tree minus its top right-fan edge, then re-extend at the image of the hub's
-  left endpoint — the deleted edge there ends beyond every used vertex. When
-  c = 0 the mirror image has c >= 1 and is solved instead. Above the
-  threshold (k-1)n - C(k,2) this always succeeds.
-* cyclic: with core size a >= 2, delete at every vertex its two shortest
-  edges, one per rotational direction (at most 2n deletions), embed the tree
-  minus the leaf of the shortest core edge, and re-insert that leaf with the
-  deleted edge at the image of its neighbor, which lands strictly inside the
-  free arc. Double stars (a = 1) unroll: reading both circles as lines at
-  the canonical rotation reduces to the linear case. Above 2(k-1)n this
-  always succeeds.
-
-Below the thresholds either algorithm may return None without certifying
+Below the threshold the algorithm may return None without certifying
 absence. Every returned embedding is checked by the containment validator.
 Tie-breaking never arises in the peeling: from a fixed endpoint, distinct
-edges have distinct lengths in a line and distinct clockwise distances on a
-circle.
+edges have distinct lengths in a line.
 """
 
 from __future__ import annotations
 
 import time
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
@@ -98,9 +91,8 @@ from typing import Optional, Union
 
 from .containment import Embedding, contains, validate_embedding
 from .errors import BudgetError, InputError
-from .order import CgGraph, OrderedGraph, _adjacency_lists, _check_int, _Graph, mirror, rotate
-from .trees import CgZDecomposition, ZDecomposition, _linear_edges, _linear_image, _z_decompose
-from .trees import cg_z_decompose, validate_decomposition, z_decompose
+from .order import CgGraph, OrderedGraph, _check_int, _Graph, mirror, rotate
+from .trees import CgZDecomposition, ZDecomposition, _linear_edges, _z_decompose, validate_decomposition
 
 SOLVER_MIN_N = 2
 SOLVER_MAX_N = 8
@@ -357,30 +349,6 @@ def _strip_longest_right(host: OrderedGraph, lo: int, hi: int):
     return OrderedGraph._trusted(host.n, keep), deleted
 
 
-def _strip_two_shortest(host: CgGraph):
-    """Delete each vertex's shortest edge in each rotational direction.
-
-    Returns (stripped host, {(v, +1): w, (v, -1): w} of deleted far ends).
-    """
-    n = host.n
-    nbrs = _adjacency_lists(n, host.edges)
-    deleted = {}
-    gone = set()
-    for v in range(1, n + 1):
-        row = nbrs[v]
-        if not row:
-            continue
-        # clockwise the nearest neighbour is the first label above v, else
-        # the smallest; counter-clockwise the last below v, else the largest
-        i = bisect_left(row, v)
-        cw = row[i] if i < len(row) else row[0]
-        ccw = row[i - 1] if i > 0 else row[-1]
-        deleted[(v, +1)], deleted[(v, -1)] = cw, ccw
-        gone |= {(min(v, cw), max(v, cw)), (min(v, ccw), max(v, ccw))}
-    keep = tuple(e for e in host.edges if e not in gone)
-    return CgGraph._trusted(n, keep), deleted
-
-
 def _linear_steps(dec: ZDecomposition, steps: list) -> Optional[tuple]:
     """Append to steps those of a valid decomposition, down to one edge;
     return them all, or None if a derived tree does not decompose."""
@@ -404,37 +372,6 @@ def _linear_steps(dec: ZDecomposition, steps: list) -> Optional[tuple]:
     return tuple(steps)
 
 
-def _cyclic_steps(tree: CgGraph, dec: CgZDecomposition) -> Optional[tuple]:
-    """The induction steps of a valid cg decomposition of tree, or None."""
-    steps: list = []
-    while True:
-        lin, p = dec.linear, tree.n
-        if lin.a == 1 or len(tree.edges) == 1:
-            # double star: cut both circles open and solve on the line
-            flat = z_decompose(OrderedGraph._trusted(p, rotate(tree, dec.rotation).edges))
-            if not flat:
-                return None
-            steps.append(("unroll", dec.rotation))
-            return _linear_steps(flat, steps)
-        # in the tree's own labels: the shortest core edge's leaf x, its
-        # neighbour y, and the far endpoint z of the next core edge
-        e1, e2 = lin.core[0], lin.core[1]
-        y_lin = e1[0] if e1[0] in e2 else e1[1]
-        x_lin = e1[0] if e1[1] == y_lin else e1[1]
-        z_lin = e2[0] if e2[1] == y_lin else e2[1]
-        img = _linear_image(p, dec.rotation)
-        x, y, z = img[x_lin], img[y_lin], img[z_lin]
-        # dropping x keeps the order of the other labels, so the edges stay
-        # normalised and sorted
-        drop = [v - (v > x) for v in range(p + 1)]
-        tree = CgGraph._trusted(p - 1, tuple((drop[u], drop[v]) for u, v in tree.edges
-                                             if x not in (u, v)))
-        dec = cg_z_decompose(tree)
-        if not dec:
-            return None
-        steps.append(("two", x, drop[y], drop[z], +1 if (x - y) % p == 1 else -1))
-
-
 @lru_cache(maxsize=1024)  # more decompositions than the checks and benchmark use
 def _plan(dec: Union[ZDecomposition, CgZDecomposition]) -> tuple[_Graph, Optional[tuple]]:
     """(validated tree, its induction steps or None) for one decomposition."""
@@ -442,7 +379,7 @@ def _plan(dec: Union[ZDecomposition, CgZDecomposition]) -> tuple[_Graph, Optiona
         return _checked_tree(dec), _linear_steps(dec, [])
     lin = _checked_tree(dec.linear)
     tree = CgGraph._trusted(lin.n, _linear_edges(lin, dec.rotation))
-    return tree, _cyclic_steps(tree, dec)
+    return tree, _linear_steps(dec.linear, [("unroll", dec.rotation), ("mirror",)])
 
 
 def _run_plan(host: _Graph, steps: tuple) -> Optional[tuple[int, ...]]:
@@ -453,8 +390,6 @@ def _run_plan(host: _Graph, steps: tuple) -> Optional[tuple[int, ...]]:
         kind = step[0]
         if kind == "right":
             host, deleted = _strip_longest_right(host, step[1], n - step[2])
-        elif kind == "two":
-            host, deleted = _strip_two_shortest(host)
         else:
             deleted = None
             host = mirror(host) if kind == "mirror" else OrderedGraph._trusted(n, host.edges)
@@ -470,14 +405,6 @@ def _run_plan(host: _Graph, steps: tuple) -> Optional[tuple[int, ...]]:
             if w is None or w <= max(images):
                 return None
             images += (w,)
-        elif kind == "two":
-            # re-insert leaf x strictly inside the free arc from y towards z
-            _, x, y, z, direction = step
-            u, far = images[y - 1], images[z - 1]
-            w = deleted.get((u, direction))
-            if w is None or not 0 < direction * (w - u) % n < direction * (far - u) % n:
-                return None
-            images = images[:x - 1] + (w,) + images[x - 1:]
         elif kind == "mirror":
             images = tuple(n + 1 - v for v in reversed(images))
         else:
@@ -491,8 +418,9 @@ def embed_dense(
 ) -> Optional[Embedding]:
     """Embed the decomposed tree into a dense host, or return None.
 
-    Success is guaranteed above the mode's edge threshold (see module
-    docstring); any embedding returned is independently validated.
+    Success is guaranteed above (k-1)n - C(k,2) edges for a k-edge tree and
+    an n-vertex host, ordered or cg (see module docstring); any embedding
+    returned is independently validated.
     """
     if isinstance(dec, ZDecomposition):
         mode, need = "ordered", "a linear decomposition needs an ordered host"

@@ -275,18 +275,12 @@ def linearize(t: CgGraph, r: int) -> OrderedGraph:
     return OrderedGraph._trusted(t.n, _linear_edges(t, r))
 
 
-def _linear_image(n: int, r: int) -> list[int]:
-    """img[v] for v in 1..n (img[0] is unused): the label of vertex v after
-    linearize(., r), v -> n+1-(((v-1+r) mod n)+1). This is a reflection of
-    the circle, so it is its own inverse and also maps the labels of a
-    linearized tree back to the cg tree."""
-    return [0] + [n - (v + r) % n for v in range(n)]
-
-
 def _linear_edges(t: _Graph, r: int) -> tuple[Edge, ...]:
-    """The sorted edge list of linearize(t, r), built as no graph; applied to
-    linearize(t, r) it gives back t's edges."""
-    img = _linear_image(t.n, r)
+    """The sorted edge list of linearize(t, r), built as no graph. Vertex v
+    becomes n+1-(((v-1+r) mod n)+1), a reflection of the circle and so its
+    own inverse: applied to linearize(t, r) it gives back t's edges."""
+    n = t.n
+    img = [0] + [n - (v + r) % n for v in range(n)]
     edges = [(img[u], img[v]) for u, v in t.edges]
     return tuple(sorted([(a, b) if a < b else (b, a) for a, b in edges]))
 

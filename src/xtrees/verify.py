@@ -7,8 +7,8 @@ properties, the cyclic path census, walk extraction, dense embedding, the
 solver/oracle agreement and a metamorphic invariance sweep.
 
 A claim made in both vertex orders is checked by one loop over the two:
-c02 and c03 share ``_route_sweep``, c09 loops over (order, k, n, threshold)
-cells, and c11 runs one unary sweep and one containment-sample loop.
+c02 and c03 share ``_route_sweep``, c09 loops over (order, k, n) cells, and
+c11 runs one unary sweep and one containment-sample loop.
 
 The files under ``golden/`` are computed here alone: ``GOLDEN_FILES`` maps
 each name to a builder that also checks the paper's rules for its file, and
@@ -572,23 +572,22 @@ def _random_subgraph(rng: random.Random, n: int, num_edges: int, cyclic: bool):
 def _c09_dense_embedding(seed: int) -> tuple[dict, list[str]]:
     """Above the edge threshold embed_dense always succeeds; on gstar it finds nothing.
 
-    1000 seeded hosts per (order, k, n, threshold) cell, each with more edges
-    than the threshold: (k-1)n - C(k,2) for ordered hosts and 2(k-1)n for cg
-    hosts.  Each is paired round-robin with a decomposed (cg) z-tree with k
-    edges.  The negative half feeds
-    gstar(n, a, b, c) the matching double-star z-tree: embed_dense must
-    return None, and (as the hosts are small) a full containment check
-    confirms the tree is genuinely absent.
+    1000 seeded hosts per (order, k, n) cell, each with more edges than the
+    threshold (k-1)n - C(k,2), which holds for ordered and cg hosts alike.
+    Each is paired round-robin with a decomposed (cg) z-tree with k edges.
+    The negative half feeds gstar(n, a, b, c) the matching double-star
+    z-tree: embed_dense must return None, and (as the hosts are small) a
+    full containment check confirms the tree is genuinely absent.
     """
     failures: list[str] = []
     rng = random.Random(f"{seed}-c09")
-    cells = [("linear", k, n, LinearFormula(k).value(n)) for k in (3, 4) for n in (6, 7, 8)]
-    cells += [("cyclic", k, n, 2 * (k - 1) * n) for k, n in ((2, 8), (3, 12))]
-    pools = {(o, k): list(_z_trees(k, o)) for o, k in {(o, k) for o, k, _, _ in cells}}
+    cells = [("linear", k, n) for k in (3, 4) for n in (6, 7, 8)]
+    cells += [("cyclic", k, n) for k, n in ((2, 8), (3, 12))]
+    pools = {(o, k): list(_z_trees(k, o)) for o, k in {(o, k) for o, k, _ in cells}}
     embeds = 0
-    for order, k, n, threshold in cells:
+    for order, k, n in cells:
         pool = pools[order, k]
-        top = n * (n - 1) // 2
+        threshold, top = LinearFormula(k).value(n), n * (n - 1) // 2
         for trial in range(1000):
             host = _random_subgraph(rng, n, rng.randint(threshold + 1, top), order == "cyclic")
             tree, dec = pool[trial % len(pool)]

@@ -13,8 +13,8 @@ from xtrees import solver
 from xtrees.constructions import gstar
 from xtrees.containment import Embedding, validate_embedding
 from xtrees.errors import InputError, NotApplicableError
-from xtrees.order import CgGraph, OrderedGraph, mirror, rotate
-from xtrees.solver import _strip_longest_right, _strip_two_shortest, embed_dense
+from xtrees.order import CgGraph, OrderedGraph, mirror
+from xtrees.solver import _strip_longest_right, embed_dense
 from xtrees.trees import (
     CgZDecomposition,
     ZDecomposition,
@@ -61,21 +61,6 @@ class TestStripping:
         stripped, got = _strip_longest_right(OrderedGraph(n, edges), lo, hi)
         assert got == deleted
         assert stripped == OrderedGraph(n, keep)
-
-    @given(_hosts())
-    def test_two_shortest(self, host):
-        n, edges = host
-        deleted, gone = {}, set()
-        for v in range(1, n + 1):
-            nbrs = [w for e in edges for w in e if v in e and w != v]
-            if nbrs:
-                cw = min(nbrs, key=lambda w: (w - v) % n)
-                ccw = min(nbrs, key=lambda w: (v - w) % n)
-                deleted[(v, +1)], deleted[(v, -1)] = cw, ccw
-                gone |= {(min(v, cw), max(v, cw)), (min(v, ccw), max(v, ccw))}
-        stripped, got = _strip_two_shortest(CgGraph(n, edges))
-        assert got == deleted
-        assert stripped == CgGraph(n, [e for e in edges if e not in gone])
 
 
 class TestLinear:
@@ -135,7 +120,7 @@ class TestCyclic:
             if is_cg_z_tree(t)
         ]
         pool = list(itertools.combinations(range(1, 11), 2))
-        threshold = 2 * 2 * 10  # 2(k-1)n with k = 3, n = 10
+        threshold = 2 * 10 - 3  # (k-1)n - C(k,2) with k = 3, n = 10
         for trial in range(150):
             m = rng.randint(threshold + 1, len(pool))
             host = CgGraph(10, rng.sample(pool, m))
@@ -205,44 +190,14 @@ def ref_embed_linear(host, dec) -> Optional[tuple]:
 
 
 def ref_embed_cyclic(host, tree, dec) -> Optional[tuple]:
-    lin, p, n = dec.linear, tree.n, host.n
-    if lin.a == 1 or len(tree.edges) == 1:
-        r = dec.rotation
-        d = z_decompose(OrderedGraph(p, rotate(tree, r).edges))
-        if not d:
-            return None
-        sub = ref_embed_linear(OrderedGraph(n, host.edges), d)
-        if sub is None:
-            return None
-        return tuple(sub[(v - 1 + r) % p] for v in range(1, p + 1))
-
-    def tree_label(lin_label):
-        return ((p - lin_label - dec.rotation) % p) + 1
-
-    e1, e2 = lin.core[0], lin.core[1]
-    y_lin = e1[0] if e1[0] in e2 else e1[1]
-    x_lin = e1[0] if e1[1] == y_lin else e1[1]
-    z_lin = e2[0] if e2[1] == y_lin else e2[1]
-    x, y, z = tree_label(x_lin), tree_label(y_lin), tree_label(z_lin)
-    stripped, deleted = _strip_two_shortest(host)
-    drop = {v: (v if v < x else v - 1) for v in range(1, p + 1) if v != x}
-    sub_tree = CgGraph(p - 1, [(drop[u], drop[v]) for u, v in tree.edges if x not in (u, v)])
-    sub_dec = cg_z_decompose(sub_tree)
-    if not sub_dec:
-        return None
-    sub = ref_embed_cyclic(stripped, sub_tree, sub_dec)
+    """Read the host as a line, mirror it, embed dec.linear, map the images
+    back: mirrored, they embed tree rotated by dec.rotation in the line."""
+    p, n, r = tree.n, host.n, dec.rotation
+    sub = ref_embed_linear(mirror(OrderedGraph(n, host.edges)), dec.linear)
     if sub is None:
         return None
-    u, zz = sub[drop[y] - 1], sub[drop[z] - 1]
-    direction = +1 if (x - y) % p == 1 else -1
-    w = deleted.get((u, direction))
-    if w is None:
-        return None
-    gap = (zz - u) % n if direction == +1 else (u - zz) % n
-    got = (w - u) % n if direction == +1 else (u - w) % n
-    if not 0 < got < gap:
-        return None
-    return sub[:x - 1] + (w,) + sub[x - 1:]
+    line = tuple(n + 1 - sub[p - v] for v in range(1, p + 1))
+    return tuple(line[(v - 1 + r) % p] for v in range(1, p + 1))
 
 
 def ref_images(host, dec) -> Optional[tuple]:
@@ -328,12 +283,15 @@ class TestAgainstReference:
 
 
 class TestTightHosts:
-    def test_gstar_plus_one_edge_embeds_every_z_tree(self):
-        """gstar(n, a, b, c) has exactly (k-1)n - C(k,2) edges; with one edge
-        more every k-edge z-tree must embed (3,870 host-tree pairs)."""
+    @staticmethod
+    def _embed_every_tree(order: str) -> int:
+        """Each gstar(n, a, b, c) with k = a + b + c <= 4 and n <= 8 has
+        exactly (k-1)n - C(k,2) edges; with one edge more, read in the given
+        order, every k-edge (cg) z-tree must embed. Returns the pair count."""
+        cls, decompose = (CgGraph, cg_z_decompose) if order == "cyclic" else (OrderedGraph, z_decompose)
         pairs = 0
         for k in range(1, 5):
-            decs = [z_decompose(t) for t in enumerate_trees(k, "linear", "chi2") if is_z_tree(t)]
+            trees = [(t, dec) for t in enumerate_trees(k, order, "chi2") if (dec := decompose(t))]
             for a in range(1, k + 1):
                 for b in range(k - a + 1):
                     for n in range(k + 1, 9):
@@ -341,18 +299,27 @@ class TestTightHosts:
                         for e in itertools.combinations(range(1, n + 1), 2):
                             if e in base.edges:
                                 continue
-                            host = OrderedGraph(n, base.edges + (e,))
-                            for dec in decs:
+                            host = cls(n, base.edges + (e,))
+                            for tree, dec in trees:
                                 pairs += 1
-                                assert embed_dense(host, dec) is not None, (host.edges, dec)
-        assert pairs == 3870
+                                emb = embed_dense(host, dec)
+                                assert emb is not None, (host.edges, tree.edges)
+                                assert validate_embedding(host, tree, emb)
+        return pairs
+
+    def test_gstar_plus_one_edge_embeds_every_z_tree(self):
+        assert self._embed_every_tree("linear") == 3870
+
+    def test_gstar_plus_one_edge_embeds_every_cg_z_tree(self):
+        """The cg threshold is the ordered one: the hosts read on the circle."""
+        assert self._embed_every_tree("cyclic") == 11108
 
 
 class TestPlan:
     def test_one_plan_build_serves_every_host(self, monkeypatch):
         """Derived decompositions are built once per decomposition, not per call."""
         calls = []
-        for name in ("_z_decompose", "z_decompose", "cg_z_decompose", "validate_decomposition"):
+        for name in ("_z_decompose", "validate_decomposition"):
             real = getattr(solver, name)
             monkeypatch.setattr(
                 solver, name, lambda *a, _real=real, _name=name: calls.append(_name) or _real(*a)

@@ -30,6 +30,7 @@ from xtrees.solver import (
 )
 from xtrees.trees import (
     CROSSING_P3_EDGES,
+    LinearFormula,
     enumerate_trees,
     is_cg_z_tree,
     is_z_tree,
@@ -327,15 +328,18 @@ class TestStructuralBounds:
         assert values == sorted(values)
         assert all(b - a >= 1 for a, b in zip(values, values[1:]))
 
-    def test_cyclic_never_exceeds_twice_linear_slope(self):
-        """Cg z-trees stay under 2(k-1)n; pinning the small-n table guards the
-        peeling recursion's base assumptions."""
+    def test_cyclic_never_exceeds_linear_formula(self):
+        """Cg z-trees stay at or under (k-1)n - C(k,2), the bound embed_dense
+        constructs above; the exact values reach it at k = 3."""
         for k in (2, 3):
             for t in enumerate_trees(k, "cyclic", "chi2"):
                 if not is_cg_z_tree(t):
                     continue
                 for n in range(t.n, 7):
-                    assert extremal_number(n, t).value <= 2 * (k - 1) * n
+                    assert extremal_number(n, t).value <= LinearFormula(k).value(n)
+        tight = CgGraph(4, [(1, 3), (2, 4), (3, 4)])
+        assert is_cg_z_tree(tight)
+        assert extremal_number(6, tight).value == LinearFormula(3).value(6) == 9
 
     def test_double_star_cyclic_at_most_linear(self):
         lin = OrderedGraph(3, [(1, 3), (2, 3)])
