@@ -53,6 +53,8 @@ def load_graph(source: Union[str, TextIO]) -> _Graph:
                 doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise InputError(f"not valid JSON: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise InputError(f"not UTF-8 text: {exc}") from None
     except OSError as exc:
         raise InputError(str(exc)) from None
     return graph_from_dict(doc)

@@ -35,8 +35,9 @@ would cost more memory than time.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .errors import InputError
 
@@ -53,9 +54,10 @@ _SHARED_EDGES = [
 
 
 def _normalize_edge(e: Sequence[int]) -> Edge:
-    if len(e) != 2:
-        raise InputError(f"edge must have two endpoints, got {e!r}")
-    u, v = e
+    try:
+        u, v = e
+    except (TypeError, ValueError):
+        raise InputError(f"edge must have two endpoints, got {e!r}") from None
     if type(u) is not int or type(v) is not int:
         raise InputError(f"edge endpoints must be integers, got {e!r}")
     if u == v:
@@ -76,6 +78,8 @@ def _check_edges(n: int, edges: Iterable[Sequence[int]]) -> list[Edge]:
     _check_int("vertex count", n)
     if n < 1:
         raise InputError(f"vertex count must be >= 1, got {n}")
+    if not isinstance(edges, Iterable):
+        raise InputError(f"edges must be a sequence of vertex pairs, got {edges!r}")
     out = []
     seen = set()
     for e in edges:
@@ -105,6 +109,8 @@ class _Graph:
     def __init__(self, n: int, edges: Iterable[Sequence[int]] = (), colors=None):
         norm = _check_edges(n, edges)
         if colors is not None:
+            if not isinstance(colors, Iterable):
+                raise InputError(f"colors must be a sequence of integers, got {colors!r}")
             colors = list(colors)
             if any(type(c) is not int for c in colors):
                 raise InputError(f"colors must be integers, got {colors!r}")

@@ -72,8 +72,8 @@ both reversals are undone. So above (k-1)n - C(k,2) edges this always
 succeeds, in either order. Only the steps depend on the decomposition, so it
 is validated and compiled once into a cached plan, the steps down to one
 edge (for cg: unroll, mirror, then the plan of ``dec.linear``); one loop
-peels a host down the plan, takes its first remaining edge, and extends the
-image back up.
+peels a host's sorted edge list down the plan, takes its first remaining
+edge, and extends the image back up.
 
 Below the threshold the algorithm may return None without certifying
 absence. Every returned embedding is checked by the containment validator.
@@ -337,16 +337,16 @@ def _checked_tree(dec: ZDecomposition) -> OrderedGraph:
     return tree
 
 
-def _strip_longest_right(host: OrderedGraph, lo: int, hi: int):
+def _strip_longest_right(edges, lo: int, hi: int):
     """Delete each vertex's longest rightward edge for lo <= g <= hi.
 
-    Returns (stripped host, {g: far endpoint of the deleted edge}).
+    Takes sorted edges and returns (the kept edges as a sorted tuple,
+    {g: far endpoint of the deleted edge}).
     """
-    far = dict(host.edges)  # the edges are sorted: the last (g, w) is the longest
+    far = dict(edges)  # the edges are sorted: the last (g, w) is the longest
     deleted = {g: far[g] for g in range(lo, hi + 1) if g in far}
     gone = set(deleted.items())
-    keep = tuple(e for e in host.edges if e not in gone)
-    return OrderedGraph._trusted(host.n, keep), deleted
+    return tuple(e for e in edges if e not in gone), deleted
 
 
 def _linear_steps(dec: ZDecomposition, steps: list) -> Optional[tuple]:
@@ -383,20 +383,25 @@ def _plan(dec: Union[ZDecomposition, CgZDecomposition]) -> tuple[_Graph, Optiona
 
 
 def _run_plan(host: _Graph, steps: tuple) -> Optional[tuple[int, ...]]:
-    """Peel the host down the steps, take its first edge, extend back up."""
+    """Peel the host's edges down the steps, take the first, extend back up.
+
+    Unroll peels nothing: a cg host's edges, read as a line, are the same
+    sorted list.
+    """
     n = host.n
+    edges = host.edges
     peeled = []
     for step in steps:
         kind = step[0]
+        deleted = None
         if kind == "right":
-            host, deleted = _strip_longest_right(host, step[1], n - step[2])
-        else:
-            deleted = None
-            host = mirror(host) if kind == "mirror" else OrderedGraph._trusted(n, host.edges)
+            edges, deleted = _strip_longest_right(edges, step[1], n - step[2])
+        elif kind == "mirror":
+            edges = sorted((n + 1 - v, n + 1 - u) for u, v in edges)
         peeled.append(deleted)
-    if not host.edges:
+    if not edges:
         return None
-    images = min(host.edges)
+    images = edges[0]
     for step, deleted in zip(reversed(steps), reversed(peeled)):
         kind = step[0]
         if kind == "right":

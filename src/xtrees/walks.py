@@ -14,9 +14,11 @@ consecutive edges, and the color rules already give it: c2 < c3 < c4, and
 c1 > c2 in both kinds.
 
 Both kinds read as an ascending path e2 e3 e4 (c2 < c3 < c4) from v1 plus a
-first edge e1 at v1 whose color is tested against c2 and c4. That test is
-written once, in ``_first_e1``; the detector ``find_forbidden_walk`` and the
-closure test of extraction (does one added edge close a walk?) both call it.
+first edge e1 at v1 whose color is tested against c2 and c4. That search
+from e2 is written once, in ``_walk_from_e2``: the detector
+``find_forbidden_walk`` runs it from every edge, and the closure test of
+extraction (does one added edge close a walk?) from the edges near the
+added one.
 ``enumerate_all_walks`` and ``Walk4.check`` share none of this code and serve
 as the independent reference and validator.
 
@@ -56,6 +58,11 @@ def _check_kind_side(kind: str, start_side: Optional[str]) -> Optional[str]:
     if side not in ("A", "B"):
         raise InputError(f"start_side must be 'A' or 'B', got {start_side!r}")
     return side
+
+
+def _check_graph(g) -> None:
+    if not isinstance(g, ColoredBipartite):
+        raise InputError(f"expected a ColoredBipartite, got {type(g).__name__}")
 
 
 def _vertex_set(vs: Iterable[int]) -> frozenset:
@@ -232,37 +239,20 @@ class Walk4:
                 raise AssertionError(f"slow walk must start in {side}")
 
 
-def _first_e1(nbrs, v1, c2, c4, kind, side_of, side) -> Optional[tuple[int, int]]:
-    """First edge e1 = v0 v1, as (v0, c1), that completes an ascending path
-    e2 e3 e4 from v1 with colours c2 < c3 < c4 into a walk, or None.
-
-    fast needs c4 <= c1; slow needs c2 < c1 <= c4 and v0 on the start side.
-    Either way c1 > c2, so e1 is never e2.
-    """
-    if kind == "fast":
-        for v0, c1 in nbrs(v1):
-            if c1 >= c4:
-                return v0, c1
-    else:
-        for v0, c1 in nbrs(v1):
-            if c2 < c1 <= c4 and side_of(v0) == side:
-                return v0, c1
-    return None
-
-
 def _walk_from_e2(nbrs, v1, v2, c2, kind, side_of, side) -> Optional[Walk4]:
-    """First walk with second edge e2 = v1 v2 of colour c2: e2 grows into an
-    ascending path e2 e3 e4, which ``_first_e1`` closes at v1. None if none."""
+    """First walk with second edge e2 = v1 v2 of colour c2, or None: e2 grows
+    into an ascending path e2 e3 e4, and e1 = v0 v1 closes it if c4 <= c1
+    (fast), or c2 < c1 <= c4 with v0 on the start side (slow). Either way
+    c1 > c2, so e1 is never e2."""
     for v3, c3 in nbrs(v2):
         if c3 <= c2:
             continue
         for v4, c4 in nbrs(v3):
             if c4 <= c3:
                 continue
-            first = _first_e1(nbrs, v1, c2, c4, kind, side_of, side)
-            if first is not None:
-                v0, c1 = first
-                return Walk4((v0, v1, v2, v3, v4), (c1, c2, c3, c4), kind)
+            for v0, c1 in nbrs(v1):
+                if (c4 <= c1) if kind == "fast" else (c2 < c1 <= c4 and side_of(v0) == side):
+                    return Walk4((v0, v1, v2, v3, v4), (c1, c2, c3, c4), kind)
     return None
 
 
@@ -275,6 +265,7 @@ def find_forbidden_walk(
     sorted order, and the walk is grown from its second edge outward (e2,
     then e3, e4, then e1), which keeps the color filters sharpest early.
     """
+    _check_graph(g)
     side = _check_kind_side(kind, start_side)
     nbrs = g.neighbors
     for v1 in sorted(g._adj):
@@ -300,6 +291,7 @@ def enumerate_all_walks(
     in at most one way, so the list and its order are those of the product.
     Capped at 14 edges.
     """
+    _check_graph(g)
     side = _check_kind_side(kind, start_side)
     if len(g.edges) > ORACLE_EDGE_LIMIT:
         raise InputError(f"reference enumeration capped at {ORACLE_EDGE_LIMIT} edges")
@@ -341,56 +333,17 @@ def enumerate_all_walks(
     return found
 
 
-def _walk_through(
-    adj: dict[int, list[tuple[int, int]]],
-    cn: int,
-    e_new: tuple[int, int],
-    kind: str,
-    side_of,
-    side: Optional[str],
-) -> bool:
-    """Does adding e_new, of colour cn and already present in adj, close
-    some forbidden walk?
+def _walk_through(adj, e_new, kind, side_of, side) -> bool:
+    """Does e_new, already in adj, close a forbidden walk?
 
-    Only walks using e_new in at least one of the four slots can be new, so
-    the scan fixes e_new's slot and direction and extends outward. In the
-    e2, e3 and e4 slots that leaves an ascending path e2 e3 e4 from v1,
-    which ``_first_e1`` completes; in the e1 slot the path starts at v1 = b.
+    Precondition: the other edges of adj are walk-free. So a walk uses e_new,
+    and its second edge v1 v2 ends at a neighbour v2 of an end x of e_new:
+    x = v1 when e_new is e1 or e2, and x = v3 when it is e3 or e4. The
+    detector's search runs from each such e2.
     """
-
-    def nbrs(v):
-        return adj.get(v, ())
-
-    for a, b in (e_new, e_new[::-1]):
-        # e_new as e2 = (v1=a, v2=b)
-        if _walk_from_e2(nbrs, a, b, cn, kind, side_of, side):
-            return True
-        # e_new as e3 = (v2=a, v3=b)
-        for v1, c2 in nbrs(a):
-            if c2 < cn:
-                for v4, c4 in nbrs(b):
-                    if c4 > cn and _first_e1(nbrs, v1, c2, c4, kind, side_of, side):
-                        return True
-        # e_new as e4 = (v3=a, v4=b)
-        for v2, c3 in nbrs(a):
-            if c3 < cn:
-                for v1, c2 in nbrs(v2):
-                    if c2 < c3 and _first_e1(nbrs, v1, c2, cn, kind, side_of, side):
-                        return True
-        # e_new as e1 = (v0=a, v1=b): both kinds need c2 < c3 < c4 and
-        # c2 < c1 = cn; fast adds c4 <= cn, slow cn <= c4 and a on the side
-        if kind == "slow" and side_of(a) != side:
-            continue
-        for v2, c2 in nbrs(b):
-            if c2 >= cn:
-                continue
-            for v3, c3 in nbrs(v2):
-                if c3 <= c2:
-                    continue
-                for v4, c4 in nbrs(v3):
-                    if c4 > c3 and (c4 <= cn if kind == "fast" else cn <= c4):
-                        return True
-    return False
+    nbrs = adj.__getitem__  # every end of an edge in adj is a key
+    return any(_walk_from_e2(nbrs, v1, v2, c2, kind, side_of, side)
+               for x in e_new for v2, _ in nbrs(x) for v1, c2 in nbrs(v2))
 
 
 @dataclass(frozen=True)
@@ -426,6 +379,8 @@ def size_bound(num_edges: int, d: int) -> int:
     """ceil(log2(d) / (480 d) * |E|) — the guaranteed extraction size."""
     _check_int("num_edges", num_edges)
     _check_int("d", d)
+    if num_edges < 0:
+        raise InputError("num_edges must be non-negative")
     if d < 1:
         raise InputError("d must be positive")
     return math.ceil(math.log2(d) / (480 * d) * num_edges)
@@ -437,6 +392,7 @@ def extract_walk_free(
     start_side: Optional[str] = None,
     seed: int = 0,
 ) -> Extraction:
+    _check_graph(g)
     _check_int("seed", seed)
     side = _check_kind_side(kind, start_side)
     bound = size_bound(len(g.edges), g.d)
@@ -445,20 +401,16 @@ def extract_walk_free(
 
     def walk_free_greedy() -> tuple[list[tuple[int, int]], str]:
         by_size = sorted(classes.items(), key=lambda kv: (-len(kv[1]), kv[0]))
-        start = [e for _, es in by_size[:2] for e in es]
-        chosen = set(start)
-        adj: dict[int, list[tuple[int, int]]] = {}
-        for u, v in chosen:
-            c = g.color_of(u, v)
-            adj.setdefault(u, []).append((v, c))
-            adj.setdefault(v, []).append((u, c))
+        chosen = {e for _, es in by_size[:2] for e in es}
+        two = {c for c, _ in by_size[:2]}
+        adj = {v: [(w, c) for w, c in g.neighbors(v) if c in two] for v in g._adj}
         rest = [e for _, es in by_size[2:] for e in es]
         random.Random(seed).shuffle(rest)
         for u, v in rest:
             c = g.color_of(u, v)
-            adj.setdefault(u, []).append((v, c))
-            adj.setdefault(v, []).append((u, c))
-            if _walk_through(adj, c, (u, v), kind, g.side_of, side):
+            adj[u].append((v, c))
+            adj[v].append((u, c))
+            if _walk_through(adj, (u, v), kind, g.side_of, side):
                 adj[u].remove((v, c))
                 adj[v].remove((u, c))
             else:
@@ -483,7 +435,7 @@ def extract_walk_free(
             c = g.color_of(u, v)
             adj.setdefault(u, []).append((v, c))
             adj.setdefault(v, []).append((u, c))
-            if not _walk_through(adj, c, (u, v), kind, g.side_of, side):
+            if not _walk_through(adj, (u, v), kind, g.side_of, side):
                 chosen.append((u, v))
                 rec(idx + 1)
                 chosen.pop()

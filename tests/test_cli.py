@@ -267,6 +267,23 @@ class TestVerifyAndParsing:
     def test_missing_file(self, capsys):
         assert main(["classify", "--input", "/nonexistent/nope.json"]) == 2
 
+    @pytest.mark.parametrize(
+        "data",
+        [
+            b'{"mode": "ordered", "n": 3, "edges": null}',
+            b'{"mode": "ordered", "n": 3, "edges": 7}',
+            b'{"mode": "ordered", "n": 3, "edges": [5]}',
+            b'{"mode": "ordered", "n": 3, "edges": [[1, 2]], "colors": 5}',
+            b'{"mode": "ordered", "n": 3, "edges": [[1, 2]]}\xff',
+        ],
+        ids=["edges-null", "edges-int", "edge-int", "colors-int", "not-utf8"],
+    )
+    def test_malformed_file_is_an_input_error(self, tmp_path, capsys, data):
+        path = tmp_path / "bad.json"
+        path.write_bytes(data)
+        assert main(["classify", "--input", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
     def test_unknown_subcommand_exits_two(self):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])

@@ -58,9 +58,9 @@ class TestStripping:
             if rights:
                 deleted[g] = max(rights)
         keep = [e for e in edges if e not in set(deleted.items())]
-        stripped, got = _strip_longest_right(OrderedGraph(n, edges), lo, hi)
+        stripped, got = _strip_longest_right(OrderedGraph(n, edges).edges, lo, hi)
         assert got == deleted
-        assert stripped == OrderedGraph(n, keep)
+        assert stripped == OrderedGraph(n, keep).edges
 
 
 class TestLinear:
@@ -179,8 +179,8 @@ def ref_embed_linear(host, dec) -> Optional[tuple]:
             return None
         return tuple(host.n + 1 - sub[k + 1 - v] for v in range(1, k + 2))
     i = dec.hub[0]
-    stripped, deleted = _strip_longest_right(host, b + 1, host.n - a - c + 1)
-    sub = ref_embed_linear(stripped, ZDecomposition(dec.hub, dec.core, dec.s_j, dec.s_i[:-1]))
+    keep, deleted = _strip_longest_right(host.edges, b + 1, host.n - a - c + 1)
+    sub = ref_embed_linear(OrderedGraph(host.n, keep), ZDecomposition(dec.hub, dec.core, dec.s_j, dec.s_i[:-1]))
     if sub is None:
         return None
     w = deleted.get(sub[i - 1])

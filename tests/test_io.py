@@ -59,6 +59,11 @@ def test_extra_keys_are_ignored():
         {"mode": "ordered", "n": 3, "edges": [[1.7, 2.2]]},
         {"mode": "ordered", "n": 3, "edges": ["12"]},
         {"mode": "ordered", "n": 3, "edges": [[True, 2]]},
+        {"mode": "ordered", "n": 3, "edges": None},
+        {"mode": "ordered", "n": 3, "edges": 7},
+        {"mode": "ordered", "n": 3, "edges": [5]},
+        {"mode": "ordered", "n": 3, "edges": [[1, 2, 3]]},
+        {"mode": "cg", "n": 3, "edges": [[1, 2]], "colors": 5},
     ],
 )
 def test_malformed_documents(doc):
@@ -83,6 +88,15 @@ def test_invalid_json_text(tmp_path):
     path.write_text("{not json")
     with pytest.raises(InputError):
         load_graph(str(path))
+
+
+def test_non_utf8_bytes(tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"mode": "ordered", "n": 2, "edges": [], "note": "\xe9"}')
+    with pytest.raises(InputError):
+        load_graph(str(path))
+    with open(path, encoding="utf-8") as fh, pytest.raises(InputError):
+        load_graph(fh)
 
 
 @given(

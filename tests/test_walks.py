@@ -125,6 +125,8 @@ class TestExtraction:
         assert size_bound(1000, 4) == 2
         with pytest.raises(InputError):
             size_bound(10, 0)
+        with pytest.raises(InputError):
+            size_bound(-100, 2)
 
     def test_exhaustive_on_f16(self):
         g = _f(16)
@@ -170,6 +172,14 @@ class TestExtraction:
             extract_walk_free(_f(16), "fast", seed=seed)
 
 
+@pytest.mark.parametrize("g", [f_n(8), None, [(1, 2, 1)]])
+def test_entry_points_reject_other_graphs(g):
+    """The search and extraction take a ColoredBipartite, nothing else."""
+    for call in (find_forbidden_walk, enumerate_all_walks, extract_walk_free):
+        with pytest.raises(InputError):
+            call(g, "fast")
+
+
 def test_walk_check_rejects_under_optimize():
     """Walk4.check raises explicitly, so python -O keeps the check."""
     code = (
@@ -210,7 +220,8 @@ class TestColoredBipartiteTypes:
 
 # -- reference versions of the walk search, as they were before the colour
 # test of the first edge e1 was shared: every slot of the closure test spells
-# out its own colour rules and its own e1 != e2 exclusion.
+# out its own colour rules and its own e1 != e2 exclusion. The closure test
+# now runs the detector's search instead, without the colour of the new edge.
 
 
 def ref_find_forbidden_walk(g, kind, start_side=None):
@@ -339,6 +350,13 @@ def _reference_graphs():
     return [_f(n) for n in (8, 16, 32, 64)] + [_random_graph(rng) for _ in range(150)]
 
 
+def _ref_closure(adj, e_new, kind, side_of, side):
+    """ref_walk_through, with the colour of e_new read from adj."""
+    u, v = e_new
+    cn = next(c for w, c in adj[u] if w == v)
+    return ref_walk_through(adj, cn, e_new, kind, side_of, side)
+
+
 class TestAgainstReferences:
     def test_detector_witnesses(self):
         for g in _reference_graphs():
@@ -349,7 +367,7 @@ class TestAgainstReferences:
         graphs = _reference_graphs()
         runs = [(g, kind, side) for g in graphs for kind, side in SETTINGS]
         want = []
-        monkeypatch.setattr(walks, "_walk_through", ref_walk_through)
+        monkeypatch.setattr(walks, "_walk_through", _ref_closure)
         for g, kind, side in runs:
             want.append(extract_walk_free(g, kind, side, seed=5).subgraph.edges)
 
@@ -357,7 +375,7 @@ class TestAgainstReferences:
 
         def both(*args):
             got = _walk_through(*args)
-            assert got == ref_walk_through(*args), args[1:3]
+            assert got == _ref_closure(*args), args[1:3]
             answers.append(got)
             return got
 
@@ -370,6 +388,30 @@ class TestAgainstReferences:
             methods.add(ext.method)
         assert methods == {"exhaustive", "greedy"}
         assert True in answers and False in answers
+
+    def test_closure_in_shuffled_insertion_order(self):
+        """Insert each graph's edges in shuffled order and keep an edge only
+        when it closes nothing, so the kept edges stay walk-free: every
+        answer is the reference's, whatever the order of the lists in adj."""
+        rng = random.Random(22)
+        calls = closing = 0
+        for _ in range(300):
+            g = _random_graph(rng)
+            for kind, side in SETTINGS:
+                order = list(g.edges)
+                rng.shuffle(order)
+                adj = {}
+                for u, v, c in order:
+                    adj.setdefault(u, []).append((v, c))
+                    adj.setdefault(v, []).append((u, c))
+                    got = _walk_through(adj, (u, v), kind, g.side_of, side)
+                    assert got == ref_walk_through(adj, c, (u, v), kind, g.side_of, side)
+                    calls += 1
+                    if got:
+                        closing += 1
+                        adj[u].remove((v, c))
+                        adj[v].remove((u, c))
+        assert (calls, closing) == (5400, 1172)
 
 
 # -- the brute-force walk reference as it was before it dropped failing
