@@ -28,9 +28,12 @@ colours must be ints, edges in range, loop-free and distinct. The transforms
 arithmetic and build through the unchecked ``_Graph._trusted``, because a
 permutation of a valid graph is valid. The neighbour lists, adjacency
 masks, tree test and interval splits are computed on first use and kept on
-the graph, outside equality and hashing; a transform hands a known tree
-test on to its result. ``edge_set`` is rebuilt on each call: kept, it
-would cost more memory than time.
+the graph, outside equality and hashing. A transform hands a known tree
+test on to its result, and mirror, rotate and reflect also hand on the
+split in the graph's own order (interval for ordered graphs, cyclic for cg
+graphs): mapped boundary by boundary when the split is unique, that is for
+a known tree with two parts, and as χ alone otherwise. ``edge_set`` is
+rebuilt on each call: kept, it would cost more memory than time.
 """
 
 from __future__ import annotations
@@ -145,12 +148,17 @@ class _Graph:
     def edge_set(self) -> frozenset:
         return frozenset(self.edges)
 
+    def _kept(self, key, compute):
+        """compute(self), computed on first use and kept under ``key``. An
+        exception is not kept: it is raised again on the next call."""
+        cache = self._adj_cache
+        if key not in cache:
+            cache[key] = compute(self)
+        return cache[key]
+
     def _neighbor_lists(self) -> list[list[int]]:
         """_adjacency_lists of this graph, kept; callers must not change them."""
-        cache = self._adj_cache
-        if "nbrs" not in cache:
-            cache["nbrs"] = _adjacency_lists(self.n, self.edges)
-        return cache["nbrs"]
+        return self._kept("nbrs", lambda g: _adjacency_lists(g.n, g.edges))
 
     def _check_vertex(self, v) -> None:
         if type(v) is not int or not 1 <= v <= self.n:
@@ -166,16 +174,11 @@ class _Graph:
 
     def adjacency_masks(self) -> list[int]:
         """adj[v] for v in 0..n-1 (0-based), as bitmasks over 0..n-1."""
-        if "masks" not in self._adj_cache:
-            self._adj_cache["masks"] = _adjacency_masks(self.n, self.edges)
-        return self._adj_cache["masks"]
+        return self._kept("masks", lambda g: _adjacency_masks(g.n, g.edges))
 
     def is_tree(self) -> bool:
         """Connected and acyclic on the full vertex set 1..n."""
-        cache = self._adj_cache
-        if "tree" not in cache:
-            cache["tree"] = _is_spanning_tree(self.n, self.edges)
-        return cache["tree"]
+        return self._kept("tree", lambda g: _is_spanning_tree(g.n, g.edges))
 
     def relabeled(self, perm: dict):
         """Apply a vertex relabelling {old: new}; colors follow their edges.
@@ -188,10 +191,19 @@ class _Graph:
             raise InputError(f"relabelling {perm!r} is not a permutation of 1..{self.n}")
         return self._mapped([0] + [perm[v] for v in labels])
 
-    def _mapped(self, img: list[int]):
+    def _mapped(self, img: list[int], bound=None):
         """The graph with each vertex v renamed img[v]; img must be a
         permutation of 1..n (img[0] is unused), so no check is needed. A
-        relabelling keeps a tree a tree, so a known tree test carries over."""
+        relabelling keeps a tree a tree, so a known tree test carries over.
+
+        ``bound``, given by mirror, rotate and reflect, maps a boundary of a
+        split in this graph's own order to its image; those transforms keep
+        that order's χ. The split is computed here, and kept on this graph,
+        even if nobody has asked for it yet, so one scan serves the graph and
+        all its transforms. A connected graph has at most one split into two
+        parts, so a known tree with two parts hands on its mapped split, and
+        any other graph its χ alone. ``relabeled`` hands on neither.
+        """
         edges = [(img[u], img[v]) for u, v in self.edges]
         edges = [(a, b) if a < b else (b, a) for a, b in edges]
         if self.colors is None:
@@ -202,8 +214,16 @@ class _Graph:
             g = self._trusted(
                 self.n, tuple(e for e, _ in pairs), tuple(c for _, c in pairs)
             )
-        if "tree" in self._adj_cache:
-            g._adj_cache["tree"] = self._adj_cache["tree"]
+        cache, kept = self._adj_cache, g._adj_cache
+        if "tree" in cache:
+            kept["tree"] = cache["tree"]
+        if bound is not None:
+            key = "cyclic" if self.mode == "cg" else "interval"
+            split = cyclic_split(self) if self.mode == "cg" else interval_split(self)
+            if len(split) == 2 and cache.get("tree"):
+                kept[key] = tuple(sorted(map(bound, split)))
+            else:
+                kept["chi", key] = len(split)
         return g
 
     def __len__(self):
@@ -332,21 +352,18 @@ def _split_scan(adj: list[int], cut: int, most: int) -> Optional[tuple[int, ...]
 def chi_interval(g: _Graph) -> int:
     """Minimum number of consecutive intervals of 1..n with no edge inside any
     part (treats the labels linearly regardless of g's mode)."""
-    return len(interval_split(g))
+    return g._adj_cache.get(("chi", "interval")) or len(interval_split(g))
 
 
 def interval_split(g: _Graph) -> tuple[int, ...]:
     """The last vertex of each part of a fewest-parts interval split, in
     ascending order; the final boundary is n and the parts are
     (prev+1 .. b)."""
-    cache = g._adj_cache
-    if "interval" not in cache:
-        cache["interval"] = _split_scan(_adjacency_masks(g.n, g.edges), 0, g.n)
-    return cache["interval"]
+    return g._kept("interval", lambda g: _split_scan(_adjacency_masks(g.n, g.edges), 0, g.n))
 
 
 def chi_cyclic(g: CgGraph) -> int:
-    return len(cyclic_split(g))
+    return g._adj_cache.get(("chi", "cyclic")) or len(cyclic_split(g))
 
 
 def cyclic_split(g: CgGraph) -> tuple[int, ...]:
@@ -363,24 +380,26 @@ def cyclic_split(g: CgGraph) -> tuple[int, ...]:
     """
     if g.mode != "cg":
         raise InputError("cyclic split needs a cg graph")
-    cache = g._adj_cache
-    if "cyclic" not in cache:
-        adj = _adjacency_masks(g.n, g.edges)
-        bounds = _split_scan(adj, 0, g.n)
-        if len(bounds) > 2:
-            for cut in range(1, g.n):
-                fewer = _split_scan(adj, cut, len(bounds) - 1)
-                if fewer is not None:
-                    bounds = fewer
-                    break
-        cache["cyclic"] = bounds
-    return cache["cyclic"]
+    return g._kept("cyclic", _cyclic_scan)
+
+
+def _cyclic_scan(g: CgGraph) -> tuple[int, ...]:
+    adj = _adjacency_masks(g.n, g.edges)
+    bounds = _split_scan(adj, 0, g.n)
+    if len(bounds) > 2:
+        for cut in range(1, g.n):
+            fewer = _split_scan(adj, cut, len(bounds) - 1)
+            if fewer is not None:
+                return fewer
+    return bounds
 
 
 def mirror(g: _Graph):
     """Reverse the vertex order: v -> n+1-v. Defined for both modes; on the
     circle this is the reflection fixing the gap between n and 1."""
-    return g._mapped(list(range(g.n + 1, 0, -1)))
+    n = g.n
+    # part p+1..b becomes n+1-b..n-p: each boundary p turns into n - p, 0 into n
+    return g._mapped(list(range(n + 1, 0, -1)), lambda b: n - b or n)
 
 
 def rotate(g: CgGraph, r: int) -> CgGraph:
@@ -388,7 +407,8 @@ def rotate(g: CgGraph, r: int) -> CgGraph:
     if g.mode != "cg":
         raise InputError("rotation is only defined on the circle")
     _check_int("rotation", r)
-    return g._mapped([0] + [(v + r) % g.n + 1 for v in range(g.n)])
+    n = g.n
+    return g._mapped([0] + [(v + r) % n + 1 for v in range(n)], lambda b: (b - 1 + r) % n + 1)
 
 
 def reflect(g: CgGraph) -> CgGraph:

@@ -30,6 +30,9 @@ cg_z_decompose) and the forbidden-configuration route (the obstruction
 catalog, or a crossing four-edge path and, only without one, twin crossing
 paths); a mismatch raises, it is never papered over. Only the chromatic
 number, the two routes, the formula and the growth tag depend on the order.
+Each decomposition and detector result is kept on the graph it was computed
+for, as χ and the tree test are, so the flow never repeats work a caller has
+just done on the same graph; an error is not kept.
 """
 
 from __future__ import annotations
@@ -164,12 +167,12 @@ def z_decompose(t: OrderedGraph) -> Union[ZDecomposition, NotAZTree]:
     sorted.
 
     Raises NotApplicableError if the input is not a tree or its interval
-    chromatic number is not two.
+    chromatic number is not two. The result is kept on t.
     """
     if not isinstance(t, OrderedGraph):
         raise InputError("z_decompose expects an ordered graph")
     _require_tree(t)
-    return _z_decompose(t)
+    return t._kept("z", _z_decompose)
 
 
 def _z_decompose(t: OrderedGraph) -> Union[ZDecomposition, NotAZTree]:
@@ -299,15 +302,21 @@ def cg_z_decompose(t: CgGraph) -> Union[CgZDecomposition, NotAZTree]:
     Each try runs the z-scan on the linearized edge list alone, without
     building a graph or re-checking its interval chromatic number: a cut at
     a boundary turns the two edge-free arcs into two edge-free intervals, so
-    that number is two by construction.
+    that number is two by construction. The result is kept on t.
     """
     if not isinstance(t, CgGraph):
         raise InputError("cg_z_decompose expects a cg graph")
     _require_tree(t)
-    split = cyclic_split(t)
-    if len(split) != 2:
+    return t._kept("cg_z", _cg_z_decompose)
+
+
+def _cg_z_decompose(t: CgGraph) -> Union[CgZDecomposition, NotAZTree]:
+    """cg_z_decompose for a graph already known to be a cg tree."""
+    # a χ carried by a transform answers before any scan
+    if chi_cyclic(t) != 2:
         raise NotApplicableError("cyclic interval chromatic number must be 2")
     n = t.n
+    split = cyclic_split(t)
     for r in sorted((n - b) % n for b in split):
         # every linearization of a tree is a tree
         dec = _z_scan(_linear_edges(t, r))
@@ -371,7 +380,12 @@ class CrossingPath4:
 
 
 def detect_crossing_path4(t: CgGraph) -> Optional[CrossingPath4]:
-    """First four-edge path of the cg graph containing a crossing, if any."""
+    """First four-edge path of the cg graph containing a crossing, if any;
+    the result is kept on t."""
+    return t._kept("path4", _crossing_path4)
+
+
+def _crossing_path4(t: CgGraph) -> Optional[CrossingPath4]:
     for path in _paths_with_edges(t, 4):
         edges = [_norm(path[x], path[x + 1]) for x in range(4)]
         # edges next to each other on the path share a vertex and never cross
@@ -437,7 +451,12 @@ def _twin_pair_ok(p: tuple, q: tuple) -> Optional[int]:
 
 
 def detect_twin_crossing_paths(t: CgGraph) -> Optional[TwinCrossingPaths]:
-    """First pair of self-crossing 3-edge paths in twin position, if any."""
+    """First pair of self-crossing 3-edge paths in twin position, if any;
+    the result is kept on t, a BudgetError is raised again on every call."""
+    return t._kept("twins", _twin_crossing_paths)
+
+
+def _twin_crossing_paths(t: CgGraph) -> Optional[TwinCrossingPaths]:
     selfx = _self_crossing_paths3(t)
     if len(selfx) > _TWIN_SEARCH_CAP:
         raise BudgetError(
@@ -531,6 +550,17 @@ def _catalog4() -> ObstructionCatalog:
 # enumeration
 
 
+@lru_cache(maxsize=6)  # one entry per k; about 2 MB once k = 6 is decoded
+def _labelled_trees(k: int) -> tuple[tuple[Edge, ...], ...]:
+    """The sorted edge tuples of every labelled tree with k edges on [k+1],
+    decoded from Prüfer sequences in lexicographic order."""
+    n = k + 1
+    return tuple(
+        tuple(sorted(_SHARED_EDGES[u][v] for u, v in _prufer_edges(n, seq)))
+        for seq in product(range(1, n + 1), repeat=k - 1)
+    )
+
+
 def _prufer_edges(n: int, seq: tuple[int, ...]) -> list[tuple[int, int]]:
     degree = [1] * (n + 1)
     for x in seq:
@@ -555,10 +585,12 @@ def enumerate_trees(k: int, mode: str, filt: str = "all") -> Iterator[_Graph]:
     ``mode`` picks ordered ("linear") or cg ("cyclic") graphs; ``filt`` is
     "all" or "chi2" (keep only interval/cyclic chromatic number two). The
     unfiltered stream has (k+1)^(k-1) trees, decoded from Prüfer sequences in
-    lexicographic order. A decoding is a tree on 1..k+1 by construction, so
-    the graphs are built without validating them again and are marked as
-    trees without a test. The arguments are checked at the call, so a bad
-    one raises here.
+    lexicographic order. The edge tuples are decoded once per k and kept;
+    every call builds fresh graphs from them, so nothing computed on the
+    graphs of one call (a split, a decomposition) reaches the next. A
+    decoding is a tree on 1..k+1 by construction, so the graphs are built
+    without validating them again and are marked as trees without a test.
+    The arguments are checked at the call, so a bad one raises here.
     """
     _check_int("k", k)
     if not 1 <= k <= 6:
@@ -572,9 +604,8 @@ def enumerate_trees(k: int, mode: str, filt: str = "all") -> Iterator[_Graph]:
 def _trees(k: int, cls: type, chi2: bool) -> Iterator[_Graph]:
     chi = chi_cyclic if cls is CgGraph else chi_interval
     n = k + 1
-    for seq in product(range(1, n + 1), repeat=k - 1):
-        edges = sorted(_SHARED_EDGES[u][v] for u, v in _prufer_edges(n, seq))
-        g = cls._trusted(n, tuple(edges))
+    for edges in _labelled_trees(k):
+        g = cls._trusted(n, edges)
         g._adj_cache["tree"] = True
         if chi2 and chi(g) != 2:
             continue

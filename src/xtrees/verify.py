@@ -44,6 +44,8 @@ from .order import (
     _check_int,
     chi_cyclic,
     chi_interval,
+    cyclic_split,
+    interval_split,
     mirror,
     reflect,
     rotate,
@@ -654,13 +656,17 @@ def _c11_metamorphic(seed: int) -> tuple[dict, list[str]]:
 
     Sweeps the full tree enumerations up to 5 edges for the unary invariants
     and samples seeded (host, pattern) tree pairs for containment, since the
-    full quadratic pairing is redundant.
+    full quadratic pairing is redundant. A transform hands its split on to
+    its result, so χ and z-status are computed on a copy of each transform
+    built by the validating constructor, which starts with nothing kept, and
+    the split the transform carries must equal that copy's.
     """
     failures: list[str] = []
     trees: dict[tuple[str, int], list] = {}
     instances = 0
-    for order, chi, is_z, flip in (("linear", chi_interval, is_z_tree, mirror),
-                                   ("cyclic", chi_cyclic, is_cg_z_tree, reflect)):
+    for order, chi, split, is_z, flip in (
+            ("linear", chi_interval, interval_split, is_z_tree, mirror),
+            ("cyclic", chi_cyclic, cyclic_split, is_cg_z_tree, reflect)):
         for k in range(1, 6):
             trees[order, k] = list(enumerate_trees(k, order, "all"))
             for t in trees[order, k]:
@@ -670,8 +676,12 @@ def _c11_metamorphic(seed: int) -> tuple[dict, list[str]]:
                 moved = [(f"rotation by {r}", rotate(t, r)) for r in range(1, t.n)
                          if order == "cyclic"]
                 for how, u in moved + [(flip.__name__, flipped)]:
-                    if (chi(u), is_z(u)) != invariants:
+                    fresh = type(u)(u.n, u.edges)
+                    if (chi(fresh), is_z(fresh)) != invariants:
                         failures.append(f"{t.mode} {t.edges}: chi or z-status changed under {how}")
+                    if split(u) != split(fresh):
+                        failures.append(f"{t.mode} {t.edges}: split carried under {how} "
+                                        "differs from a fresh scan")
                 if _verdict_key(classify_tree(flipped)) != _verdict_key(classify_tree(t)):
                     failures.append(f"{t.mode} {t.edges}: verdict changed under {flip.__name__}")
 

@@ -34,8 +34,9 @@ from __future__ import annotations
 
 import math
 import random
+from collections.abc import Iterable
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Optional
 
 from .errors import InputError
 from .order import _check_int, _Graph
@@ -66,6 +67,8 @@ def _check_graph(g) -> None:
 
 
 def _vertex_set(vs: Iterable[int]) -> frozenset:
+    if not isinstance(vs, Iterable):
+        raise InputError(f"a side must be a sequence of vertices, got {vs!r}")
     vs = tuple(vs)
     for v in vs:
         _check_int("vertex", v)
@@ -95,8 +98,14 @@ class ColoredBipartite:
         self.side_b = _vertex_set(side_b)
         if self.side_a & self.side_b:
             raise InputError("sides A and B must be disjoint")
+        if not isinstance(edges, Iterable):
+            raise InputError(f"edges must be a sequence of (u, v, color) triples, got {edges!r}")
         norm = []
-        for u, v, color in edges:
+        for e in edges:
+            try:
+                u, v, color = e
+            except (TypeError, ValueError):
+                raise InputError(f"edge must be a (u, v, color) triple, got {e!r}") from None
             _check_int("vertex", u)
             _check_int("vertex", v)
             if type(color) is not int or color < 1:
@@ -339,11 +348,14 @@ def _walk_through(adj, e_new, kind, side_of, side) -> bool:
     Precondition: the other edges of adj are walk-free. So a walk uses e_new,
     and its second edge v1 v2 ends at a neighbour v2 of an end x of e_new:
     x = v1 when e_new is e1 or e2, and x = v3 when it is e3 or e4. The
-    detector's search runs from each such e2.
+    detector's search runs from each such e2 whose colour c2 is at most
+    c(e_new): c2 is the smallest colour of any walk.
     """
     nbrs = adj.__getitem__  # every end of an edge in adj is a key
+    u, v = e_new
+    c_new = next(c for w, c in nbrs(u) if w == v)
     return any(_walk_from_e2(nbrs, v1, v2, c2, kind, side_of, side)
-               for x in e_new for v2, _ in nbrs(x) for v1, c2 in nbrs(v2))
+               for x in e_new for v2, _ in nbrs(x) for v1, c2 in nbrs(v2) if c2 <= c_new)
 
 
 @dataclass(frozen=True)

@@ -501,3 +501,87 @@ class TestTreeFlag:
                 assert order._is_spanning_tree(t.n, t.edges)
                 derived = [t, mirror(t)] + ([rotate(t, 1)] if mode == "cyclic" else [])
                 assert all(h.is_tree() for h in derived), t.edges
+
+
+def _own_split(g):
+    return cyclic_split(g) if g.mode == "cg" else interval_split(g)
+
+
+def _symmetries(g):
+    """mirror, and on the circle reflect and the rotations r = -1..n+1."""
+    out = [("mirror", mirror(g))]
+    if g.mode == "cg":
+        out.append(("reflect", reflect(g)))
+        out += [(f"rotate by {r}", rotate(g, r)) for r in range(-1, g.n + 2)]
+    return out
+
+
+def assert_carried_as_fresh(g):
+    """Every symmetry of g carries its split in g's own order, or its chi
+    alone, exactly as a fresh scan of a copy with nothing kept finds them."""
+    known_tree = g._adj_cache.get("tree", False)
+    key = "cyclic" if g.mode == "cg" else "interval"
+    chi = chi_cyclic if g.mode == "cg" else chi_interval
+    for how, u in _symmetries(g):
+        mapped = known_tree and len(_own_split(g)) == 2
+        assert (key in u._adj_cache) == mapped, (g.edges, how)
+        assert (("chi", key) in u._adj_cache) != mapped, (g.edges, how)
+        copy = type(u)._trusted(u.n, u.edges, u.colors)
+        assert chi(u) == chi(copy), (g.edges, how)
+        if mapped:
+            assert u._adj_cache[key] == _own_split(copy), (g.edges, how)
+
+
+class TestCarriedSplits:
+    """mirror, rotate and reflect hand the split in the graph's own order on
+    to their result: mapped when it is unique (a known tree with two parts),
+    as chi alone otherwise. relabeled hands on neither."""
+
+    @pytest.mark.parametrize("mode", ["linear", "cyclic"])
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_every_tree_up_to_six_edges(self, mode, k):
+        for t in enumerate_trees(k, mode):
+            assert_carried_as_fresh(t)
+
+    @given(trees_and_graphs(), st.booleans())
+    def test_drawn_graphs(self, g, known):
+        if known:
+            g.is_tree()
+        assert_carried_as_fresh(g)
+
+    @pytest.mark.parametrize("cls", [OrderedGraph, CgGraph])
+    def test_transform_of_a_transform(self, cls):
+        for t in enumerate_trees(5, cls.order):
+            for _, u in _symmetries(t)[:2]:
+                assert_carried_as_fresh(u)
+
+    def test_parent_split_is_computed_once_and_kept(self, monkeypatch):
+        scans = []
+        scan = order._split_scan
+
+        def counting(adj, cut, most):
+            scans.append(cut)
+            return scan(adj, cut, most)
+
+        monkeypatch.setattr(order, "_split_scan", counting)
+        t = CgGraph(5, [(1, 3), (1, 4), (2, 4), (2, 5)])
+        assert t.is_tree()
+        moved = [mirror(t), reflect(t)] + [rotate(t, r) for r in range(5)]
+        assert t._adj_cache["cyclic"] == cyclic_split(t)
+        assert [chi_cyclic(u) for u in moved] == [2] * 7
+        assert [cg_z_decompose(u) is not None for u in moved] == [True] * 7
+        assert scans == [0]
+
+    def test_chi_above_two_is_carried_without_a_scan(self, monkeypatch):
+        t = CgGraph(5, [(1, 2), (1, 3), (3, 4), (4, 5)])
+        assert t.is_tree() and chi_cyclic(t) == 3
+        moved = [reflect(t), rotate(t, 2)]
+        monkeypatch.setattr(order, "_split_scan", None)
+        assert [chi_cyclic(u) for u in moved] == [3, 3]
+
+    def test_relabeled_carries_no_split(self):
+        t = CgGraph(4, [(1, 3), (2, 3), (2, 4)])
+        assert t.is_tree() and chi_cyclic(t) == 2 and chi_interval(t) == 2
+        u = t.relabeled({1: 1, 2: 3, 3: 2, 4: 4})  # the path 1-2-3-4
+        assert u._adj_cache == {"tree": True}
+        assert chi_cyclic(u) == 3

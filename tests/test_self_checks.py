@@ -124,7 +124,7 @@ def test_only_the_gate_names_the_golden_files():
 def test_gate_passes_under_optimize():
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
-        [sys.executable, "-O", "-m", "xtrees.cli", "verify", "--checks", "c02,c03,c05,c08,c09,c10"],
+        [sys.executable, "-O", "-m", "xtrees.cli", "verify", "--checks", "c02,c03,c05,c08,c09,c10,c11"],
         cwd=ROOT,
         env=env,
         capture_output=True,
@@ -132,4 +132,4 @@ def test_gate_passes_under_optimize():
         timeout=300,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert "6/6 checks passed" in proc.stdout
+    assert "7/7 checks passed" in proc.stdout

@@ -19,6 +19,7 @@ from xtrees.order import (
     crosses,
     mirror,
     reflect,
+    rotate,
 )
 from xtrees.trees import (
     CROSSING_P3_EDGES,
@@ -766,3 +767,104 @@ class TestClassifyOneFlow:
         monkeypatch.setattr(trees, "_find_obstruction", lambda t: None)
         with pytest.raises(RuntimeError, match="decomposition=no: .*obstruction=none"):
             classify_tree(OrderedGraph(4, CROSSING_P3_EDGES))
+
+
+class TestKeptResults:
+    """z_decompose, cg_z_decompose and both detectors keep their result on
+    the graph; an exception is raised again on every call and never kept."""
+
+    ZIGZAG = CgGraph(5, [(1, 2), (1, 3), (1, 4), (1, 5)])
+    CROSSING = CgGraph(5, [(1, 2), (1, 3), (2, 5), (4, 5)])
+    TWINS = CgGraph(6, [(1, 3), (2, 6), (3, 5), (3, 6), (4, 6)])
+
+    def test_memoized_calls_return_the_same_object(self):
+        for t in (OrderedGraph(4, [(1, 3), (1, 4), (2, 4)]), OrderedGraph(3, [(1, 2), (1, 3)])):
+            first = z_decompose(t)
+            assert z_decompose(t) is first and is_z_tree(t) == bool(first)
+        for t in (self.ZIGZAG, self.CROSSING, self.TWINS):
+            t = CgGraph(t.n, t.edges)
+            first = cg_z_decompose(t), detect_crossing_path4(t), detect_twin_crossing_paths(t)
+            again = cg_z_decompose(t), detect_crossing_path4(t), detect_twin_crossing_paths(t)
+            assert all(a is b for a, b in zip(first, again)), t.edges
+        assert isinstance(detect_crossing_path4(self.CROSSING), CrossingPath4)
+        assert isinstance(detect_twin_crossing_paths(self.TWINS), TwinCrossingPaths)
+
+    def test_each_result_is_computed_once(self, monkeypatch):
+        trees._catalog4()  # derived through z_decompose on its own trees
+        calls = []
+        for name in ("_z_decompose", "_cg_z_decompose", "_crossing_path4", "_twin_crossing_paths"):
+            def counting(t, f=getattr(trees, name), name=name):
+                calls.append(name)
+                return f(t)
+
+            monkeypatch.setattr(trees, name, counting)
+        lin = OrderedGraph(4, [(1, 3), (1, 4), (2, 4)])
+        cg = CgGraph(self.TWINS.n, self.TWINS.edges)
+        for _ in range(3):
+            classify_tree(lin)
+            z_decompose(lin)
+            classify_tree(cg)
+            cg_z_decompose(cg)
+            detect_crossing_path4(cg)
+            detect_twin_crossing_paths(cg)
+        assert sorted(calls) == sorted(
+            ["_z_decompose", "_cg_z_decompose", "_crossing_path4", "_twin_crossing_paths"])
+
+    def test_not_applicable_is_raised_on_every_call(self):
+        lin = OrderedGraph(4, [(1, 2), (2, 3), (3, 4)])  # chi_interval 4
+        cg = CgGraph(5, [(1, 2), (1, 3), (3, 4), (4, 5)])  # chi_cyclic 3
+        not_tree = OrderedGraph(4, [(1, 3), (2, 4)])
+        for _ in range(3):
+            for f, t in ((z_decompose, lin), (cg_z_decompose, cg), (z_decompose, not_tree)):
+                with pytest.raises(NotApplicableError):
+                    f(t)
+                assert not is_z_tree(lin) and not is_cg_z_tree(cg)
+        for t in (lin, cg, not_tree):
+            assert not {"z", "cg_z"} & set(t._adj_cache)
+
+    def test_budget_error_is_raised_on_every_call(self, monkeypatch):
+        t = CgGraph(self.TWINS.n, self.TWINS.edges)
+        monkeypatch.setattr(trees, "_TWIN_SEARCH_CAP", 0)
+        for _ in range(3):
+            with pytest.raises(BudgetError):
+                detect_twin_crossing_paths(t)
+        assert "twins" not in t._adj_cache
+        monkeypatch.undo()
+        assert isinstance(detect_twin_crossing_paths(t), TwinCrossingPaths)
+
+    def test_transforms_carry_no_decomposition(self):
+        lin = OrderedGraph(4, [(1, 3), (1, 4), (2, 4)])
+        cg = CgGraph(self.TWINS.n, self.TWINS.edges)
+        z_decompose(lin)
+        cg_z_decompose(cg), detect_crossing_path4(cg), detect_twin_crossing_paths(cg)
+        perm = {v: v % lin.n + 1 for v in range(1, lin.n + 1)}
+        derived = [mirror(lin), lin.relabeled(perm), reflect(cg), rotate(cg, 1),
+                   cg.relabeled({v: v for v in range(1, cg.n + 1)})]
+        for u in derived:
+            assert not {"z", "cg_z", "path4", "twins"} & set(u._adj_cache), u
+
+
+class TestEnumerationIsFresh:
+    """Trees are decoded once per k, but every enumerate_trees call builds
+    new graphs: nothing computed on one call's graphs reaches the next."""
+
+    @pytest.mark.parametrize("mode", ["linear", "cyclic"])
+    def test_two_calls_return_distinct_graphs(self, mode):
+        first = list(enumerate_trees(4, mode))
+        for t in first:
+            classify_tree(t)
+            is_z_tree(t) if mode == "linear" else is_cg_z_tree(t)
+        second = list(enumerate_trees(4, mode))
+        assert [t.edges for t in first] == [t.edges for t in second]
+        assert all(a is not b for a, b in zip(first, second))
+        assert all(t._adj_cache == {"tree": True} for t in second)
+        assert trees._labelled_trees(4) is trees._labelled_trees(4)
+
+    @pytest.mark.parametrize("mode", ["linear", "cyclic"])
+    def test_chi2_filter_keeps_only_its_own_split(self, mode):
+        first = list(enumerate_trees(4, mode, "chi2"))
+        for t in first:
+            classify_tree(t)
+        key = "cyclic" if mode == "cyclic" else "interval"
+        for t in enumerate_trees(4, mode, "chi2"):
+            assert set(t._adj_cache) == {"tree", key}

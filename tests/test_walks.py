@@ -211,6 +211,15 @@ class TestColoredBipartiteTypes:
             ([1], [2], [(1, 2, 1)], 2.5),
             ([1], [2], [(1, 2, 1)], True),
             ([1], [2], [(1, 2, 1)], "2"),
+            # malformed sides, edge lists and edges
+            ([1], [2], None, None),
+            ([1], [2], 5, None),
+            ([1], [2], [5], None),
+            ([1], [2], [(1, 2)], None),
+            ([1], [2], [(1, 2, 1, 1)], None),
+            ([1], [2], [None], None),
+            (None, [2], [(1, 2, 1)], None),
+            ([1], 2, [(1, 2, 1)], None),
         ],
     )
     def test_non_ints_rejected(self, side_a, side_b, edges, d):
@@ -221,7 +230,8 @@ class TestColoredBipartiteTypes:
 # -- reference versions of the walk search, as they were before the colour
 # test of the first edge e1 was shared: every slot of the closure test spells
 # out its own colour rules and its own e1 != e2 exclusion. The closure test
-# now runs the detector's search instead, without the colour of the new edge.
+# now runs the detector's search instead, from each second edge whose colour
+# is at most that of the new edge.
 
 
 def ref_find_forbidden_walk(g, kind, start_side=None):
