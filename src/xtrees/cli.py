@@ -171,9 +171,9 @@ def _cmd_extract(args) -> int:
     g = load_graph(args.input)
     colored = ColoredBipartite.from_colored_graph(g)
     ext = extract_walk_free(colored, args.kind, args.start, seed=args.seed)
-    edges = [(u, v) for u, v, _ in ext.subgraph.edges]
-    colors = [c for _, _, c in ext.subgraph.edges]
-    doc = graph_to_dict(type(g)(g.n, edges, colors=colors))
+    edges = tuple((u, v) for u, v, _ in ext.subgraph.edges)
+    colors = tuple(c for _, _, c in ext.subgraph.edges)
+    doc = graph_to_dict(type(g)._trusted(g.n, edges, colors))  # sorted edges of g
     doc["extraction"] = ext.metadata()
     _emit(json.dumps(doc), args.out)
     return EXIT_OK
@@ -185,12 +185,13 @@ def _cmd_verify(args) -> int:
         ids = [c.strip() for c in args.checks.split(",") if c.strip()]
     if args.report and not args.report.endswith((".csv", ".json")):
         raise InputError("--report must end in .csv or .json")
-    results = verify_mod.run_suite(ids, seed=args.seed)
-    for r in results:
+    results = []
+    for r in verify_mod.run_suite(ids, seed=args.seed):
         line = f"{r.check_id}  {r.status:4s}  {r.seconds:7.1f}s  {r.name}"
         if r.detail:
             line += f"  [{r.detail}]"
-        print(line)
+        print(line, flush=True)
+        results.append(r)
     ok = verify_mod.all_passed(results)
     print(f"{sum(r.passed for r in results)}/{len(results)} checks passed")
     if args.report:

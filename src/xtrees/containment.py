@@ -9,7 +9,7 @@ Semantics are non-induced: the host may have extra edges among image
 vertices. Pattern vertices of degree 0 still constrain the relative order of
 the images. Cyclic containment is orientation-preserving by default;
 reflections (order-reversing maps) are searched only when requested, and only
-for cg graphs.
+for cg graphs, as the maps of the mirrored pattern edge list.
 
 The search itself lives in xtrees.kernels; this module handles budgets,
 reflection, deduplication and independent validation.
@@ -22,7 +22,7 @@ from typing import Iterator, Optional
 
 from .errors import BudgetError, InputError
 from .kernels import order_embeddings
-from .order import _Graph, reflect
+from .order import _check_graph, _Graph, _linear_edges
 
 MAX_HOST = 256
 MAX_PATTERN = 7
@@ -50,6 +50,8 @@ def _require_pair(
     host: _Graph, pattern: _Graph, allow_reflection: bool, limit: int
 ) -> bool:
     """Validate a (host, pattern) query; returns True when the mode is cyclic."""
+    _check_graph("host", host)
+    _check_graph("pattern", pattern)
     if host.mode != pattern.mode:
         raise InputError(
             f"host mode {host.mode!r} does not match pattern mode {pattern.mode!r}"
@@ -71,10 +73,9 @@ def _require_pair(
     return host.mode == "cg"
 
 
-def _kernel_maps(host: _Graph, pattern: _Graph, cyclic: bool, limit: int):
-    adj = host.adjacency_masks()
-    pat = [(u - 1, v - 1) for u, v in pattern.edges]
-    return order_embeddings(host.n, adj, pattern.n, pat, cyclic, limit)
+def _kernel_maps(host: _Graph, p: int, edges, cyclic: bool, limit: int):
+    pat = [(u - 1, v - 1) for u, v in edges]
+    return order_embeddings(host.n, host.adjacency_masks(), p, pat, cyclic, limit)
 
 
 def iter_embeddings(
@@ -101,19 +102,19 @@ def _embeddings(
 ) -> list[Embedding]:
     cyclic = _require_pair(host, pattern, allow_reflection, limit)
     name = host.order
+    p = pattern.n
     out = [
         Embedding(name, tuple(x + 1 for x in m))
-        for m in _kernel_maps(host, pattern, cyclic, limit)
+        for m in _kernel_maps(host, p, pattern.edges, cyclic, limit)
     ]
     # Order-reversing maps exist on >= 3 points only for the reflected
     # pattern; on <= 2 points every map is both, so the first pass already
     # produced them all.
-    if allow_reflection and pattern.n >= 3 and not (limit and len(out) >= limit):
-        p = pattern.n
+    if allow_reflection and p >= 3 and not (limit and len(out) >= limit):
         rem = limit - len(out) if limit else 0
         out += [
             Embedding(name, tuple(m[p - v] + 1 for v in range(1, p + 1)), reflected=True)
-            for m in _kernel_maps(host, reflect(pattern), cyclic, rem)
+            for m in _kernel_maps(host, p, _linear_edges(p, pattern.edges, 0), cyclic, rem)
         ]
     return out
 
@@ -141,6 +142,10 @@ def validate_embedding(host: _Graph, pattern: _Graph, emb: Embedding) -> bool:
     and edge preservation are verified from first principles so that search
     bugs cannot hide behind a matching validator.
     """
+    _check_graph("host", host)
+    _check_graph("pattern", pattern)
+    if not isinstance(emb, Embedding):
+        raise InputError(f"emb must be an Embedding, got {type(emb).__name__}")
     if host.mode != pattern.mode:
         raise InputError("host/pattern mode mismatch")
     if emb.mode != host.order:

@@ -104,8 +104,8 @@ def oracle_extremal_number(n: int, pattern: _Graph) -> tuple[int, _Graph]:
     for bits in range(1 << len(all_edges)):
         if bits.bit_count() <= best:
             continue
-        edges = [e for i, e in enumerate(all_edges) if bits >> i & 1]
-        g = cls(n, edges)
+        edges = tuple(e for i, e in enumerate(all_edges) if bits >> i & 1)
+        g = cls._trusted(n, edges)  # sorted, distinct and in range as listed
         if pattern.n <= n and oracle_contains(g, pattern):
             continue
         best = len(edges)

@@ -25,8 +25,10 @@ Conventions used throughout the package:
 A graph is validated once, in its constructor: n, the endpoints and the
 colours must be ints, edges in range, loop-free and distinct. The transforms
 (mirror, rotate, reflect, relabeled) compute the derived edge list by label
-arithmetic and build through the unchecked ``_Graph._trusted``, because a
-permutation of a valid graph is valid. The neighbour lists, adjacency
+arithmetic (``_relabel``) and build through the unchecked ``_Graph._trusted``,
+because a permutation of a valid graph is valid. Code that only compares or
+searches relabelled edges takes them from ``_linear_edges`` and builds no
+graph, so it scans no split. The neighbour lists, adjacency
 masks, tree test and interval splits are computed on first use and kept on
 the graph, outside equality and hashing. A transform hands a known tree
 test on to its result, and mirror, rotate and reflect also hand on the
@@ -74,6 +76,12 @@ def _check_int(what: str, x) -> None:
     """Reject anything but an int; bools, floats and strings are never coerced."""
     if type(x) is not int:
         raise InputError(f"{what} must be an integer, got {x!r}")
+
+
+def _check_graph(what: str, g) -> None:
+    """Reject anything but an ordered or cg graph."""
+    if not isinstance(g, GRAPH_CLASSES):
+        raise InputError(f"{what} must be an OrderedGraph or CgGraph, got {type(g).__name__}")
 
 
 def _check_edges(n: int, edges: Iterable[Sequence[int]]) -> list[Edge]:
@@ -204,16 +212,12 @@ class _Graph:
         parts, so a known tree with two parts hands on its mapped split, and
         any other graph its χ alone. ``relabeled`` hands on neither.
         """
-        edges = [(img[u], img[v]) for u, v in self.edges]
-        edges = [(a, b) if a < b else (b, a) for a, b in edges]
         if self.colors is None:
-            edges.sort()
-            g = self._trusted(self.n, tuple(edges))
+            g = self._trusted(self.n, _relabel(self.edges, img))
         else:
-            pairs = sorted(zip(edges, self.colors))
-            g = self._trusted(
-                self.n, tuple(e for e, _ in pairs), tuple(c for _, c in pairs)
-            )
+            pairs = sorted(((min(img[u], img[v]), max(img[u], img[v])), c)
+                           for (u, v), c in zip(self.edges, self.colors))
+            g = self._trusted(self.n, tuple(e for e, _ in pairs), tuple(c for _, c in pairs))
         cache, kept = self._adj_cache, g._adj_cache
         if "tree" in cache:
             kept["tree"] = cache["tree"]
@@ -228,6 +232,18 @@ class _Graph:
 
     def __len__(self):
         return len(self.edges)
+
+
+def _relabel(edges: Iterable[Edge], img: Sequence[int]) -> tuple[Edge, ...]:
+    """The sorted edges with each v renamed img[v], one-to-one on them."""
+    out = [(img[u], img[v]) for u, v in edges]
+    return tuple(sorted([(a, b) if a < b else (b, a) for a, b in out]))
+
+
+def _linear_edges(n: int, edges: Iterable[Edge], r: int) -> tuple[Edge, ...]:
+    """The edges rotated by r, then read in reverse: v -> n - (v-1+r) mod n,
+    a reflection and its own inverse; r = 0 is the mirror v -> n+1-v."""
+    return _relabel(edges, [0] + [n - (v + r) % n for v in range(n)])
 
 
 def _adjacency_lists(n: int, edges: Sequence[Edge]) -> list[list[int]]:
@@ -305,6 +321,7 @@ def crosses(g: _Graph, e: Sequence[int], f: Sequence[int]) -> bool:
 def arc_side(n: int, chord: Sequence[int], x: int) -> int:
     """+1 if x lies strictly inside the clockwise arc u->v of chord (u,v),
     -1 if strictly inside the arc v->u. Raises if x is an endpoint."""
+    _check_int("vertex count", n)
     u, v = _normalize_edge(chord)
     if u < 1 or v > n or type(x) is not int or not 1 <= x <= n:
         raise InputError(f"chord {chord} and vertex {x!r} must lie in 1..{n}")

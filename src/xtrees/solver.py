@@ -32,7 +32,8 @@ rather than searched for.
   themselves maps pattern-free graphs to pattern-free graphs of the same
   size. For cg these are the n rotations, and the n reflections when the
   reflected pattern is a rotation of itself; for an ordered pattern equal to
-  its mirror, the mirror. Read an edge set as a word, edge 0 first, and
+  its mirror, the mirror: that is, when the pattern's linearisation by some
+  r equals its own edge list. Read an edge set as a word, edge 0 first, and
   compare cur with its image g(cur) up to the first position not known on
   both sides (lex-leader; Crawford, Ginsberg, Luks and Roy, KR 1996). If the
   first difference is an edge of g(cur) the node is pruned; if it is an edge
@@ -71,9 +72,10 @@ an order-preserving embedding into that line is also one on the circle once
 both reversals are undone. So above (k-1)n - C(k,2) edges this always
 succeeds, in either order. Only the steps depend on the decomposition, so it
 is validated and compiled once into a cached plan, the steps down to one
-edge (for cg: unroll, mirror, then the plan of ``dec.linear``); one loop
-peels a host's sorted edge list down the plan, takes its first remaining
-edge, and extends the image back up.
+edge (for cg: unroll, mirror, then the plan of ``dec.linear``; at c = 0
+the z-scan re-splits the edge tuple, mirrored if b > 0); one loop peels a
+host's sorted edge list down the plan, takes its first remaining edge, and
+extends the image back up.
 
 Below the threshold the algorithm may return None without certifying
 absence. Every returned embedding is checked by the containment validator.
@@ -91,8 +93,8 @@ from typing import Optional, Union
 
 from .containment import Embedding, contains, validate_embedding
 from .errors import BudgetError, InputError
-from .order import CgGraph, OrderedGraph, _check_int, _Graph, mirror, rotate
-from .trees import CgZDecomposition, ZDecomposition, _linear_edges, _z_decompose, validate_decomposition
+from .order import CgGraph, OrderedGraph, _check_graph, _check_int, _Graph, _linear_edges
+from .trees import CgZDecomposition, ZDecomposition, _z_scan, validate_decomposition
 
 SOLVER_MIN_N = 2
 SOLVER_MAX_N = 8
@@ -166,18 +168,15 @@ def _placement_masks(n: int, pattern: _Graph, index: dict) -> list[int]:
 
 def _relabellings(n: int, pattern: _Graph) -> list[list[int]]:
     """Non-identity relabellings img of [n] (img[0] unused) that carry the
-    pattern's placements onto themselves: every rotation for cg, with the
-    reflections when the reflected pattern is a rotation of itself; the mirror
-    for an ordered pattern equal to its mirror."""
+    pattern's placements onto themselves: the rotations (the identity alone
+    on a line), each composed with the mirror too when the linearisation of
+    the pattern by some r is the pattern, that is its mirror is a rotation."""
+    cg = pattern.mode == "cg"
+    reflective = any(_linear_edges(pattern.n, pattern.edges, r) == pattern.edges
+                     for r in range(pattern.n if cg else 1))
     flip = [0] + list(range(n, 0, -1))
-    if pattern.mode != "cg":
-        return [flip] if mirror(pattern).edges == pattern.edges else []
-    turns = [[0] + [(v + r) % n + 1 for v in range(n)] for r in range(n)]
-    maps = turns[1:]
-    flipped = mirror(pattern).edges
-    if any(rotate(pattern, r).edges == flipped for r in range(pattern.n)):
-        maps += [[t[v] for v in flip] for t in turns]
-    return maps
+    turns = [[0] + [(v + r) % n + 1 for v in range(n)] for r in range(n if cg else 1)]
+    return turns[1:] + ([[t[v] for v in flip] for t in turns] if reflective else [])
 
 
 class _Found(Exception):
@@ -290,8 +289,7 @@ def extremal_number(n: int, pattern: _Graph) -> ExtremalResult:
             f"exact extremal search is refused above n = {SOLVER_MAX_N}; "
             "no approximation is attempted"
         )
-    if not isinstance(pattern, (OrderedGraph, CgGraph)):
-        raise InputError("pattern must be an OrderedGraph or CgGraph")
+    _check_graph("pattern", pattern)
     if pattern.n > n:
         raise InputError(f"pattern on {pattern.n} vertices exceeds host size {n}")
     if not pattern.edges:
@@ -300,7 +298,8 @@ def extremal_number(n: int, pattern: _Graph) -> ExtremalResult:
     t0 = time.perf_counter()
     value, _, proof_nodes = _search(n, pattern, _cyclic_length_edges(n), -1, False)
     _, chosen, witness_nodes = _search(n, pattern, _canonical_edges(n), value - 1, True)
-    result = ExtremalResult(n, pattern.mode, value, type(pattern)(n, chosen), pattern,
+    witness = type(pattern)._trusted(n, tuple(chosen))
+    result = ExtremalResult(n, pattern.mode, value, witness, pattern,
                             proof_nodes + witness_nodes, time.perf_counter() - t0)
     _check_result(result)
     return result
@@ -359,11 +358,10 @@ def _linear_steps(dec: ZDecomposition, steps: list) -> Optional[tuple]:
             # otherwise the mirror image has the fan on the right
             if b:
                 steps.append(("mirror",))
-            # derived from a validated tree, so a tree: no tree check needed
+            # derived from a validated z-tree: a tree with χ = 2, as the scan needs
             edges = dec.edges()
-            tree = OrderedGraph._trusted(len(edges) + 1, edges)
-            dec = _z_decompose(mirror(tree) if b else tree)
-            if not dec:
+            dec = _z_scan(_linear_edges(len(edges) + 1, edges, 0) if b else edges)
+            if not isinstance(dec, ZDecomposition):
                 return None
             continue
         # strip at b < g <= n-a-c+1, then extend at the hub's left endpoint
@@ -378,7 +376,7 @@ def _plan(dec: Union[ZDecomposition, CgZDecomposition]) -> tuple[_Graph, Optiona
     if isinstance(dec, ZDecomposition):
         return _checked_tree(dec), _linear_steps(dec, [])
     lin = _checked_tree(dec.linear)
-    tree = CgGraph._trusted(lin.n, _linear_edges(lin, dec.rotation))
+    tree = CgGraph._trusted(lin.n, _linear_edges(lin.n, lin.edges, dec.rotation))
     return tree, _linear_steps(dec.linear, [("unroll", dec.rotation), ("mirror",)])
 
 
@@ -427,6 +425,7 @@ def embed_dense(
     an n-vertex host, ordered or cg (see module docstring); any embedding
     returned is independently validated.
     """
+    _check_graph("host", host)
     if isinstance(dec, ZDecomposition):
         mode, need = "ordered", "a linear decomposition needs an ordered host"
     elif isinstance(dec, CgZDecomposition) and isinstance(dec.linear, ZDecomposition):

@@ -32,7 +32,8 @@ paths); a mismatch raises, it is never papered over. Only the chromatic
 number, the two routes, the formula and the growth tag depend on the order.
 Each decomposition and detector result is kept on the graph it was computed
 for, as χ and the tree test are, so the flow never repeats work a caller has
-just done on the same graph; an error is not kept.
+just done on the same graph; an error is not kept. The cg cuts and the
+catalog's mirror test read edge lists from order._linear_edges, not graphs.
 """
 
 from __future__ import annotations
@@ -48,18 +49,18 @@ from .errors import BudgetError, InputError, NotApplicableError
 from .order import (
     _SHARED_EDGES,
     CgGraph,
-    GRAPH_CLASSES,
     Edge,
     OrderedGraph,
     _adjacency_lists,
+    _check_graph,
     _check_int,
     _crosses,
     _Graph,
     _graph_class,
+    _linear_edges,
     chi_cyclic,
     chi_interval,
     cyclic_split,
-    mirror,
 )
 
 #: The 3-edge crossing path on [4]: the smallest obstruction, pinned a priori.
@@ -275,17 +276,7 @@ def linearize(t: CgGraph, r: int) -> OrderedGraph:
         raise InputError("linearize expects a cg graph")
     _check_int("rotation", r)
     # colors are dropped
-    return OrderedGraph._trusted(t.n, _linear_edges(t, r))
-
-
-def _linear_edges(t: _Graph, r: int) -> tuple[Edge, ...]:
-    """The sorted edge list of linearize(t, r), built as no graph. Vertex v
-    becomes n+1-(((v-1+r) mod n)+1), a reflection of the circle and so its
-    own inverse: applied to linearize(t, r) it gives back t's edges."""
-    n = t.n
-    img = [0] + [n - (v + r) % n for v in range(n)]
-    edges = [(img[u], img[v]) for u, v in t.edges]
-    return tuple(sorted([(a, b) if a < b else (b, a) for a, b in edges]))
+    return OrderedGraph._trusted(t.n, _linear_edges(t.n, t.edges, r))
 
 
 def cg_z_decompose(t: CgGraph) -> Union[CgZDecomposition, NotAZTree]:
@@ -319,7 +310,7 @@ def _cg_z_decompose(t: CgGraph) -> Union[CgZDecomposition, NotAZTree]:
     split = cyclic_split(t)
     for r in sorted((n - b) % n for b in split):
         # every linearization of a tree is a tree
-        dec = _z_scan(_linear_edges(t, r))
+        dec = _z_scan(_linear_edges(n, t.edges, r))
         if isinstance(dec, ZDecomposition):
             return CgZDecomposition(rotation=r, linear=dec)
     return NotAZTree("no rotation linearizes to a z-tree")
@@ -534,7 +525,7 @@ def derive_obstructions(max_edges: int) -> ObstructionCatalog:
     catalog = ObstructionCatalog(tuple(kept), tuple(prov))
     edge_sets = {t.edges for t in kept}
     for t in kept:
-        if mirror(t).edges not in edge_sets:
+        if _linear_edges(t.n, t.edges, 0) not in edge_sets:
             raise RuntimeError("internal: obstruction catalog is not mirror-closed")
     if CROSSING_P3_EDGES not in edge_sets:
         raise RuntimeError("internal: catalog lost the pinned 3-edge obstruction")
@@ -671,8 +662,7 @@ def classify_tree(t: _Graph) -> Verdict:
     decomposition route and the forbidden-configuration route are both
     evaluated and must agree.
     """
-    if not isinstance(t, GRAPH_CLASSES):
-        raise InputError(f"classify_tree expects an ordered or cg graph, got {t!r}")
+    _check_graph("t", t)
     mode = t.order
     if not t.is_tree():
         return Verdict(

@@ -757,13 +757,14 @@ def run_suite(
     check_ids: Optional[Iterable[str]] = None,
     *,
     seed: int = 0,
-) -> list[CheckResult]:
-    """Run the requested checks serially in this process, each timed in it;
-    results come back in id order."""
+) -> Iterator[CheckResult]:
+    """Run the requested checks serially in this process, each timed in it,
+    and yield each result as its check finishes, in id order. Every id is
+    checked at the call, so a bad one raises before any check runs."""
     ids = list(check_ids) if check_ids is not None else list(CHECK_IDS)
     for cid in ids:
         _require_check(cid)
-    return [run_check(cid, seed) for cid in sorted(ids)]
+    return (run_check(cid, seed) for cid in sorted(ids))
 
 
 def all_passed(results: Iterable[CheckResult]) -> bool:

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import InputError
-from .order import _check_int, _Graph
+from .order import _check_int, _Graph, _normalize_edge
 
 EXHAUSTIVE_EDGE_LIMIT = 20
 ORACLE_EDGE_LIMIT = 14
@@ -165,7 +165,9 @@ class ColoredBipartite:
 
     def subgraph(self, keep: Iterable[tuple[int, int]]) -> "ColoredBipartite":
         """Restriction to the given edges (same sides, same colors, same d)."""
-        want = {tuple(sorted(e)) for e in keep}
+        if not isinstance(keep, Iterable):
+            raise InputError(f"keep must be a sequence of vertex pairs, got {keep!r}")
+        want = {_normalize_edge(e) for e in keep}
         missing = want - set(self._color)
         if missing:
             raise InputError(f"not edges of this graph: {sorted(missing)}")

@@ -254,6 +254,23 @@ class TestVerifyAndParsing:
         assert [r["check_id"] for r in rows] == ["c05"]
         assert rows[0]["status"] == "pass" and float(rows[0]["seconds"]) >= 0
 
+    def test_verify_prints_each_check_as_it_finishes(self, monkeypatch, capsys):
+        seen = []
+
+        def c09(seed):
+            seen.append(capsys.readouterr().out)
+            return {}, []
+
+        monkeypatch.setitem(verify.CHECKS, "c09", ("stub", c09))
+        assert main(["verify", "--checks", "c09,c05"]) == 0
+        assert seen[0].startswith("c05  pass") and "checks passed" not in seen[0]
+        assert capsys.readouterr().out.splitlines()[-1] == "2/2 checks passed"
+
+    def test_unknown_check_refused_before_running(self, capsys):
+        assert main(["verify", "--checks", "c05,c99"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "unknown check 'c99'" in err
+
     def test_bad_report_suffix_refused_before_running(self, tmp_path, monkeypatch, capsys):
         def run_suite(*args, **kwargs):
             raise AssertionError("run_suite called despite a bad --report suffix")

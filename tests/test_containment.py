@@ -181,6 +181,22 @@ class TestValidationAndBudget:
         with pytest.raises(InputError):
             validate_embedding(host, OrderedGraph(2, [(1, 2)]), Embedding("linear", image))
 
+    @pytest.mark.parametrize("bad", [None, [(1, 2)], "graph"])
+    def test_non_graphs_rejected(self, bad):
+        g = OrderedGraph(3, [(1, 2), (2, 3)])
+        for host, pattern in ((bad, g), (g, bad)):
+            for call in (contains, find_embedding, iter_embeddings):
+                with pytest.raises(InputError):
+                    call(host, pattern)
+            with pytest.raises(InputError):
+                validate_embedding(host, pattern, Embedding("linear", (1, 2, 3)))
+
+    @pytest.mark.parametrize("emb", [None, (1, 2), {"mode": "linear", "map": (1, 2)}])
+    def test_validate_rejects_non_embeddings(self, emb):
+        g = OrderedGraph(2, [(1, 2)])
+        with pytest.raises(InputError):
+            validate_embedding(g, g, emb)
+
     def test_reflected_limit_counts_both_passes(self):
         host = CgGraph(6, [(u, v) for u in range(1, 7) for v in range(u + 1, 7)])
         pattern = CgGraph(3, [(1, 2), (2, 3)])

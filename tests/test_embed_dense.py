@@ -146,6 +146,11 @@ class TestInputChecks:
         with pytest.raises(InputError):
             embed_dense(_complete(5), "not a decomposition")
 
+    @pytest.mark.parametrize("host", [None, [(1, 2)], "host"])
+    def test_non_graph_host_rejected(self, host):
+        with pytest.raises(InputError):
+            embed_dense(host, z_decompose(Z3))
+
     def test_non_spanning_decomposition_rejected(self):
         dec = ZDecomposition(hub=(1, 3), core=((1, 3),), s_j=(), s_i=())
         with pytest.raises(InputError):
@@ -319,7 +324,7 @@ class TestPlan:
     def test_one_plan_build_serves_every_host(self, monkeypatch):
         """Derived decompositions are built once per decomposition, not per call."""
         calls = []
-        for name in ("_z_decompose", "validate_decomposition"):
+        for name in ("_z_scan", "validate_decomposition"):
             real = getattr(solver, name)
             monkeypatch.setattr(
                 solver, name, lambda *a, _real=real, _name=name: calls.append(_name) or _real(*a)

@@ -12,6 +12,7 @@ from xtrees.errors import InputError
 from xtrees.order import (
     CgGraph,
     OrderedGraph,
+    _linear_edges,
     arc_side,
     chi_cyclic,
     chi_interval,
@@ -22,7 +23,7 @@ from xtrees.order import (
     reflect,
     rotate,
 )
-from xtrees.trees import _crossing_pairs, _linear_edges, cg_z_decompose, enumerate_trees, linearize
+from xtrees.trees import _crossing_pairs, cg_z_decompose, enumerate_trees, linearize
 
 
 def _edges(draw_n):
@@ -162,6 +163,11 @@ class TestCrossing:
         for chord, x in (((1, 7), 2), ((1, 4), 0), ((1, 4), 9)):
             with pytest.raises(InputError):
                 arc_side(5, chord, x)
+
+    @pytest.mark.parametrize("n", [5.5, True, "6", None])
+    def test_arc_side_rejects_non_integer_n(self, n):
+        with pytest.raises(InputError):
+            arc_side(n, (1, 3), 2)
 
 
 class TestChromatic:
@@ -406,7 +412,7 @@ class TestArithmeticTransforms:
     def test_linearization_is_its_own_inverse(self, k):
         for t in enumerate_trees(k, "cyclic"):
             for r in range(-1, t.n + 2):
-                assert _linear_edges(linearize(t, r), r) == t.edges
+                assert _linear_edges(t.n, linearize(t, r).edges, r) == t.edges
 
     @given(colored_graphs())
     def test_drawn_graphs(self, g):

@@ -1,7 +1,7 @@
 """Self-checks must survive ``python -O``, which strips ``assert`` statements.
 
 The package and its scripts raise explicitly wherever they check themselves;
-these tests keep it that way and run part of the release gate under ``-O``.
+these tests keep it that way and run the whole release gate under ``-O``.
 """
 
 import ast
@@ -88,6 +88,21 @@ def _imported_modules(node):
     return []
 
 
+def test_edge_list_callers_build_no_transform():
+    """The solver, containment and the tree layer need relabelled edge
+    lists only, which order._linear_edges gives without building a graph:
+    a transform graph would also scan its parent's split for nothing."""
+    transforms = {"mirror", "rotate", "reflect", "relabeled", "_mapped"}
+    found = [
+        f"{name}:{node.lineno}"
+        for name in ("solver.py", "containment.py", "trees.py")
+        for node in ast.walk(ast.parse((ROOT / "src" / "xtrees" / name).read_text()))
+        if isinstance(node, ast.Call)
+        and (getattr(node.func, "id", None) or getattr(node.func, "attr", None)) in transforms
+    ]
+    assert not found, f"transform calls: {found}"
+
+
 def test_only_the_gate_imports_the_oracles():
     """The brute-force references share no code with the paths they check:
     in the package and its scripts only the release gate calls them, and
@@ -124,7 +139,7 @@ def test_only_the_gate_names_the_golden_files():
 def test_gate_passes_under_optimize():
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
-        [sys.executable, "-O", "-m", "xtrees.cli", "verify", "--checks", "c02,c03,c05,c08,c09,c10,c11"],
+        [sys.executable, "-O", "-m", "xtrees.cli", "verify", "--suite", "all"],
         cwd=ROOT,
         env=env,
         capture_output=True,
@@ -132,4 +147,4 @@ def test_gate_passes_under_optimize():
         timeout=300,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert "7/7 checks passed" in proc.stdout
+    assert "11/11 checks passed" in proc.stdout

@@ -11,8 +11,9 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from xtrees import order
 from xtrees.constructions import f_n
-from xtrees.containment import contains
+from xtrees.containment import contains, iter_embeddings
 from xtrees.errors import BudgetError, InputError
 from xtrees.io import graph_to_dict
 from xtrees.kernels import order_embeddings
@@ -24,16 +25,20 @@ from xtrees.solver import (
     _check_result,
     _cyclic_length_edges,
     _placement_masks,
+    _plan,
     _relabellings,
     _search,
+    embed_dense,
     extremal_number,
 )
 from xtrees.trees import (
     CROSSING_P3_EDGES,
+    CgZDecomposition,
     LinearFormula,
     enumerate_trees,
     is_cg_z_tree,
     is_z_tree,
+    z_decompose,
 )
 from xtrees.walks import ColoredBipartite, extract_walk_free
 
@@ -320,6 +325,58 @@ class TestSymmetryBreaking:
     def test_rotation_node_guard(self):
         """Without symmetry breaking this cg solve needs 19,734 nodes."""
         assert extremal_number(7, CgGraph(4, [(1, 2), (1, 3), (3, 4)])).nodes < 10_000
+
+
+class TestEdgeListsOnly:
+    """The symmetry list, the reflected containment pass and the dense
+    embedding plan read relabelled edge lists only: they build no transform
+    graph, so they scan no interval or cyclic split and leave none behind."""
+
+    @staticmethod
+    def _no_split(monkeypatch, run):
+        scans = []
+        split_scan = order._split_scan
+        monkeypatch.setattr(order, "_split_scan", lambda *a: scans.append(a) or split_scan(*a))
+        g = run()
+        assert scans == []
+        assert not [key for key in g._adj_cache
+                    if key in ("interval", "cyclic") or key[0] == "chi"], g._adj_cache
+
+    @pytest.mark.parametrize("pattern", [P, OrderedGraph(3, [(1, 2), (2, 3)]),
+                                         CgGraph(4, [(1, 3), (2, 4), (3, 4)]),
+                                         CgGraph(4, [(1, 2), (2, 3), (3, 4)])])
+    def test_relabellings(self, monkeypatch, pattern):
+        def run():
+            g = type(pattern)(pattern.n, pattern.edges)
+            _relabellings(6, g)
+            return g
+        self._no_split(monkeypatch, run)
+
+    def test_reflected_containment(self, monkeypatch):
+        host = CgGraph(6, [(u, v) for u in range(1, 7) for v in range(u + 1, 7)])
+
+        def run():
+            pattern = CgGraph(4, [(1, 3), (2, 4), (3, 4)])
+            # C(6, 4) vertex sets, each read from 4 starts in both directions
+            assert len(list(iter_embeddings(host, pattern, allow_reflection=True))) == 15 * 8
+            return pattern
+        self._no_split(monkeypatch, run)
+
+    @pytest.mark.parametrize("cyclic", [False, True])
+    def test_embed_dense_plan(self, monkeypatch, cyclic):
+        """A fan on the left only (c = 0 < b) takes the mirror step."""
+        tree = OrderedGraph(4, [(1, 4), (2, 4), (3, 4)])
+        dec = z_decompose(tree)
+        assert dec.c == 0 < dec.b
+        if cyclic:
+            dec = CgZDecomposition(0, dec)
+        host = (CgGraph if cyclic else OrderedGraph)(8, _canonical_edges(8))
+
+        def run():
+            _plan.cache_clear()
+            assert embed_dense(host, dec) is not None
+            return _plan(dec)[0]
+        self._no_split(monkeypatch, run)
 
 
 class TestStructuralBounds:

@@ -616,9 +616,9 @@ class TestWorkDone:
         calls = []
         linear_edges = trees._linear_edges
 
-        def counting(t, r):
+        def counting(n, edges, r):
             calls.append(r)
-            return linear_edges(t, r)
+            return linear_edges(n, edges, r)
 
         monkeypatch.setattr(trees, "_linear_edges", counting)
         most = 0

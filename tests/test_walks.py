@@ -56,6 +56,11 @@ class TestColoredBipartite:
         with pytest.raises(InputError):
             g.color_of(2, 3)
 
+    @pytest.mark.parametrize("keep", [[5], None, [(1, 2, 3)], [("1", 2)], [(1.0, 2)]])
+    def test_subgraph_rejects_malformed_edges(self, keep):
+        with pytest.raises(InputError):
+            _f(16).subgraph(keep)
+
     def test_subgraph_keeps_colors_and_d(self):
         g = _f(16)
         sub = g.subgraph([(1, 2), (1, 4)])
