@@ -181,7 +181,7 @@ def _cmd_extract(args) -> int:
 
 def _cmd_verify(args) -> int:
     ids = None
-    if args.checks:
+    if args.checks is not None:
         ids = [c.strip() for c in args.checks.split(",") if c.strip()]
     if args.report and not args.report.endswith((".csv", ".json")):
         raise InputError("--report must end in .csv or .json")

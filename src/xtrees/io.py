@@ -15,12 +15,13 @@ import json
 from typing import TextIO, Union
 
 from .errors import InputError
-from .order import GRAPH_CLASSES, _Graph
+from .order import GRAPH_CLASSES, _check_graph, _Graph
 
 _MODES = {cls.mode: cls for cls in GRAPH_CLASSES}
 
 
 def graph_to_dict(g: _Graph) -> dict:
+    _check_graph("g", g)
     d = {"mode": g.mode, "n": g.n, "edges": [list(e) for e in g.edges]}
     if g.colors is not None:
         d["colors"] = list(g.colors)
@@ -61,14 +62,12 @@ def load_graph(source: Union[str, TextIO]) -> _Graph:
 
 
 def save_graph(g: _Graph, dest: Union[str, TextIO]) -> None:
-    doc = graph_to_dict(g)
+    text = dumps_graph(g) + "\n"
     if hasattr(dest, "write"):
-        json.dump(doc, dest, indent=None)
-        dest.write("\n")
+        dest.write(text)
     else:
         with open(dest, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh)
-            fh.write("\n")
+            fh.write(text)
 
 
 def dumps_graph(g: _Graph) -> str:

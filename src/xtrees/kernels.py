@@ -16,14 +16,14 @@ over bitmask candidate sets:
   [x + (w - v), end - (p - w)] that leaves room for the vertices between and
   after. This prunes only branches that cannot complete, so it changes no
   result and no order.
-* bulk forward checking: when w already has a placed neighbour, its
-  candidate set c is small (on sparse hosts a few positions), so the check
-  runs once for all of v's candidates instead of once per candidate. x
-  passes iff some y in c has y >= x + gap and y in adj[x], i.e. iff x lies in
-  s = the union over y in c of adj[y] restricted to positions <= y - gap;
-  the candidates become m & s. This is the same test, so the same positions
-  pass. Only a w with no placed neighbour (c is the whole window) is still
-  checked per candidate.
+* the plan sorts v's forward checks by kind once per pattern. bulk[v]: w
+  has a placed neighbour, so its candidate set c is small and one check
+  serves all of v's candidates m: x passes iff some y in c has y >= x + gap
+  and y in adj[x], iff x lies in s = the union over y in c of adj[y] up to
+  position y - gap, so m becomes m & s. free[v]: w has no placed neighbour,
+  c is its window top[w], and each candidate x is tested as (top[w] & adj[x])
+  >> (x + gap). Neither kind tests c for emptiness: when w's last placed
+  neighbour was placed, its image was kept only if some y of c remained.
 * interchangeable positions (Freuder, "Eliminating interchangeable values in
   constraint satisfaction problems", AAAI 1991): within one placement loop
   for v, let x be the last position that completed nothing (a forward check
@@ -43,9 +43,6 @@ each anchor t, pattern vertex 0 is pinned at t and the same search runs over
 the window [t, t + n), whose positions are the host vertices in increasing
 offset from t. Every embedding is found exactly once, under the anchor that
 is its image of vertex 0, and images are reported mod n.
-
-Only backward pattern edges (u, v) with u < v are consulted, which is all of
-them since edges are normalised.
 
 First-hit queries (limit >= 1) refute an absence in the cheapest of the
 pattern's equivalent orientations, and take their hits from the search as
@@ -69,9 +66,9 @@ runs on the input as given with the caller's limit. So the list returned, and
 its order, are those of the search as given. Enumeration (limit 0) searches
 only as given.
 
-The pattern's share of the set-up (each vertex's earlier neighbours and the
-forward checks after placing it) is built once per pattern and cached with
-the choice, so a tiny query pays the second search and little else.
+The pattern's share of the set-up (each vertex's earlier neighbours and its
+two lists of forward checks) is built once per pattern and cached with the
+choice, so a tiny query pays the second search and little else.
 """
 
 from __future__ import annotations
@@ -139,21 +136,22 @@ def _compile(p, pat_edges, cyclic):
 
 
 def _plan(p, pat_edges):
-    """prev[v]: the earlier neighbours of v; later[v]: the forward checks
-    after placing v, one per later neighbour w of v, with the neighbours of w
-    placed before v and the least gap w - v to v's image. Tuples, as the
-    plan is kept in the cache (an empty tuple takes no memory of its own)."""
+    """(prev, bulk, free): prev[v], the earlier neighbours of v; bulk[v] and
+    free[v], the forward checks after placing v, one per later neighbour w
+    of v: (w, its neighbours placed before v, w - v) if it has any, else
+    (w, w - v). Tuples, as the plan is kept in the cache (an empty tuple
+    takes no memory of its own)."""
     prev = tuple(tuple(u for u, w in pat_edges if w == v) for v in range(p))
-    later = tuple(
-        tuple((w, tuple(u for u in prev[w] if u < v), w - v) for x, w in pat_edges if x == v)
-        for v in range(p)
-    )
-    return prev, later
+    later = [[(w, tuple(u for u in prev[w] if u < v), w - v) for x, w in pat_edges if x == v]
+             for v in range(p)]
+    bulk = tuple(tuple(c for c in cs if c[1]) for cs in later)
+    free = tuple(tuple((w, gap) for w, placed, gap in cs if not placed) for cs in later)
+    return prev, bulk, free
 
 
 def _search(n, adj, p, plan, cyclic, limit):
     """The backtracking search of the module docstring on the input as given."""
-    prev, later = plan
+    prev, bulk, free = plan
     if cyclic:
         adj = [a | a << n for a in adj] * 2
     out = []
@@ -161,16 +159,10 @@ def _search(n, adj, p, plan, cyclic, limit):
 
     def extend(v, m):
         """Place v at each position of m in turn; True once limit is reached."""
-        checks = []
-        for w, placed, gap in later[v]:
+        for w, placed, gap in bulk[v]:
             c = top[w]
             for u in placed:
                 c &= adj[img[u]]
-            if not c:
-                return False
-            if not placed:
-                checks.append((c, gap))
-                continue
             # bulk forward check: keep the x of m adjacent to some y of c
             # with y >= x + gap; y runs from the top down until m is covered
             s = 0
@@ -192,8 +184,8 @@ def _search(n, adj, p, plan, cyclic, limit):
             a = adj[x]
             if not (a ^ dead) >> (x + 1):
                 continue
-            for c, gap in checks:
-                if not (c & a) >> (x + gap):
+            for w, gap in free[v]:
+                if not (top[w] & a) >> (x + gap):
                     dead = a
                     break
             else:

@@ -84,6 +84,12 @@ def _check_graph(what: str, g) -> None:
         raise InputError(f"{what} must be an OrderedGraph or CgGraph, got {type(g).__name__}")
 
 
+def _check_cg(what: str, g) -> None:
+    """Reject anything but a cg graph."""
+    if not isinstance(g, CgGraph):
+        raise InputError(f"{what} expects a CgGraph, got {type(g).__name__}")
+
+
 def _check_edges(n: int, edges: Iterable[Sequence[int]]) -> list[Edge]:
     """Normalise and validate, preserving the caller's edge order."""
     _check_int("vertex count", n)
@@ -230,9 +236,6 @@ class _Graph:
                 kept["chi", key] = len(split)
         return g
 
-    def __len__(self):
-        return len(self.edges)
-
 
 def _relabel(edges: Iterable[Edge], img: Sequence[int]) -> tuple[Edge, ...]:
     """The sorted edges with each v renamed img[v], one-to-one on them."""
@@ -312,6 +315,7 @@ def _crosses(e: Edge, f: Edge) -> bool:
 
 def crosses(g: _Graph, e: Sequence[int], f: Sequence[int]) -> bool:
     """Do edges e and f of g cross? Shared endpoints never cross."""
+    _check_graph("g", g)
     e, f = _normalize_edge(e), _normalize_edge(f)
     if e[0] < 1 or f[0] < 1 or e[1] > g.n or f[1] > g.n:
         raise InputError(f"edges {e} and {f} must lie in 1..{g.n}")
@@ -395,8 +399,7 @@ def cyclic_split(g: CgGraph) -> tuple[int, ...]:
     max(2, k0 - 1) is the answer; if none does, cut 0 is. A cut is dropped
     as soon as it needs more parts than that.
     """
-    if g.mode != "cg":
-        raise InputError("cyclic split needs a cg graph")
+    _check_cg("cyclic_split", g)
     return g._kept("cyclic", _cyclic_scan)
 
 
@@ -414,6 +417,7 @@ def _cyclic_scan(g: CgGraph) -> tuple[int, ...]:
 def mirror(g: _Graph):
     """Reverse the vertex order: v -> n+1-v. Defined for both modes; on the
     circle this is the reflection fixing the gap between n and 1."""
+    _check_graph("g", g)
     n = g.n
     # part p+1..b becomes n+1-b..n-p: each boundary p turns into n - p, 0 into n
     return g._mapped(list(range(n + 1, 0, -1)), lambda b: n - b or n)
@@ -421,8 +425,7 @@ def mirror(g: _Graph):
 
 def rotate(g: CgGraph, r: int) -> CgGraph:
     """Rotate clockwise by r positions: v -> ((v-1+r) mod n)+1. Cyclic only."""
-    if g.mode != "cg":
-        raise InputError("rotation is only defined on the circle")
+    _check_cg("rotate", g)
     _check_int("rotation", r)
     n = g.n
     return g._mapped([0] + [(v + r) % n + 1 for v in range(n)], lambda b: (b - 1 + r) % n + 1)
@@ -430,6 +433,5 @@ def rotate(g: CgGraph, r: int) -> CgGraph:
 
 def reflect(g: CgGraph) -> CgGraph:
     """Reflect the circle (reverses the clockwise orientation). Cyclic only."""
-    if g.mode != "cg":
-        raise InputError("reflection is only defined on the circle")
+    _check_cg("reflect", g)
     return mirror(g)

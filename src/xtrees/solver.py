@@ -52,12 +52,12 @@ search in its order would visit without symmetry, and finds the same value.
 
 Why the witness is that of one canonical search: the include-first DFS
 meets leaves in decreasing word order, so without a known value it would
-return the largest optimal word, the witness before the two runs were split.
-With the value known only leaves of that size are counted, and the bounds
-are admissible, so no ancestor of the largest optimal word is pruned: it is
-the first leaf the witness run reaches, and the graphs under ``golden/`` do
-not depend on the order the proof uses. n is capped at 8; larger requests
-are refused rather than approximated.
+return the largest optimal word. With the value known only leaves of that
+size are counted, and the bounds are admissible, so no ancestor of the
+largest optimal word is pruned: it is the first leaf the witness run
+reaches, and the graphs under ``golden/`` do not depend on the order the
+proof uses. n is capped at 8; larger requests are refused rather than
+approximated.
 
 ``embed_dense`` turns the inductive extremal proof into an algorithm, one
 for both vertex orders. With fan counts (a, b, c) and c >= 1, an induction

@@ -52,6 +52,7 @@ from .order import (
     Edge,
     OrderedGraph,
     _adjacency_lists,
+    _check_cg,
     _check_graph,
     _check_int,
     _crosses,
@@ -272,8 +273,7 @@ class CgZDecomposition:
 
 def linearize(t: CgGraph, r: int) -> OrderedGraph:
     """Rotate a cg tree by r and read it as an ordered graph, reversing labels."""
-    if t.mode != "cg":
-        raise InputError("linearize expects a cg graph")
+    _check_cg("linearize", t)
     _check_int("rotation", r)
     # colors are dropped
     return OrderedGraph._trusted(t.n, _linear_edges(t.n, t.edges, r))
@@ -295,8 +295,7 @@ def cg_z_decompose(t: CgGraph) -> Union[CgZDecomposition, NotAZTree]:
     a boundary turns the two edge-free arcs into two edge-free intervals, so
     that number is two by construction. The result is kept on t.
     """
-    if not isinstance(t, CgGraph):
-        raise InputError("cg_z_decompose expects a cg graph")
+    _check_cg("cg_z_decompose", t)
     _require_tree(t)
     return t._kept("cg_z", _cg_z_decompose)
 
@@ -373,6 +372,7 @@ class CrossingPath4:
 def detect_crossing_path4(t: CgGraph) -> Optional[CrossingPath4]:
     """First four-edge path of the cg graph containing a crossing, if any;
     the result is kept on t."""
+    _check_cg("detect_crossing_path4", t)
     return t._kept("path4", _crossing_path4)
 
 
@@ -444,6 +444,7 @@ def _twin_pair_ok(p: tuple, q: tuple) -> Optional[int]:
 def detect_twin_crossing_paths(t: CgGraph) -> Optional[TwinCrossingPaths]:
     """First pair of self-crossing 3-edge paths in twin position, if any;
     the result is kept on t, a BudgetError is raised again on every call."""
+    _check_cg("detect_twin_crossing_paths", t)
     return t._kept("twins", _twin_crossing_paths)
 
 
@@ -463,8 +464,7 @@ def _twin_crossing_paths(t: CgGraph) -> Optional[TwinCrossingPaths]:
 
 def is_zigzag(t: CgGraph) -> bool:
     """Whether a cg path is crossing-free with cyclic chromatic number two."""
-    if not isinstance(t, CgGraph):
-        raise InputError("is_zigzag expects a cg graph")
+    _check_cg("is_zigzag", t)
     if not t.is_tree() or any(t.degree(v) > 2 for v in range(1, t.n + 1)):
         raise InputError("is_zigzag expects a path")
     if _crossing_pairs(t):

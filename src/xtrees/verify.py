@@ -42,6 +42,7 @@ from .order import (
     CgGraph,
     OrderedGraph,
     _check_int,
+    _linear_edges,
     chi_cyclic,
     chi_interval,
     cyclic_split,
@@ -180,7 +181,7 @@ def _golden_fh_assignment() -> dict:
     contain its mirror at stage 4, on 8 vertices.
     """
     four = [p for p in derive_obstructions(4) if len(p.edges) == 4]
-    pairs = sorted({tuple(sorted((p.edges, mirror(p).edges))) for p in four})
+    pairs = sorted({tuple(sorted((p.edges, _linear_edges(p.n, p.edges, 0)))) for p in four})
     if len(four) != 4 or len(pairs) != 2:
         raise RuntimeError(f"expected two mirror pairs of 4-edge obstructions, got {pairs}")
     patterns = {f"pair{i}_{member}": OrderedGraph(5, edges)
@@ -300,7 +301,7 @@ def _c01_linear_formula(seed: int) -> tuple[dict, list[str]]:
     for k in (2, 3, 4):
         formula = LinearFormula(k)
         for t, _ in _z_trees(k, "linear"):
-            key = min(t.edges, mirror(t).edges)
+            key = min(t.edges, _linear_edges(t.n, t.edges, 0))
             if key in reps:
                 continue
             reps.add(key)
@@ -740,6 +741,7 @@ def _require_check(check_id: str) -> None:
 def run_check(check_id: str, seed: int = 0) -> CheckResult:
     """Run one check; unexpected exceptions fail it rather than the suite."""
     _require_check(check_id)
+    _check_int("seed", seed)
     name, fn = CHECKS[check_id]
     start = time.perf_counter()
     try:
@@ -759,11 +761,15 @@ def run_suite(
     seed: int = 0,
 ) -> Iterator[CheckResult]:
     """Run the requested checks serially in this process, each timed in it,
-    and yield each result as its check finishes, in id order. Every id is
-    checked at the call, so a bad one raises before any check runs."""
+    and yield each result as its check finishes, in id order. The ids, at
+    least one, and the seed are checked at the call, so nothing runs on a
+    bad request."""
     ids = list(check_ids) if check_ids is not None else list(CHECK_IDS)
+    if not ids:
+        raise InputError("no check selected")
     for cid in ids:
         _require_check(cid)
+    _check_int("seed", seed)
     return (run_check(cid, seed) for cid in sorted(ids))
 
 

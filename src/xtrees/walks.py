@@ -442,8 +442,7 @@ def extract_walk_free(
             if len(chosen) + (len(edges) - idx) <= len(best):
                 return
             if idx == len(edges):
-                if len(chosen) > len(best):
-                    best = list(chosen)
+                best = list(chosen)
                 return
             u, v = edges[idx]
             c = g.color_of(u, v)

@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 from xtrees import verify
+from xtrees.errors import InputError
 from xtrees.order import CgGraph, OrderedGraph
 from xtrees.verify import CHECK_IDS, CHECKS, _random_subgraph, all_passed, run_check, run_suite
 
@@ -91,6 +92,23 @@ def test_fault_in_one_order_fails_its_check_and_names_the_order(
     broken, intact = ("ordered", "cg") if order == "linear" else ("cg", "ordered")
     assert not r.passed
     assert f"{broken} " in r.detail and f"{intact} " not in r.detail, r.detail
+
+
+def test_empty_selection_refused():
+    with pytest.raises(InputError, match="no check selected"):
+        run_suite([])
+
+
+@pytest.mark.parametrize("seed", [1.5, True, "x", None])
+def test_non_int_seed_refused_before_any_check_runs(monkeypatch, seed):
+    def c05(seed):
+        raise AssertionError("a check ran with a bad seed")
+
+    monkeypatch.setitem(verify.CHECKS, "c05", ("stub", c05))
+    with pytest.raises(InputError, match="seed"):
+        run_check("c05", seed=seed)
+    with pytest.raises(InputError, match="seed"):
+        run_suite(["c05"], seed=seed)
 
 
 def test_results_come_back_in_id_order():

@@ -9,7 +9,7 @@ from xtrees import verify
 from xtrees.cli import _witness_dict, main
 from xtrees.io import dumps_graph, graph_to_dict, load_graph
 from xtrees.order import CgGraph, OrderedGraph
-from xtrees.constructions import f_n
+from xtrees.constructions import f_n, fh_q, fh_r, gstar
 from xtrees.solver import extremal_number
 from xtrees.trees import (
     CgZDecomposition,
@@ -56,6 +56,22 @@ class TestConstruct:
 
     def test_odd_fh_rejected(self, capsys):
         assert main(["construct", "--name", "fh_q", "--n", "7"]) == 2
+
+    @pytest.mark.parametrize(
+        "args, graph",
+        [
+            (["--name", "gstar", "--n", "20", "--a", "2", "--b", "1", "--c", "3"],
+             gstar(20, 2, 1, 3)),
+            (["--name", "fh_q", "--n", "8"], fh_q(4)),
+            (["--name", "fh_r", "--n", "16"], fh_r(8)),
+        ],
+        ids=["gstar", "fh_q", "fh_r"],
+    )
+    def test_parameterised_builders(self, capsys, args, graph):
+        """gstar takes its fan sizes in order; fh_q and fh_r take the vertex
+        count, twice their stage."""
+        assert main(["construct", *args]) == 0
+        assert json.loads(capsys.readouterr().out) == graph_to_dict(graph)
 
 
 class TestContains:
@@ -265,6 +281,19 @@ class TestVerifyAndParsing:
         assert main(["verify", "--checks", "c09,c05"]) == 0
         assert seen[0].startswith("c05  pass") and "checks passed" not in seen[0]
         assert capsys.readouterr().out.splitlines()[-1] == "2/2 checks passed"
+
+    def test_failing_check_prints_its_detail(self, monkeypatch, capsys):
+        monkeypatch.setitem(verify.CHECKS, "c05", ("stub", lambda seed: ({}, ["boom", "bang"])))
+        assert main(["verify", "--checks", "c05"]) == 1
+        first, last = capsys.readouterr().out.splitlines()
+        assert first.startswith("c05  fail") and first.endswith("  [boom; bang]")
+        assert last == "0/1 checks passed"
+
+    @pytest.mark.parametrize("checks", [",", "", " , "])
+    def test_empty_selection_refused(self, capsys, checks):
+        assert main(["verify", "--checks", checks]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error:") and "no check selected" in err
 
     def test_unknown_check_refused_before_running(self, capsys):
         assert main(["verify", "--checks", "c05,c99"]) == 2

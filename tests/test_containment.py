@@ -137,6 +137,9 @@ class TestMetamorphic:
             assert contains(host, pattern) == contains(reflect(host), reflect(pattern))
 
 
+K5 = CgGraph(5, [(u, v) for u in range(1, 6) for v in range(u + 1, 6)])
+
+
 class TestValidationAndBudget:
     def test_validate_accepts_kernel_output(self):
         host = CgGraph(6, [(1, 2), (2, 4), (4, 6)])
@@ -190,6 +193,35 @@ class TestValidationAndBudget:
                     call(host, pattern)
             with pytest.raises(InputError):
                 validate_embedding(host, pattern, Embedding("linear", (1, 2, 3)))
+
+    @pytest.mark.parametrize(
+        "host, pattern, emb, message",
+        [
+            (CgGraph(3, [(1, 2)]), OrderedGraph(2, [(1, 2)]), Embedding("cyclic", (1, 2)),
+             "mode mismatch"),
+            (OrderedGraph(3, [(1, 2)]), OrderedGraph(2, [(1, 2)]), Embedding("cyclic", (1, 2)),
+             "embedding mode 'cyclic'"),
+            (OrderedGraph(3, [(1, 2)]), OrderedGraph(2, [(1, 2)]), Embedding("linear", (1, 2, 3)),
+             "map has 3 entries"),
+            (OrderedGraph(3, [(1, 2)]), OrderedGraph(2, []), Embedding("linear", (2, 2)),
+             "not injective"),
+            (OrderedGraph(3, [(1, 2)]), OrderedGraph(2, [(1, 2)]),
+             Embedding("linear", (1, 2), reflected=True), "cyclic-only"),
+            (OrderedGraph(3, [(1, 2)]), OrderedGraph(2, [(1, 2)]), Embedding("linear", (2, 1)),
+             "linear order"),
+            (K5, CgGraph(3, [(1, 2), (2, 3)]), Embedding("cyclic", (1, 5, 2)),
+             "clockwise cyclic order"),
+            (K5, CgGraph(3, [(1, 2), (2, 3)]), Embedding("cyclic", (5, 1, 2), reflected=True),
+             "reversed cyclic order"),
+        ],
+        ids=["modes", "emb-mode", "length", "injective", "reflected-linear", "linear-order",
+             "clockwise", "reversed"],
+    )
+    def test_validate_rejects_each_broken_rule(self, host, pattern, emb, message):
+        """Each map sends every pattern edge to a host edge, and each message
+        names the one rejection that raised it."""
+        with pytest.raises(InputError, match=message):
+            validate_embedding(host, pattern, emb)
 
     @pytest.mark.parametrize("emb", [None, (1, 2), {"mode": "linear", "map": (1, 2)}])
     def test_validate_rejects_non_embeddings(self, emb):

@@ -268,6 +268,11 @@ class TestStructure:
         assert OrderedGraph(3, [(1, 2), (2, 3)]).is_tree()
         assert not OrderedGraph(3, [(1, 2)]).is_tree()  # disconnected
         assert not OrderedGraph(3, [(1, 2), (1, 3), (2, 3)]).is_tree()
+        assert not OrderedGraph(4, [(1, 2), (1, 3), (2, 3)]).is_tree()  # n - 1 edges, a cycle
+
+    def test_edgeless_graph_is_truthy(self):
+        """A graph is a value, not a container: no edges does not make it false."""
+        assert OrderedGraph(3, []) and CgGraph(1, [])
 
     def test_adjacency_masks_are_zero_based(self):
         g = OrderedGraph(3, [(1, 3)])

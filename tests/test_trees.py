@@ -1,6 +1,7 @@
 """Tree structure: z-decompositions (both orders), forbidden configurations,
 the obstruction catalog, enumeration and classification."""
 
+import io
 import random
 from itertools import combinations, permutations
 
@@ -9,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from xtrees import trees
 from xtrees.errors import BudgetError, InputError, NotApplicableError
+from xtrees.io import dumps_graph, graph_to_dict, save_graph
 from xtrees.order import (
     _SHARED_EDGES,
     CgGraph,
@@ -365,6 +367,33 @@ class TestClassify:
     def test_formula_values(self):
         assert LinearFormula(2).value(5) == 4
         assert LinearFormula(4).value(7) == 15
+
+
+_ORDERED_PATH = OrderedGraph(5, [(1, 3), (1, 4), (2, 4), (2, 5)])  # crosses as a cg path
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: detect_crossing_path4(_ORDERED_PATH),
+        lambda: detect_twin_crossing_paths(_ORDERED_PATH),
+        lambda: detect_crossing_path4(5),
+        lambda: detect_twin_crossing_paths(None),
+        lambda: mirror(5),
+        lambda: rotate(5, 1),
+        lambda: reflect("g"),
+        lambda: linearize(5, 0),
+        lambda: crosses(5, (1, 3), (2, 4)),
+        lambda: dumps_graph(5),
+        lambda: graph_to_dict(None),
+        lambda: save_graph(5, io.StringIO()),
+    ],
+    ids=["path4-ordered", "twins-ordered", "path4-int", "twins-none", "mirror", "rotate",
+         "reflect", "linearize", "crosses", "dumps", "to-dict", "save"],
+)
+def test_public_calls_reject_what_they_cannot_read(call):
+    with pytest.raises(InputError):
+        call()
 
 
 # -- reference versions of the cyclic structure layer: every cut of the

@@ -185,6 +185,33 @@ def test_entry_points_reject_other_graphs(g):
             call(g, "fast")
 
 
+# the path 1-2-3-4-5 coloured 3, 1, 2, 3 and coloured 1, 2, 3, 4
+_P3123 = ColoredBipartite([1, 3, 5], [2, 4], [(1, 2, 3), (2, 3, 1), (3, 4, 2), (4, 5, 3)])
+_P1234 = ColoredBipartite([1, 3, 5], [2, 4], [(1, 2, 1), (2, 3, 2), (3, 4, 3), (4, 5, 4)])
+
+
+@pytest.mark.parametrize(
+    "g, walk, side, message",
+    [
+        (_P3123, Walk4((1, 2, 3, 4, 1), (3, 1, 2, 3), "fast"), None, "not an edge"),
+        (_P3123, Walk4((1, 2, 3, 4, 5), (3, 1, 2, 4), "fast"), None, "color mismatch"),
+        (_P3123, Walk4((2, 1, 2, 3, 4), (3, 3, 1, 2), "fast"), None, "consecutive edges equal"),
+        (_P3123, Walk4((5, 4, 3, 2, 1), (3, 2, 1, 3), "fast"), None, "c2 < c3 < c4"),
+        (_P1234, Walk4((1, 2, 3, 4, 5), (1, 2, 3, 4), "fast"), None, "fast needs"),
+        (_P1234, Walk4((1, 2, 3, 4, 5), (1, 2, 3, 4), "slow"), "A", "slow needs"),
+        (_P3123, Walk4((1, 2, 3, 4, 5), (3, 1, 2, 3), "slow"), "B", "must start in B"),
+    ],
+    ids=["non-edge", "colour", "repeat", "ascent", "fast-close", "slow-close", "side"],
+)
+def test_walk_check_rejects_each_broken_rule(g, walk, side, message):
+    """The walk along _P3123 passes as fast and as slow from A; each case
+    breaks one rule and fails with its message."""
+    Walk4((1, 2, 3, 4, 5), (3, 1, 2, 3), "fast").check(_P3123)
+    Walk4((1, 2, 3, 4, 5), (3, 1, 2, 3), "slow").check(_P3123, "A")
+    with pytest.raises(AssertionError, match=message):
+        walk.check(g, side)
+
+
 def test_walk_check_rejects_under_optimize():
     """Walk4.check raises explicitly, so python -O keeps the check."""
     code = (
