@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .errors import BudgetError, InputError
-from .kernels import order_embeddings
+from .kernels import _exists, order_embeddings
 from .order import _check_graph, _Graph, _linear_edges
 
 MAX_HOST = 256
@@ -132,7 +132,14 @@ def find_embedding(
 
 def contains(host: _Graph, pattern: _Graph, *, allow_reflection: bool = False) -> bool:
     """Whether ``host`` contains ``pattern`` (order-preservingly)."""
-    return bool(_embeddings(host, pattern, allow_reflection, 1))
+    cyclic = _require_pair(host, pattern, allow_reflection, 1)
+    p = pattern.n
+    orientations = [pattern.edges]
+    if allow_reflection and p >= 3:
+        orientations.append(_linear_edges(p, pattern.edges, 0))
+    adj = host.adjacency_masks()
+    return any(_exists(host.n, adj, p, [(u - 1, v - 1) for u, v in edges], cyclic)
+               for edges in orientations)
 
 
 def validate_embedding(host: _Graph, pattern: _Graph, emb: Embedding) -> bool:

@@ -12,6 +12,7 @@ trips exactly (edges are written sorted, colors follow their edges).
 from __future__ import annotations
 
 import json
+import os
 from typing import TextIO, Union
 
 from .errors import InputError
@@ -44,8 +45,17 @@ def graph_from_dict(d: dict) -> _Graph:
     return _MODES[mode](n, edges, colors=d.get("colors"))
 
 
-def load_graph(source: Union[str, TextIO]) -> _Graph:
+def _check_file(name: str, value, method: str) -> None:
+    """A path (str or os.PathLike) or an object with ``method``, nothing
+    else: open() would take an int or a bool as a file descriptor, and close
+    it afterwards."""
+    if not (hasattr(value, method) or isinstance(value, (str, os.PathLike))):
+        raise InputError(f"{name} must be a path or an object with {method}(), got {value!r}")
+
+
+def load_graph(source: Union[str, os.PathLike, TextIO]) -> _Graph:
     """Load from a path or an open file object."""
+    _check_file("source", source, "read")
     try:
         if hasattr(source, "read"):
             doc = json.load(source)
@@ -61,7 +71,9 @@ def load_graph(source: Union[str, TextIO]) -> _Graph:
     return graph_from_dict(doc)
 
 
-def save_graph(g: _Graph, dest: Union[str, TextIO]) -> None:
+def save_graph(g: _Graph, dest: Union[str, os.PathLike, TextIO]) -> None:
+    """Save to a path or an open file object."""
+    _check_file("dest", dest, "write")
     text = dumps_graph(g) + "\n"
     if hasattr(dest, "write"):
         dest.write(text)

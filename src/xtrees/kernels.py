@@ -16,26 +16,37 @@ over bitmask candidate sets:
   [x + (w - v), end - (p - w)] that leaves room for the vertices between and
   after. This prunes only branches that cannot complete, so it changes no
   result and no order.
-* the plan sorts v's forward checks by kind once per pattern. bulk[v]: w
-  has a placed neighbour, so its candidate set c is small and one check
-  serves all of v's candidates m: x passes iff some y in c has y >= x + gap
-  and y in adj[x], iff x lies in s = the union over y in c of adj[y] up to
-  position y - gap, so m becomes m & s. free[v]: w has no placed neighbour,
-  c is its window top[w], and each candidate x is tested as (top[w] & adj[x])
-  >> (x + gap). Neither kind tests c for emptiness: when w's last placed
-  neighbour was placed, its image was kept only if some y of c remained.
+* the forward checks of v come in two kinds, sorted when the search is
+  built. Bulk: w has a placed neighbour, so its candidate set c is small and
+  one check serves all of v's candidates m: x passes iff some y in c has
+  y >= x + gap and y in adj[x], iff x lies in s = the union over y in c of
+  adj[y] up to position y - gap, so m becomes m & s. Free: w has no placed
+  neighbour, c is its window top[w], and each candidate x is tested as
+  (top[w] & adj[x]) >> (x + gap). Neither kind tests c for emptiness: when
+  w's last placed neighbour was placed, its image was kept only if some y of
+  c remained.
+* v + 1's candidates are hoisted: the part h that comes from neighbours of
+  v + 1 placed before v does not depend on v's position x, so it is computed
+  once per node, and v + 1's candidates at x are h above x (and in adj[x]
+  when v is a neighbour of v + 1). If v is not a neighbour of v + 1 but
+  v + 1 has an earlier one, every x at or above the last position of h
+  leaves v + 1 nothing, so those x are cut from v's candidates before the
+  loop. They are v's last candidates and complete nothing, so the cut prunes
+  only branches that cannot complete and changes no other decision. After
+  the cut, and by the forward check when v is a neighbour of v + 1, v + 1
+  always has a candidate: h is not empty for the reason above.
 * interchangeable positions (Freuder, "Eliminating interchangeable values in
   constraint satisfaction problems", AAAI 1991): within one placement loop
   for v, let x be the last position that completed nothing (a forward check
-  rejected it, v + 1 had no candidate, or the search below added no
-  embedding). A later candidate x' with (adj[x'] ^ adj[x]) >> (x' + 1) == 0
-  is skipped. Any completion with v at x' places v + 1..p-1 above x', where
-  x sees every position as x' does; x is a candidate, so it is adjacent to
-  the images of v's placed neighbours. The same completion with v at x
-  would therefore be an embedding, and there was none. So the skip, too,
-  prunes only branches that cannot complete. On hosts made of twins, such
-  as the complete bipartite graph between two arcs, it turns a refutation
-  that retries every vertex of an arc into one that tries one per arc.
+  rejected it or the search below added no embedding). A later candidate x'
+  with (adj[x'] ^ adj[x]) >> (x' + 1) == 0 is skipped. Any completion with v
+  at x' places v + 1..p-1 above x', where x sees every position as x' does;
+  x is a candidate, so it is adjacent to the images of v's placed
+  neighbours. The same completion with v at x would therefore be an
+  embedding, and there was none. So the skip, too, prunes only branches
+  that cannot complete. On hosts made of twins, such as the complete
+  bipartite graph between two arcs, it turns a refutation that retries
+  every vertex of an arc into one that tries one per arc.
 
 Linear order searches the window [0, n). Cyclic order searches a doubled
 host, positions 0..2n-1 where position i stands for host vertex i mod n: for
@@ -43,6 +54,15 @@ each anchor t, pattern vertex 0 is pinned at t and the same search runs over
 the window [t, t + n), whose positions are the host vertices in increasing
 offset from t. Every embedding is found exactly once, under the anchor that
 is its image of vertex 0, and images are reported mod n.
+
+The search runs as one generated function per pattern and order, not as a
+recursion: one nested loop per pattern vertex (the anchor loop is vertex 0's
+in cyclic order), with v's image, its adjacency mask, its candidates and
+its last dead mask in locals x{v}, a{v}, m{v}, d{v}, and every neighbour
+list and forward check of the pattern written out as code, so a search node
+makes no call. CPython compiles at most 20 statically nested blocks, so
+patterns with more than 20 vertices are refused with a BudgetError; the
+source is built from the ints in range(p) alone, never from caller values.
 
 First-hit queries (limit >= 1) refute an absence in the cheapest of the
 pattern's equivalent orientations, and take their hits from the search as
@@ -64,16 +84,24 @@ the chosen orientation is not the pattern as given, the search first runs
 on it with limit 1; finding nothing, the query returns []; else the search
 runs on the input as given with the caller's limit. So the list returned, and
 its order, are those of the search as given. Enumeration (limit 0) searches
-only as given.
+only as given. Containment's yes/no question (_exists) needs no list: it
+runs the one search in the chosen orientation.
 
-The pattern's share of the set-up (each vertex's earlier neighbours and its
-two lists of forward checks) is built once per pattern and cached with the
-choice, so a tiny query pays the second search and little else.
+The generated search and the choice are built once per pattern and cached
+together, so a tiny query pays the searches and little else; generating a
+5- to 7-vertex search costs about a millisecond, once.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import combinations
+
+from .errors import BudgetError, InputError
+
+# CPython refuses more than 20 statically nested blocks; the generated search
+# nests one loop per pattern vertex.
+_MAX_P = 20
 
 # _REV8[b]: the byte b with its 8 bits in reverse order
 _REV8 = bytes(sum((b >> i & 1) << (7 - i) for i in range(8)) for b in range(256))
@@ -88,16 +116,36 @@ def order_embeddings(n, adj, p, pat_edges, cyclic, limit=0):
     limit: stop after this many embeddings (0 = enumerate all).
 
     Returns a list of p-tuples of 0-based host positions, in lexicographic
-    order (cyclic: ordered by anchor, then lexicographic).
+    order (cyclic: ordered by anchor, then lexicographic). Raises BudgetError
+    for a pattern of more than 20 vertices that fits in the host, and
+    InputError for an edge that is not a pair u < v of range(p).
     """
     if p > n or p < 1:
         return []
-    plan, turn = _compile(p, tuple(pat_edges), cyclic)
-    if limit and turn is not None:
-        turned, flip = turn
-        if not _search(n, _mirrored(n, adj) if flip else adj, p, turned, cyclic, 1):
-            return []
-    return _search(n, adj, p, plan, cyclic, limit)
+    search, turn = _compile(p, tuple(pat_edges), cyclic)
+    if limit and turn is not None and not _exists(n, adj, p, pat_edges, cyclic):
+        return []
+    return _search(search, n, adj, cyclic, limit)
+
+
+def _exists(n, adj, p, pat_edges, cyclic):
+    """Whether order_embeddings(n, adj, p, pat_edges, cyclic, 1) is not
+    empty, from one search in the orientation first-hit queries refute in."""
+    if p > n or p < 1:
+        return False
+    search, turn = _compile(p, tuple(pat_edges), cyclic)
+    if turn is not None:
+        search, flip = turn
+        if flip:
+            adj = _mirrored(n, adj)
+    return bool(_search(search, n, adj, cyclic, 1))
+
+
+def _search(search, n, adj, cyclic, limit):
+    """Run a generated search on a host; cyclic order searches it doubled."""
+    if cyclic:
+        adj = [a | a << n for a in adj] * 2
+    return search(adj, n, limit)
 
 
 def _mirrored(n, adj):
@@ -113,9 +161,17 @@ def _mirrored(n, adj):
 
 @lru_cache(maxsize=1024)
 def _compile(p, pat_edges, cyclic):
-    """(plan, turn) for a pattern: the search plan of the pattern as given,
-    and turn = None if first-hit queries refute in it, else (the plan of the
-    orientation they refute in, whether the host is mirrored too)."""
+    """(search, turn) for a pattern: the generated search of the pattern as
+    given, and turn = None if first-hit queries refute in it, else (the
+    search of the orientation they refute in, whether the host is mirrored
+    too)."""
+    if p > _MAX_P:
+        raise BudgetError(
+            f"pattern has {p} vertices; the search kernel nests one loop per "
+            f"vertex and its limit is {_MAX_P}"
+        )
+    if not set(pat_edges) <= set(combinations(range(p), 2)):
+        raise InputError(f"pattern edges {pat_edges!r} are not normalised 0-based pairs")
     best, turn = sum(v for _, v in pat_edges), None
     for flip in (False, True):
         for r in range(p if cyclic else 1):
@@ -131,91 +187,95 @@ def _compile(p, pat_edges, cyclic):
             if s < best:
                 best, turn = s, (edges, flip)
     if turn is not None:
-        turn = (_plan(p, sorted(turn[0])), turn[1])
-    return _plan(p, pat_edges), turn
+        turn = (_compile(p, tuple(sorted(turn[0])), cyclic)[0], turn[1])
+    namespace = {}
+    exec(compile(_source(p, set(pat_edges), cyclic), "<search kernel>", "exec"), namespace)
+    return namespace["search"], turn
 
 
-def _plan(p, pat_edges):
-    """(prev, bulk, free): prev[v], the earlier neighbours of v; bulk[v] and
-    free[v], the forward checks after placing v, one per later neighbour w
-    of v: (w, its neighbours placed before v, w - v) if it has any, else
-    (w, w - v). Tuples, as the plan is kept in the cache (an empty tuple
-    takes no memory of its own)."""
-    prev = tuple(tuple(u for u, w in pat_edges if w == v) for v in range(p))
-    later = [[(w, tuple(u for u in prev[w] if u < v), w - v) for x, w in pat_edges if x == v]
-             for v in range(p)]
-    bulk = tuple(tuple(c for c in cs if c[1]) for cs in later)
-    free = tuple(tuple((w, gap) for w, placed, gap in cs if not placed) for cs in later)
-    return prev, bulk, free
+def _source(p, edges, cyclic):
+    """The source of search(adj, n, limit) for one pattern: the search of the
+    module docstring as one loop nest, from the ints in range(p) alone."""
+    prev = [[u for u in range(v) if (u, v) in edges] for v in range(p)]
+    lines = ["def search(adj, n, limit):", "    out = []", "    add = out.append",
+             f"    r = n - {p - 1}" if p > 1 else "    r = n"]
+    depth = 1
+    closing = []  # (depth, lines) to write once the loops inside are closed
 
+    def put(*text):
+        lines.extend("    " * depth + t for t in text)
 
-def _search(n, adj, p, plan, cyclic, limit):
-    """The backtracking search of the module docstring on the input as given."""
-    prev, bulk, free = plan
+    # T{w}: w's window, the positions up to the last one that leaves room
+    # for w+1..p-1; in cyclic order it moves with the anchor x0
     if cyclic:
-        adj = [a | a << n for a in adj] * 2
-    out = []
-    img = [0] * p
-
-    def extend(v, m):
-        """Place v at each position of m in turn; True once limit is reached."""
-        for w, placed, gap in bulk[v]:
-            c = top[w]
-            for u in placed:
-                c &= adj[img[u]]
+        put("for x0 in range(n):")
+        depth += 1
+        put(*(f"T{w} = (1 << x0 + r + {w}) - 1" for w in range(1, p)))
+    else:
+        put(*(f"T{w} = (1 << r + {w}) - 1" if w else "T0 = (1 << r) - 1" for w in range(p)),
+            "m0 = T0")
+    for v in range(p):
+        # m{v} holds v's candidates; a{u} and x{u} for u < v are placed
+        m, x, a = f"m{v}", f"x{v}", f"a{v}"
+        if v == p - 1:
+            img = ", ".join([f"x{u} % n" if cyclic and u else f"x{u}" for u in range(v)]
+                            + ["x0" if cyclic and v == 0 else
+                               "(b.bit_length() - 1) % n" if cyclic else "b.bit_length() - 1"])
+            if not (cyclic and v == 0):
+                put(f"while {m}:")
+                depth += 1
+                put(f"b = {m} & -{m}", f"{m} ^= b")
+            put(f"add(({img}{',' if p == 1 else ''}))", "limit -= 1", "if not limit:", "    return out")
+            break
+        # h: v+1's candidates from its neighbours placed before v
+        early = [u for u in prev[v + 1] if u < v]
+        h = f"T{v + 1}"
+        if early:
+            h = f"h{v + 1}"
+            put(f"{h} = T{v + 1} & " + " & ".join(f"a{u}" for u in early))
+            if v not in prev[v + 1]:
+                put(f"{m} &= (1 << {h}.bit_length() - 1) - 1")
+        free = []
+        for w in range(v + 1, p):
+            if v not in prev[w]:
+                continue
+            placed = [u for u in prev[w] if u < v]
+            if not placed:
+                free.append(f"not (T{w} & {a}) >> {x} + {w - v}")
+                continue
             # bulk forward check: keep the x of m adjacent to some y of c
             # with y >= x + gap; y runs from the top down until m is covered
-            s = 0
-            while c >> gap and m & ~s:
-                y = c.bit_length() - 1
-                c ^= 1 << y
-                s |= adj[y] & ((1 << (y - gap + 1)) - 1)
-            m &= s
-            if not m:
-                return False
-        nxt = v + 1
-        # adjacency mask of the last position that completed nothing; -1 (none
-        # yet) matches no mask, as (a ^ -1) >> k is negative
-        dead = -1
-        while m:
-            b = m & -m
-            m ^= b
-            x = b.bit_length() - 1
-            a = adj[x]
-            if not (a ^ dead) >> (x + 1):
-                continue
-            for w, gap in free[v]:
-                if not (top[w] & a) >> (x + gap):
-                    dead = a
-                    break
-            else:
-                img[v] = x
-                if nxt == p:
-                    out.append(tuple([i % n for i in img]) if cyclic else tuple(img))
-                    if limit and len(out) >= limit:
-                        return True
-                    continue
-                mn = top[nxt] >> (x + 1) << (x + 1)
-                for u in prev[nxt]:
-                    mn &= adj[img[u]]
-                if not mn:
-                    dead = a
-                    continue
-                found = len(out)
-                if extend(nxt, mn):
-                    return True
-                if len(out) == found:
-                    dead = a
-        return False
-
-    for t in range(n if cyclic else 1):
-        end = t + n if cyclic else n  # the window is [t, end)
-        # top[v]: the positions up to the last one that leaves room for v+1..p-1
-        top = [(1 << (end - p + v + 1)) - 1 for v in range(p)]
-        if extend(0, 1 << t if cyclic else top[0]):
-            break
-    del extend  # extend reaches itself through its closure cell
-    return out
+            below = "y" if w - v == 1 else f"y - {w - v - 1}"
+            put("c = " + (h if w == v + 1 else " & ".join([f"T{w}"] + [f"a{u}" for u in placed])),
+                "s = 0",
+                f"while c >> {w - v} and {m} & ~s:",
+                "    y = c.bit_length() - 1",
+                "    c ^= 1 << y",
+                f"    s |= adj[y] & (1 << {below}) - 1",
+                f"{m} &= s")
+        if cyclic and v == 0:
+            put("a0 = adj[x0]")
+            if free:
+                put(f"if {' or '.join(free)}:", "    continue")
+        else:
+            # d{v}: adjacency mask of the last position that completed
+            # nothing; -1 (none yet) matches no mask, as (a ^ -1) >> k < 0
+            put(f"d{v} = -1", f"while {m}:")
+            depth += 1
+            put(f"b = {m} & -{m}", f"{m} ^= b", f"{x} = b.bit_length() - 1", f"{a} = adj[{x}]",
+                f"if not ({a} ^ d{v}) >> {x} + 1:", "    continue")
+            if free:
+                put(f"if {' or '.join(free)}:", f"    d{v} = {a}", "    continue")
+        put(f"m{v + 1} = {h}" + (f" & {a}" if v in prev[v + 1] else "") + f" & -2 << {x}")
+        # v+1's candidates are never empty, so only a search below v+1 can
+        # complete nothing
+        if v + 2 < p and not (cyclic and v == 0):
+            put(f"k{v} = limit")
+            closing.append((depth, [f"if limit == k{v}:", f"    d{v} = {a}"]))
+    for depth, text in reversed(closing):
+        put(*text)
+    lines.append("    return out")
+    return "\n".join(lines) + "\n"
 
 
 # Kept only because the benchmark (perfbench/run.py, perfbench/workloads.py)

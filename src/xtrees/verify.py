@@ -28,10 +28,11 @@ import random
 import reprlib
 import time
 import traceback
+from collections.abc import Iterable
 from dataclasses import asdict, dataclass, field
 from itertools import combinations, permutations
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 from .constructions import f_n, f_n0, fh_q, fh_r, gstar, pow2
 from .containment import contains
@@ -734,7 +735,7 @@ _DETAIL_CAP = 5
 
 
 def _require_check(check_id: str) -> None:
-    if check_id not in CHECKS:
+    if type(check_id) is not str or check_id not in CHECKS:
         raise InputError(f"unknown check {check_id!r}; expected one of {CHECK_IDS}")
 
 
@@ -763,12 +764,19 @@ def run_suite(
     """Run the requested checks serially in this process, each timed in it,
     and yield each result as its check finishes, in id order. The ids, at
     least one, and the seed are checked at the call, so nothing runs on a
-    bad request."""
-    ids = list(check_ids) if check_ids is not None else list(CHECK_IDS)
+    bad request: a string, a non-iterable, an unknown id or one named twice."""
+    if check_ids is None:
+        ids = list(CHECK_IDS)
+    elif isinstance(check_ids, str) or not isinstance(check_ids, Iterable):
+        raise InputError(f"check_ids must be a collection of check ids, got {check_ids!r}")
+    else:
+        ids = list(check_ids)
     if not ids:
         raise InputError("no check selected")
     for cid in ids:
         _require_check(cid)
+    if len(set(ids)) < len(ids):
+        raise InputError(f"a check is selected more than once: {ids}")
     _check_int("seed", seed)
     return (run_check(cid, seed) for cid in sorted(ids))
 

@@ -99,6 +99,24 @@ def test_empty_selection_refused():
         run_suite([])
 
 
+@pytest.mark.parametrize("ids", ["c05", ["c05", "c05"], [[]], [None], 1.5, True])
+def test_malformed_selection_refused_before_any_check_runs(monkeypatch, ids):
+    """A string is not a selection (it would run "c", "0" and "5"), an id is
+    named once, and a non-iterable or unhashable id is an InputError."""
+    def c05(seed):
+        raise AssertionError("a check ran on a malformed selection")
+
+    monkeypatch.setitem(verify.CHECKS, "c05", ("stub", c05))
+    with pytest.raises(InputError):
+        run_suite(ids)
+
+
+@pytest.mark.parametrize("cid", [[], None, 5, "c5"])
+def test_malformed_check_id_refused(cid):
+    with pytest.raises(InputError, match="unknown check"):
+        run_check(cid)
+
+
 @pytest.mark.parametrize("seed", [1.5, True, "x", None])
 def test_non_int_seed_refused_before_any_check_runs(monkeypatch, seed):
     def c05(seed):

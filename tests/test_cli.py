@@ -300,6 +300,11 @@ class TestVerifyAndParsing:
         out, err = capsys.readouterr()
         assert out == "" and "unknown check 'c99'" in err
 
+    def test_repeated_check_refused_before_running(self, capsys):
+        assert main(["verify", "--checks", "c05,c05"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error:") and "more than once" in err
+
     def test_bad_report_suffix_refused_before_running(self, tmp_path, monkeypatch, capsys):
         def run_suite(*args, **kwargs):
             raise AssertionError("run_suite called despite a bad --report suffix")

@@ -335,6 +335,12 @@ class TestKernels:
     @example((OrderedGraph(4, [(3, 4)]), OrderedGraph(2, [(1, 2)])))
     @example((OrderedGraph(3, [(1, 3), (2, 3)]), OrderedGraph(3, [(1, 3), (2, 3)])))
     @example((OrderedGraph(4, [(1, 2), (1, 3), (1, 4)]), OrderedGraph(2, [])))
+    # v + 1 is no neighbour of v but has an earlier one: the search cuts v's
+    # candidates at or above the last position that earlier neighbour allows
+    @example((OrderedGraph(6, [(1, 3), (2, 6)]), OrderedGraph(3, [(1, 3)])))
+    @example((OrderedGraph(7, [(1, 4), (2, 3), (2, 5), (3, 7)]), OrderedGraph(4, [(1, 3), (2, 4)])))
+    @example((CgGraph(6, [(1, 3), (2, 4), (4, 6)]), CgGraph(4, [(1, 3), (2, 4)])))
+    @example((CgGraph(7, [(1, 4), (2, 6), (3, 5), (5, 7)]), CgGraph(5, [(1, 3), (1, 4), (2, 5)])))
     def test_twin_rich_hosts_match_oracle(self, case):
         """Hosts full of twins exercise the skip of interchangeable positions
         and the bulk forward check; every limit prefix must agree."""
@@ -480,7 +486,7 @@ def _oracle_list(host, pattern):
 
 def _turn(pattern):
     """The kernel's choice for first-hit queries: None (as given), else
-    (plan, whether the host is mirrored too)."""
+    (the search it runs, whether the host is mirrored too)."""
     return kernels._compile(pattern.n, tuple(_edges0(pattern)), pattern.mode == "cg")[1]
 
 
@@ -544,7 +550,8 @@ class TestOrientedRefutation:
                 cands = _orientations(t)
                 turn = _turn(t)
                 if turn is not None:
-                    assert turn in [(kernels._plan(q.n, sorted(_edges0(q))), f is not None)
+                    assert turn in [(kernels._compile(q.n, tuple(sorted(_edges0(q))),
+                                                      cls is CgGraph)[0], f is not None)
                                     for q, f in cands]
                 for _ in range(3):
                     n = rng.randint(t.n, 7)
@@ -591,3 +598,67 @@ class TestOrientedRefutation:
         monkeypatch.setattr(kernels, "_mirrored", None)  # a call would raise
         assert _run(host, pattern) == []
         assert _run(host, present) == _ref_run(host, present) != []
+
+
+class TestGeneratedSearch:
+    """The search as one generated loop nest per pattern: every supported
+    pattern size, the nesting limit, and containment's single search."""
+
+    @pytest.mark.parametrize("cls", [OrderedGraph, CgGraph])
+    @pytest.mark.parametrize("p", range(1, MAX_PATTERN + 1))
+    def test_every_pattern_size_matches_reference_and_oracle(self, p, cls):
+        rng = random.Random(f"size-{p}-{cls.__name__}")
+        for _ in range(12):
+            n = rng.randint(p, min(p + 3, 10))
+            host = cls(n, [e for e in _pairs(n) if rng.random() < rng.choice((0.5, 0.8))])
+            pattern = cls(p, [e for e in _pairs(p) if rng.random() < 0.4])
+            want = _oracle_list(host, pattern)
+            for limit in (0, 1, 3):
+                got = _run(host, pattern, limit)
+                assert got == _ref_run(host, pattern, limit) == want[:limit or None], limit
+
+    @pytest.mark.parametrize("cyclic", [False, True])
+    def test_pattern_size_limit(self, cyclic):
+        """CPython nests at most 20 blocks: a 20-vertex pattern still runs, a
+        21-vertex one is refused with a BudgetError naming the limit."""
+        n = 21
+        adj = [((1 << n) - 1) ^ (1 << i) for i in range(n)]
+        path = [(i, i + 1) for i in range(n - 1)]
+        assert order_embeddings(n, adj, 20, path[:19], cyclic, 1) == [tuple(range(20))]
+        with pytest.raises(BudgetError, match="limit is 20"):
+            order_embeddings(n, adj, 21, path, cyclic, 1)
+
+    @pytest.mark.parametrize("edges", [[(1, 0)], [(0, 3)], [(0, 0)], [("0", "1")], [(0, 1, 2)]])
+    def test_malformed_pattern_edges_refused(self, edges):
+        """The generated source is written from range(p); an edge that is
+        not a normalised pair of it is refused, not dropped."""
+        with pytest.raises(InputError, match="normalised"):
+            order_embeddings(4, [0b1110, 0b1101, 0b1011, 0b0111], 3, edges, False)
+
+    def test_contains_runs_one_search_per_orientation(self, monkeypatch):
+        """contains answers from the search in the orientation first-hit
+        queries refute in; find_embedding runs it and then the search as
+        given. With reflection, the reflected pattern is searched only after
+        a miss."""
+        calls = []
+        search = kernels._search
+        monkeypatch.setattr(kernels, "_search", lambda *a: calls.append(a) or search(*a))
+
+        def count(fn, *args, **kw):
+            calls.clear()
+            return fn(*args, **kw), len(calls)
+
+        host = fh_q(32)
+        absent = OrderedGraph(5, [(1, 4), (2, 4), (3, 5), (4, 5)])
+        present = OrderedGraph(3, [(1, 3), (2, 3)])
+        assert _turn(absent) and _turn(present)
+        assert count(contains, host, absent) == (False, 1)
+        assert count(contains, host, present) == (True, 1)
+        assert count(find_embedding, host, absent) == (None, 1)
+        emb, searches = count(find_embedding, host, present)
+        assert emb is not None and searches == 2
+        cg = CgGraph(5, [(1, 2), (1, 3), (1, 4)])
+        star = CgGraph(5, [(1, 5), (1, 4), (1, 3)])
+        assert count(contains, cg, star) == (False, 1)
+        assert count(contains, cg, star, allow_reflection=True) == (True, 2)
+        assert count(contains, cg, reflect(star), allow_reflection=True) == (True, 1)

@@ -115,3 +115,21 @@ def test_dict_round_trip_is_identity(g):
     back = graph_from_dict(graph_to_dict(g))
     assert type(back) is type(g)
     assert (back.n, back.edges, back.colors) == (g.n, g.edges, g.colors)
+
+
+@pytest.mark.parametrize("target", [1, 5, True, False, -1, 1.5, None, [], object(), b"g.json"])
+def test_only_paths_and_file_objects(target):
+    """An int or a bool would be opened as a file descriptor and closed
+    afterwards (True is stdout); both functions refuse it, and anything else
+    that is neither a path nor a file object."""
+    g = OrderedGraph(3, [(1, 2)])
+    with pytest.raises(InputError, match="must be a path"):
+        save_graph(g, target)
+    with pytest.raises(InputError, match="must be a path"):
+        load_graph(target)
+
+
+def test_path_like_round_trip(tmp_path):
+    g = CgGraph(4, [(1, 3), (2, 4)])
+    save_graph(g, tmp_path / "g.json")
+    assert load_graph(tmp_path / "g.json") == g
