@@ -18,14 +18,15 @@ Cg hosts:
   vertices to evens at distance almost 2^j, for n a power of two >= 8.
 * ``f_n0(n)`` — the complete bipartite cg graph between the two half arcs.
 
-Every constructor validates its edge count against the closed form before
-returning.
+Every constructor refuses a graph on more than ``MAX_HOST`` vertices with a
+BudgetError before it builds an edge, and validates its edge count against
+the closed form before returning.
 """
 
 from __future__ import annotations
 
 from .errors import InputError
-from .order import CgGraph, OrderedGraph, _check_int
+from .order import CgGraph, OrderedGraph, _check_host_size, _check_int
 
 
 def _is_power_of_two(x: int) -> bool:
@@ -37,6 +38,7 @@ def pow2(n: int) -> OrderedGraph:
     _check_int("n", n)
     if n < 2:
         raise InputError("pow2 needs n >= 2")
+    _check_host_size("pow2", n)
     edges = []
     length = 1
     while length < n:
@@ -79,6 +81,7 @@ def _fh(s: int, variant: str) -> OrderedGraph:
     _check_int("stage", s)
     if not _is_power_of_two(s):
         raise InputError("stage must be a power of two")
+    _check_host_size(f"fh_{variant} stage {s}", 2 * s)
     g = OrderedGraph(2 * s, _fh_edges(s, variant))
     want = (s * s.bit_length() - s) // 2 + s  # (s/2) log2 s + s
     if len(g.edges) != want:
@@ -111,6 +114,7 @@ def gstar(n: int, a: int, b: int, c: int) -> OrderedGraph:
     k = a + b + c
     if n < k + 1:
         raise InputError(f"gstar needs n >= a+b+c+1 = {k + 1}")
+    _check_host_size("gstar", n)
     edges = set()
     for x in range(1, n + 1):
         for y in range(x + 1, n + 1):
@@ -133,6 +137,7 @@ def f_n(n: int) -> CgGraph:
     _check_int("n", n)
     if not _is_power_of_two(n) or n < 8:
         raise InputError("f_n needs n a power of two with n >= 8")
+    _check_host_size("f_n", n)
     kappa = n.bit_length() - 1
     edges = []
     colors = []
@@ -151,6 +156,7 @@ def f_n0(n: int) -> CgGraph:
     _check_int("n", n)
     if n < 2 or n % 2:
         raise InputError("f_n0 needs an even n >= 2")
+    _check_host_size("f_n0", n)
     half = n // 2
     edges = [(x, y) for x in range(1, half + 1) for y in range(half + 1, n + 1)]
     g = CgGraph(n, edges)

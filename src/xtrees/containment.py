@@ -22,9 +22,8 @@ from typing import Iterator, Optional
 
 from .errors import BudgetError, InputError
 from .kernels import _exists, order_embeddings
-from .order import _check_graph, _Graph, _linear_edges
+from .order import _check_graph, _check_host_size, _Graph, _linear_edges
 
-MAX_HOST = 256
 MAX_PATTERN = 7
 
 
@@ -43,6 +42,9 @@ class Embedding:
     reflected: bool = False
 
     def apply(self, v: int) -> int:
+        p = len(self.map)
+        if type(v) is not int or not 1 <= v <= p:
+            raise InputError(f"pattern vertex must be an integer in 1..{p}, got {v!r}")
         return self.map[v - 1]
 
 
@@ -56,6 +58,8 @@ def _require_pair(
         raise InputError(
             f"host mode {host.mode!r} does not match pattern mode {pattern.mode!r}"
         )
+    if type(allow_reflection) is not bool:
+        raise InputError(f"allow_reflection must be True or False, got {allow_reflection!r}")
     if type(limit) is not int or limit < 0:
         raise InputError(f"limit must be a non-negative integer, got {limit!r}")
     if allow_reflection and host.mode != "cg":
@@ -64,8 +68,7 @@ def _require_pair(
         raise InputError(
             f"pattern has {pattern.n} vertices but host only {host.n}"
         )
-    if host.n > MAX_HOST:
-        raise BudgetError(f"host has {host.n} vertices; limit is {MAX_HOST}")
+    _check_host_size("host", host.n)
     if pattern.n > MAX_PATTERN:
         raise BudgetError(
             f"pattern has {pattern.n} vertices; limit is {MAX_PATTERN}"
@@ -177,7 +180,7 @@ def validate_embedding(host: _Graph, pattern: _Graph, emb: Embedding) -> bool:
             raise InputError(f"map does not follow the {direction} cyclic order")
     host_edges = host.edge_set
     for u, v in pattern.edges:
-        a, b = emb.apply(u), emb.apply(v)
+        a, b = m[u - 1], m[v - 1]
         if (min(a, b), max(a, b)) not in host_edges:
             raise InputError(f"pattern edge {u}{v} maps to the non-edge {a}{b}")
     return True

@@ -44,9 +44,13 @@ from collections.abc import Iterable
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .errors import InputError
+from .errors import BudgetError, InputError
 
 Edge = tuple[int, int]
+
+#: The most vertices a construction builds or a containment query takes: a
+#: bigger construction would be a host that no query accepts.
+MAX_HOST = 256
 
 # One shared tuple per edge (u, v), 1 <= u < v <= 64: graphs on up to 64
 # vertices, the range the search kernel and the solver work in, then hold
@@ -82,6 +86,12 @@ def _check_graph(what: str, g) -> None:
     """Reject anything but an ordered or cg graph."""
     if not isinstance(g, GRAPH_CLASSES):
         raise InputError(f"{what} must be an OrderedGraph or CgGraph, got {type(g).__name__}")
+
+
+def _check_host_size(what: str, n: int) -> None:
+    """Refuse a host on more than MAX_HOST vertices, naming the budget."""
+    if n > MAX_HOST:
+        raise BudgetError(f"{what} has {n} vertices; limit is {MAX_HOST}")
 
 
 def _check_cg(what: str, g) -> None:
@@ -200,7 +210,8 @@ class _Graph:
         ``perm`` must map 1..n one-to-one onto 1..n.
         """
         labels = range(1, self.n + 1)
-        if (len(perm) != self.n or any(type(perm.get(v)) is not int for v in labels)
+        if (not isinstance(perm, dict) or len(perm) != self.n
+                or any(type(perm.get(v)) is not int for v in labels)
                 or set(perm.values()) != set(labels)):
             raise InputError(f"relabelling {perm!r} is not a permutation of 1..{self.n}")
         return self._mapped([0] + [perm[v] for v in labels])
@@ -373,18 +384,25 @@ def _split_scan(adj: list[int], cut: int, most: int) -> Optional[tuple[int, ...]
 def chi_interval(g: _Graph) -> int:
     """Minimum number of consecutive intervals of 1..n with no edge inside any
     part (treats the labels linearly regardless of g's mode)."""
-    return g._adj_cache.get(("chi", "interval")) or len(interval_split(g))
+    _check_graph("g", g)
+    return g._adj_cache.get(("chi", "interval")) or len(g._kept("interval", _interval_scan))
 
 
 def interval_split(g: _Graph) -> tuple[int, ...]:
     """The last vertex of each part of a fewest-parts interval split, in
     ascending order; the final boundary is n and the parts are
     (prev+1 .. b)."""
-    return g._kept("interval", lambda g: _split_scan(_adjacency_masks(g.n, g.edges), 0, g.n))
+    _check_graph("g", g)
+    return g._kept("interval", _interval_scan)
+
+
+def _interval_scan(g: _Graph) -> tuple[int, ...]:
+    return _split_scan(_adjacency_masks(g.n, g.edges), 0, g.n)
 
 
 def chi_cyclic(g: CgGraph) -> int:
-    return g._adj_cache.get(("chi", "cyclic")) or len(cyclic_split(g))
+    _check_cg("chi_cyclic", g)
+    return g._adj_cache.get(("chi", "cyclic")) or len(g._kept("cyclic", _cyclic_scan))
 
 
 def cyclic_split(g: CgGraph) -> tuple[int, ...]:

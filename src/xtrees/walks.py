@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import InputError
-from .order import _check_int, _Graph, _normalize_edge
+from .order import _check_graph, _check_int, _Graph, _normalize_edge
 
 EXHAUSTIVE_EDGE_LIMIT = 20
 ORACLE_EDGE_LIMIT = 14
@@ -61,7 +61,7 @@ def _check_kind_side(kind: str, start_side: Optional[str]) -> Optional[str]:
     return side
 
 
-def _check_graph(g) -> None:
+def _check_colored(g) -> None:
     if not isinstance(g, ColoredBipartite):
         raise InputError(f"expected a ColoredBipartite, got {type(g).__name__}")
 
@@ -141,6 +141,8 @@ class ColoredBipartite:
             raise InputError(f"d = {self.d} below largest color {maxc}")
 
     def color_of(self, u: int, v: int) -> int:
+        _check_int("vertex", u)
+        _check_int("vertex", v)
         try:
             return self._color[(u, v) if u < v else (v, u)]
         except KeyError:
@@ -148,9 +150,15 @@ class ColoredBipartite:
 
     def neighbors(self, v: int) -> tuple[tuple[int, int], ...]:
         """Sorted (neighbor, color) pairs at v."""
+        self.side_of(v)  # refuses a non-vertex
         return self._adj.get(v, ())
 
     def side_of(self, v: int) -> str:
+        _check_int("vertex", v)
+        return self._side(v)
+
+    def _side(self, v: int) -> str:
+        """side_of for an int v; the searches call it on their vertices."""
         if v in self.side_a:
             return "A"
         if v in self.side_b:
@@ -182,6 +190,7 @@ class ColoredBipartite:
         the component's smallest vertex into A; isolated vertices land in A.
         A caller with sides of its own passes them to the constructor.
         """
+        _check_graph("g", g)
         if g.colors is None:
             raise InputError("graph has no edge colors")
         adj: dict[int, set[int]] = {v: set() for v in range(1, g.n + 1)}
@@ -227,6 +236,7 @@ class Walk4:
 
         The checks raise explicitly, so they also run under ``python -O``.
         """
+        _check_colored(g)
         side = _check_kind_side(self.kind, start_side)
         vs, cs = self.vertices, self.colors
         for i, e in enumerate(self.edges):
@@ -276,12 +286,12 @@ def find_forbidden_walk(
     sorted order, and the walk is grown from its second edge outward (e2,
     then e3, e4, then e1), which keeps the color filters sharpest early.
     """
-    _check_graph(g)
+    _check_colored(g)
     side = _check_kind_side(kind, start_side)
-    nbrs = g.neighbors
+    nbrs = g._adj.__getitem__  # every vertex of a walk is a key
     for v1 in sorted(g._adj):
         for v2, c2 in nbrs(v1):
-            walk = _walk_from_e2(nbrs, v1, v2, c2, kind, g.side_of, side)
+            walk = _walk_from_e2(nbrs, v1, v2, c2, kind, g._side, side)
             if walk is not None:
                 return walk
     return None
@@ -302,7 +312,7 @@ def enumerate_all_walks(
     in at most one way, so the list and its order are those of the product.
     Capped at 14 edges.
     """
-    _check_graph(g)
+    _check_colored(g)
     side = _check_kind_side(kind, start_side)
     if len(g.edges) > ORACLE_EDGE_LIMIT:
         raise InputError(f"reference enumeration capped at {ORACLE_EDGE_LIMIT} edges")
@@ -406,7 +416,7 @@ def extract_walk_free(
     start_side: Optional[str] = None,
     seed: int = 0,
 ) -> Extraction:
-    _check_graph(g)
+    _check_colored(g)
     _check_int("seed", seed)
     side = _check_kind_side(kind, start_side)
     bound = size_bound(len(g.edges), g.d)
@@ -417,14 +427,14 @@ def extract_walk_free(
         by_size = sorted(classes.items(), key=lambda kv: (-len(kv[1]), kv[0]))
         chosen = {e for _, es in by_size[:2] for e in es}
         two = {c for c, _ in by_size[:2]}
-        adj = {v: [(w, c) for w, c in g.neighbors(v) if c in two] for v in g._adj}
+        adj = {v: [(w, c) for w, c in nbrs if c in two] for v, nbrs in g._adj.items()}
         rest = [e for _, es in by_size[2:] for e in es]
         random.Random(seed).shuffle(rest)
         for u, v in rest:
-            c = g.color_of(u, v)
+            c = g._color[u, v]
             adj[u].append((v, c))
             adj[v].append((u, c))
-            if _walk_through(adj, (u, v), kind, g.side_of, side):
+            if _walk_through(adj, (u, v), kind, g._side, side):
                 adj[u].remove((v, c))
                 adj[v].remove((u, c))
             else:
@@ -432,7 +442,7 @@ def extract_walk_free(
         return sorted(chosen), "greedy"
 
     def walk_free_exhaustive() -> tuple[list[tuple[int, int]], str]:
-        edges = [(u, v) for u, v, _ in g.edges]
+        edges = g.edges
         best: list[tuple[int, int]] = []
         adj: dict[int, list[tuple[int, int]]] = {}
         chosen: list[tuple[int, int]] = []
@@ -444,11 +454,10 @@ def extract_walk_free(
             if idx == len(edges):
                 best = list(chosen)
                 return
-            u, v = edges[idx]
-            c = g.color_of(u, v)
+            u, v, c = edges[idx]
             adj.setdefault(u, []).append((v, c))
             adj.setdefault(v, []).append((u, c))
-            if not _walk_through(adj, (u, v), kind, g.side_of, side):
+            if not _walk_through(adj, (u, v), kind, g._side, side):
                 chosen.append((u, v))
                 rec(idx + 1)
                 chosen.pop()

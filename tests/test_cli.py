@@ -57,6 +57,14 @@ class TestConstruct:
     def test_odd_fh_rejected(self, capsys):
         assert main(["construct", "--name", "fh_q", "--n", "7"]) == 2
 
+    @pytest.mark.parametrize("name, n", [("pow2", 10**6), ("fh_q", 2**20), ("fh_r", 2**20),
+                                         ("f_n", 2**20), ("f_n0", 10**6), ("gstar", 10**6)])
+    def test_over_budget_construction_refused(self, capsys, name, n):
+        """Refused before any edge is built, so each call returns at once."""
+        assert main(["construct", "--name", name, "--n", str(n), "--a", "1", "--b", "1",
+                     "--c", "1"]) == 3
+        assert capsys.readouterr().err.startswith("refused: ")
+
     @pytest.mark.parametrize(
         "args, graph",
         [
@@ -326,8 +334,11 @@ class TestVerifyAndParsing:
             b'{"mode": "ordered", "n": 3, "edges": [5]}',
             b'{"mode": "ordered", "n": 3, "edges": [[1, 2]], "colors": 5}',
             b'{"mode": "ordered", "n": 3, "edges": [[1, 2]]}\xff',
+            b'{"mode": [], "n": 3, "edges": []}',
+            b'{"mode": {}, "n": 3, "edges": []}',
         ],
-        ids=["edges-null", "edges-int", "edge-int", "colors-int", "not-utf8"],
+        ids=["edges-null", "edges-int", "edge-int", "colors-int", "not-utf8", "mode-list",
+             "mode-object"],
     )
     def test_malformed_file_is_an_input_error(self, tmp_path, capsys, data):
         path = tmp_path / "bad.json"

@@ -93,12 +93,6 @@ class TestGstar:
             g = gstar(n, a, b, c)
             assert len(g.edges) == (k - 1) * n - k * (k - 1) // 2
 
-    def test_validation(self):
-        with pytest.raises(InputError):
-            gstar(5, 0, 1, 1)
-        with pytest.raises(InputError):
-            gstar(3, 2, 1, 1)  # needs n >= k + 1
-
 
 class TestFn:
     def test_f16_matchings_pinned(self):
