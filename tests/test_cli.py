@@ -60,7 +60,8 @@ class TestConstruct:
     @pytest.mark.parametrize("name, n", [("pow2", 10**6), ("fh_q", 2**20), ("fh_r", 2**20),
                                          ("f_n", 2**20), ("f_n0", 10**6), ("gstar", 10**6)])
     def test_over_budget_construction_refused(self, capsys, name, n):
-        """Refused before any edge is built, so each call returns at once."""
+        """Refused before any edge is built, so each call returns at once;
+        only gstar reads --a, --b and --c."""
         assert main(["construct", "--name", name, "--n", str(n), "--a", "1", "--b", "1",
                      "--c", "1"]) == 3
         assert capsys.readouterr().err.startswith("refused: ")
