@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .errors import BudgetError, InputError
-from .kernels import _exists, order_embeddings
+from .kernels import _exists, _run, _search_masks
 from .order import _check_graph, _check_host_size, _Graph, _linear_edges
 
 MAX_PATTERN = 7
@@ -76,9 +76,18 @@ def _require_pair(
     return host.mode == "cg"
 
 
+def _host_masks(host: _Graph, cyclic: bool):
+    """The kernel's masks(flip) for a host: the masks a search reads in each
+    orientation, built on first use and kept on the host."""
+    return lambda flip: host._kept(
+        ("search masks", flip),
+        lambda g: _search_masks(g.n, g.adjacency_masks(), cyclic, flip),
+    )
+
+
 def _kernel_maps(host: _Graph, p: int, edges, cyclic: bool, limit: int):
     pat = [(u - 1, v - 1) for u, v in edges]
-    return order_embeddings(host.n, host.adjacency_masks(), p, pat, cyclic, limit)
+    return _run(host.n, _host_masks(host, cyclic), p, pat, cyclic, limit)
 
 
 def iter_embeddings(
@@ -140,8 +149,8 @@ def contains(host: _Graph, pattern: _Graph, *, allow_reflection: bool = False) -
     orientations = [pattern.edges]
     if allow_reflection and p >= 3:
         orientations.append(_linear_edges(p, pattern.edges, 0))
-    adj = host.adjacency_masks()
-    return any(_exists(host.n, adj, p, [(u - 1, v - 1) for u, v in edges], cyclic)
+    masks = _host_masks(host, cyclic)
+    return any(_exists(host.n, masks, p, [(u - 1, v - 1) for u, v in edges], cyclic)
                for edges in orientations)
 
 

@@ -25,16 +25,25 @@ over bitmask candidate sets:
   (top[w] & adj[x]) >> (x + gap). Neither kind tests c for emptiness: when
   w's last placed neighbour was placed, its image was kept only if some y of
   c remained.
+* a bulk set s is computed at the outermost node where its inputs are
+  fixed: the node of the last placed neighbour it reads. When that
+  neighbour is v - 1, the bulk check builds s from the top of c down and
+  stops once m is covered. When it sits higher, s does not change while
+  the vertices in between move, so the whole union is built once, at that
+  node, and v's level only does m & s. The early stop ends when m lies in
+  the partial union, which lies in the whole union, so m comes out the
+  same either way.
 * v + 1's candidates are hoisted: the part h that comes from neighbours of
   v + 1 placed before v does not depend on v's position x, so it is computed
-  once per node, and v + 1's candidates at x are h above x (and in adj[x]
-  when v is a neighbour of v + 1). If v is not a neighbour of v + 1 but
-  v + 1 has an earlier one, every x at or above the last position of h
-  leaves v + 1 nothing, so those x are cut from v's candidates before the
-  loop. They are v's last candidates and complete nothing, so the cut prunes
-  only branches that cannot complete and changes no other decision. After
-  the cut, and by the forward check when v is a neighbour of v + 1, v + 1
-  always has a candidate: h is not empty for the reason above.
+  by the same rule, at the node of the last of those neighbours, and v + 1's
+  candidates at x are h above x (and in adj[x] when v is a neighbour of
+  v + 1). If v is not a neighbour of v + 1 but v + 1 has an earlier one,
+  every x at or above the last position of h leaves v + 1 nothing, so those
+  x are cut from v's candidates before the loop. They are v's last
+  candidates and complete nothing, so the cut prunes only branches that
+  cannot complete and changes no other decision. After the cut, and by the
+  forward check when v is a neighbour of v + 1, v + 1 always has a
+  candidate: h is not empty for the reason above.
 * interchangeable positions (Freuder, "Eliminating interchangeable values in
   constraint satisfaction problems", AAAI 1991): within one placement loop
   for v, let x be the last position that completed nothing (a forward check
@@ -90,6 +99,13 @@ runs the one search in the chosen orientation.
 The generated search and the choice are built once per pattern and cached
 together, so a tiny query pays the searches and little else; generating a
 5- to 7-vertex search costs about a millisecond, once.
+
+The masks a search reads depend on the host and the orientation alone: the
+host's adjacency masks, mirrored for a mirrored orientation and doubled in
+cyclic order (_search_masks). order_embeddings takes bare masks and builds
+them per call. Containment passes a function of the orientation that keeps
+them on the host, beside its adjacency masks, so a host that answers many
+queries is mirrored at most once and doubled at most once per orientation.
 """
 
 from __future__ import annotations
@@ -120,32 +136,48 @@ def order_embeddings(n, adj, p, pat_edges, cyclic, limit=0):
     for a pattern of more than 20 vertices that fits in the host, and
     InputError for an edge that is not a pair u < v of range(p).
     """
+    return _run(n, lambda flip: _search_masks(n, adj, cyclic, flip), p, pat_edges, cyclic, limit)
+
+
+def _run(n, masks, p, pat_edges, cyclic, limit):
+    """order_embeddings on a host given as masks(flip): the masks a search
+    reads, as _search_masks gives them, which a caller may keep."""
     if p > n or p < 1:
         return []
     search, turn = _compile(p, tuple(pat_edges), cyclic)
-    if limit and turn is not None and not _exists(n, adj, p, pat_edges, cyclic):
+    if limit and turn is not None and not _exists(n, masks, p, pat_edges, cyclic):
         return []
-    return _search(search, n, adj, cyclic, limit)
+    return _search(search, n, masks, False, limit)
 
 
-def _exists(n, adj, p, pat_edges, cyclic):
-    """Whether order_embeddings(n, adj, p, pat_edges, cyclic, 1) is not
-    empty, from one search in the orientation first-hit queries refute in."""
+def _exists(n, masks, p, pat_edges, cyclic):
+    """Whether _run(n, masks, p, pat_edges, cyclic, 1) is not empty,
+    from one search in the orientation first-hit queries refute in."""
     if p > n or p < 1:
         return False
     search, turn = _compile(p, tuple(pat_edges), cyclic)
+    flip = False
     if turn is not None:
         search, flip = turn
-        if flip:
-            adj = _mirrored(n, adj)
-    return bool(_search(search, n, adj, cyclic, 1))
+    return bool(_search(search, n, masks, flip, 1))
 
 
-def _search(search, n, adj, cyclic, limit):
-    """Run a generated search on a host; cyclic order searches it doubled."""
-    if cyclic:
-        adj = [a | a << n for a in adj] * 2
-    return search(adj, n, limit)
+def _search(search, n, masks, flip, limit):
+    """Run a generated search on the host, mirrored if flip."""
+    return search(masks(flip), n, limit)
+
+
+def _search_masks(n, adj, cyclic, flip):
+    """The masks a search reads: the host's adjacency masks adj, mirrored if
+    flip, and in cyclic order doubled."""
+    if flip:
+        adj = _mirrored(n, adj)
+    return _doubled(n, adj) if cyclic else adj
+
+
+def _doubled(n, adj):
+    """The 2n masks of the doubled host: position i stands for vertex i mod n."""
+    return [a | a << n for a in adj] * 2
 
 
 def _mirrored(n, adj):
@@ -197,6 +229,37 @@ def _source(p, edges, cyclic):
     """The source of search(adj, n, limit) for one pattern: the search of the
     module docstring as one loop nest, from the ints in range(p) alone."""
     prev = [[u for u in range(v) if (u, v) in edges] for v in range(p)]
+    # at[v]: the lines run at each node of v - 1, before v's loop. A set
+    # computed from the masks of placed vertices goes to the level right
+    # after the last of them, the outermost node where all are fixed.
+    at = [[] for _ in range(p)]
+    # bulk[v]: the lines of v's bulk forward checks, which narrow m{v}
+    bulk = [[] for _ in range(p)]
+    # h{v+1}: v+1's candidates from its neighbours placed before v
+    for v in range(p - 1):
+        early = [u for u in prev[v + 1] if u < v]
+        if early:
+            at[early[-1] + 1].append(f"h{v + 1} = T{v + 1} & " + " & ".join(f"a{u}" for u in early))
+    for w in range(p):
+        for v in prev[w]:
+            placed = [u for u in prev[w] if u < v]
+            if not placed:
+                continue
+            # keep the x of m{v} adjacent to some y of c with y >= x + gap:
+            # s = the union over those y of adj[y] up to position y - gap
+            c = f"h{w}" if w == v + 1 else " & ".join([f"T{w}"] + [f"a{u}" for u in placed])
+            below = "y" if w - v == 1 else f"y - {w - v - 1}"
+            if placed[-1] + 1 == v:
+                # y runs from the top down until m{v} is covered
+                bulk[v] += [f"c = {c}", "s = 0", f"while c >> {w - v} and m{v} & ~s:",
+                            "    y = c.bit_length() - 1", "    c ^= 1 << y",
+                            f"    s |= adj[y] & (1 << {below}) - 1", f"m{v} &= s"]
+                continue
+            s = f"S{w}_{v}"
+            at[placed[-1] + 1] += [f"c = {c}", f"{s} = 0", f"while c >> {w - v}:",
+                                   "    y = c.bit_length() - 1", "    c ^= 1 << y",
+                                   f"    {s} |= adj[y] & (1 << {below}) - 1"]
+            bulk[v].insert(0, f"m{v} &= {s}")
     lines = ["def search(adj, n, limit):", "    out = []", "    add = out.append",
              f"    r = n - {p - 1}" if p > 1 else "    r = n"]
     depth = 1
@@ -227,32 +290,14 @@ def _source(p, edges, cyclic):
                 put(f"b = {m} & -{m}", f"{m} ^= b")
             put(f"add(({img}{',' if p == 1 else ''}))", "limit -= 1", "if not limit:", "    return out")
             break
-        # h: v+1's candidates from its neighbours placed before v
-        early = [u for u in prev[v + 1] if u < v]
-        h = f"T{v + 1}"
-        if early:
-            h = f"h{v + 1}"
-            put(f"{h} = T{v + 1} & " + " & ".join(f"a{u}" for u in early))
-            if v not in prev[v + 1]:
-                put(f"{m} &= (1 << {h}.bit_length() - 1) - 1")
-        free = []
-        for w in range(v + 1, p):
-            if v not in prev[w]:
-                continue
-            placed = [u for u in prev[w] if u < v]
-            if not placed:
-                free.append(f"not (T{w} & {a}) >> {x} + {w - v}")
-                continue
-            # bulk forward check: keep the x of m adjacent to some y of c
-            # with y >= x + gap; y runs from the top down until m is covered
-            below = "y" if w - v == 1 else f"y - {w - v - 1}"
-            put("c = " + (h if w == v + 1 else " & ".join([f"T{w}"] + [f"a{u}" for u in placed])),
-                "s = 0",
-                f"while c >> {w - v} and {m} & ~s:",
-                "    y = c.bit_length() - 1",
-                "    c ^= 1 << y",
-                f"    s |= adj[y] & (1 << {below}) - 1",
-                f"{m} &= s")
+        put(*at[v])
+        early = any(u < v for u in prev[v + 1])
+        h = f"h{v + 1}" if early else f"T{v + 1}"
+        if early and v not in prev[v + 1]:
+            put(f"{m} &= (1 << {h}.bit_length() - 1) - 1")
+        put(*bulk[v])
+        free = [f"not (T{w} & {a}) >> {x} + {w - v}"
+                for w in range(v + 1, p) if v in prev[w] and not any(u < v for u in prev[w])]
         if cyclic and v == 0:
             put("a0 = adj[x0]")
             if free:
@@ -279,7 +324,7 @@ def _source(p, edges, cyclic):
 
 
 # Kept only because the benchmark (perfbench/run.py, perfbench/workloads.py)
-# imports these two names; the package itself uses order_embeddings alone.
+# imports these two names; the package itself never reads them.
 ACTIVE_KERNEL = "pure"
 
 

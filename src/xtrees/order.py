@@ -52,6 +52,10 @@ Edge = tuple[int, int]
 #: bigger construction would be a host that no query accepts.
 MAX_HOST = 256
 
+# Sequences of characters or bytes: never read as vertices, although a
+# bytes object unpacks into ints.
+_TEXT_TYPES = (str, bytes, bytearray, memoryview)
+
 # One shared tuple per edge (u, v), 1 <= u < v <= 64: graphs on up to 64
 # vertices, the range the search kernel and the solver work in, then hold
 # references to these instead of a copy of every edge each.
@@ -63,6 +67,8 @@ _SHARED_EDGES = [
 
 
 def _normalize_edge(e: Sequence[int]) -> Edge:
+    if isinstance(e, _TEXT_TYPES):
+        raise InputError(f"edge must be a pair of integers, got {e!r}")
     try:
         u, v = e
     except (TypeError, ValueError):

@@ -584,8 +584,10 @@ def enumerate_trees(k: int, mode: str, filt: str = "all") -> Iterator[_Graph]:
     The arguments are checked at the call, so a bad one raises here.
     """
     _check_int("k", k)
-    if not 1 <= k <= 6:
-        raise InputError("tree enumeration supports 1 <= k <= 6 edges")
+    if k < 1:
+        raise InputError(f"tree enumeration needs k >= 1 edges, got {k}")
+    if k > 6:
+        raise BudgetError(f"tree enumeration is supported up to 6 edges, got {k}")
     cls = _graph_class(mode)
     if filt not in ("all", "chi2"):
         raise InputError(f"filter must be 'all' or 'chi2', not {filt!r}")

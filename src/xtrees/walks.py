@@ -38,8 +38,9 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import InputError
-from .order import _check_graph, _check_int, _Graph, _normalize_edge
+from .errors import BudgetError, InputError
+from .order import (_TEXT_TYPES, _check_graph, _check_host_size, _check_int, _Graph,
+                    _normalize_edge)
 
 EXHAUSTIVE_EDGE_LIMIT = 20
 ORACLE_EDGE_LIMIT = 14
@@ -67,7 +68,7 @@ def _check_colored(g) -> None:
 
 
 def _vertex_set(vs: Iterable[int]) -> frozenset:
-    if not isinstance(vs, Iterable):
+    if not isinstance(vs, Iterable) or isinstance(vs, _TEXT_TYPES):
         raise InputError(f"a side must be a sequence of vertices, got {vs!r}")
     vs = tuple(vs)
     for v in vs:
@@ -102,6 +103,8 @@ class ColoredBipartite:
             raise InputError(f"edges must be a sequence of (u, v, color) triples, got {edges!r}")
         norm = []
         for e in edges:
+            if isinstance(e, _TEXT_TYPES):
+                raise InputError(f"edge must be a (u, v, color) triple, got {e!r}")
             try:
                 u, v, color = e
             except (TypeError, ValueError):
@@ -191,6 +194,7 @@ class ColoredBipartite:
         A caller with sides of its own passes them to the constructor.
         """
         _check_graph("g", g)
+        _check_host_size("graph", g.n)
         if g.colors is None:
             raise InputError("graph has no edge colors")
         adj: dict[int, set[int]] = {v: set() for v in range(1, g.n + 1)}
@@ -315,7 +319,10 @@ def enumerate_all_walks(
     _check_colored(g)
     side = _check_kind_side(kind, start_side)
     if len(g.edges) > ORACLE_EDGE_LIMIT:
-        raise InputError(f"reference enumeration capped at {ORACLE_EDGE_LIMIT} edges")
+        raise BudgetError(
+            f"graph has {len(g.edges)} edges; the reference enumeration's limit is "
+            f"{ORACLE_EDGE_LIMIT}"
+        )
     colored = [((u, v), c) for u, v, c in g.edges]
 
     def other(e, x):

@@ -164,6 +164,14 @@ class TestClassifyAndEnumerate:
         assert main(["enumerate", "--edges", "3", "--mode", "linear"]) == 0
         assert len(capsys.readouterr().out.strip().splitlines()) == 16
 
+    def test_enumerate_over_budget_refused(self, capsys):
+        """7 edges is well-formed but over the enumeration budget: exit 3,
+        as catalog --max-edges 7; 0 edges is malformed: exit 2."""
+        assert main(["enumerate", "--edges", "7", "--mode", "linear"]) == 3
+        assert capsys.readouterr().err.startswith("refused: ")
+        assert main(["enumerate", "--edges", "0", "--mode", "linear"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_enumerate_chi2_is_a_subset(self, capsys):
         assert main(["enumerate", "--edges", "4", "--mode", "cyclic", "--chi2"]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
@@ -252,6 +260,13 @@ class TestExtract:
         assert doc["extraction"]["achieved"] >= doc["extraction"]["bound"]
         g = load_graph(str(out))  # extra metadata key must not break parsing
         assert g.n == 16 and len(g.edges) == doc["extraction"]["achieved"]
+
+    def test_host_over_budget_refused(self, tmp_path, capsys):
+        """A graph file above the vertex budget is refused before the
+        bipartite host, which has one entry per vertex, is built."""
+        src = _write(tmp_path, "big.json", CgGraph(200_000, [(1, 2)], colors=[1]))
+        assert main(["extract", "--input", src, "--kind", "fast"]) == 3
+        assert capsys.readouterr().err.startswith("refused: graph has 200000 vertices; limit is 256")
 
     def test_fast_with_start_side_rejected(self, tmp_path, capsys):
         src = _write(tmp_path, "f16.json", f_n(16))

@@ -7,7 +7,10 @@ taking a prefix. Random cases are seeded or drawn by hypothesis; a few pinned
 cases document the semantics directly.
 """
 
+import importlib.util
+import json
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -21,7 +24,7 @@ from xtrees.containment import (
     validate_embedding,
 )
 from xtrees import kernels
-from xtrees.constructions import fh_q
+from xtrees.constructions import f_n0, fh_q, pow2
 from xtrees.errors import BudgetError, InputError
 from xtrees.kernels import order_embeddings
 from xtrees.order import CgGraph, OrderedGraph, mirror, reflect, rotate
@@ -317,6 +320,15 @@ class TestKernels:
     @example((OrderedGraph(7, [(1, 4), (2, 3), (2, 5), (3, 7)]), OrderedGraph(4, [(1, 3), (2, 4)])))
     @example((CgGraph(6, [(1, 3), (2, 4), (4, 6)]), CgGraph(4, [(1, 3), (2, 4)])))
     @example((CgGraph(7, [(1, 4), (2, 6), (3, 5), (5, 7)]), CgGraph(5, [(1, 3), (1, 4), (2, 5)])))
+    # w's placed neighbours all sit two or more levels above v, so the bulk
+    # set of w on v is computed once, at the node of the last of them; each
+    # of these failed a variant whose hoisted set stopped one position short
+    @example((OrderedGraph(4, [(1, 4), (2, 3), (3, 4)]), OrderedGraph(4, [(1, 4), (2, 3), (3, 4)])))
+    @example((OrderedGraph(5, [(1, 2), (1, 4), (1, 5), (2, 3), (3, 5)]),
+              OrderedGraph(5, [(1, 4), (1, 5), (2, 3), (3, 5)])))
+    @example((CgGraph(4, [(1, 2), (1, 4)]), CgGraph(4, [(1, 4), (3, 4)])))
+    @example((CgGraph(5, [(1, 3), (1, 5), (2, 4), (3, 4)]),
+              CgGraph(5, [(1, 4), (1, 5), (2, 3), (3, 5)])))
     def test_twin_rich_hosts_match_oracle(self, case):
         """Hosts full of twins exercise the skip of interchangeable positions
         and the bulk forward check; every limit prefix must agree."""
@@ -341,6 +353,15 @@ class TestKernels:
         assert order_embeddings(64, adj, 3, [(0, 2), (1, 2)], False) == []
         assert adj.reads < 600
 
+    def test_invariant_bulk_sets_are_hoisted(self):
+        """In (1,4),(1,5),(2,3),(3,5) the bulk set of vertex 5 on vertex 3
+        depends on vertex 1's image alone. Computed once per image of
+        vertex 1, the refutation on pow2(64) reads 3,920 adjacency masks;
+        rebuilt at every image of vertex 2 it read 15,295."""
+        adj = _CountingMasks(pow2(64).adjacency_masks())
+        assert order_embeddings(64, adj, 5, [(0, 3), (0, 4), (1, 2), (2, 4)], False) == []
+        assert adj.reads < 6000
+
     @pytest.mark.parametrize("cls", [OrderedGraph, CgGraph])
     def test_single_vertex_pattern_hits_every_vertex(self, cls):
         host = cls(5, [(1, 3)])
@@ -350,6 +371,24 @@ class TestKernels:
     @pytest.mark.parametrize("cls", [OrderedGraph, CgGraph])
     def test_pattern_larger_than_host_has_no_embedding(self, cls):
         assert _run(cls(3, [(1, 2), (2, 3)]), cls(4, [])) == []
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_kernel_digest_is_pinned():
+    """One sha256 over a fixed seeded set of order_embeddings calls (both
+    orders, limits 0, 1 and 3, hosts on up to 12 vertices, patterns on up to
+    6) equals the digest in tests/data/kernel_digest.json, so a change to the
+    kernel returns the same lists in the same order.
+    ``scripts/pin_kernel_digest.py`` computes it and rewrites the file."""
+    spec = importlib.util.spec_from_file_location(
+        "pin_kernel_digest", ROOT / "scripts" / "pin_kernel_digest.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    pinned = json.loads((ROOT / "tests" / "data" / "kernel_digest.json").read_text())
+    digest, calls = script.kernel_digest()
+    assert {"calls": calls, "sha256": digest} == pinned
 
 
 # ---------------------------------------------------------------------------
@@ -521,6 +560,10 @@ class TestOrientedRefutation:
         mode = "cyclic" if cls is CgGraph else "linear"
         rng = random.Random(f"orientations-{mode}")
         outcomes = set()
+        # a pattern's entry holds the search of its chosen orientation; once
+        # 1,024 other patterns have evicted that orientation's own entry, a
+        # lookup compiles a second search, equal but not the same object
+        kernels._compile.cache_clear()
         for k in range(1, 5):
             for t in enumerate_trees(k, mode, "all"):
                 cands = _orientations(t)
@@ -638,3 +681,29 @@ class TestGeneratedSearch:
         assert count(contains, cg, star) == (False, 1)
         assert count(contains, cg, star, allow_reflection=True) == (True, 2)
         assert count(contains, cg, reflect(star), allow_reflection=True) == (True, 1)
+
+    @pytest.mark.parametrize("host", [pow2(16), f_n0(16)], ids=["ordered", "cg"])
+    def test_search_masks_are_kept_on_the_host(self, host, monkeypatch):
+        """Containment keeps the masks a search reads on the host: repeated
+        queries mirror it once and, in cyclic order, double it once per
+        orientation. order_embeddings, given bare masks, builds them per
+        call."""
+        built = []
+        for name in ("_mirrored", "_doubled"):
+            fn = getattr(kernels, name)
+            monkeypatch.setattr(kernels, name,
+                                lambda *a, fn=fn, name=name: built.append(name) or fn(*a))
+        cls = type(host)
+        mirrored = cls(3, [(1, 3), (2, 3)]) if cls is OrderedGraph else cls(4, [(1, 2), (2, 4), (3, 4)])
+        as_given = cls(3, [(1, 2), (1, 3)])
+        assert _turn(mirrored)[1] and _turn(as_given) is None
+        for _ in range(3):
+            for pattern in (mirrored, as_given):
+                contains(host, pattern)
+                find_embedding(host, pattern)
+        doubled = 2 if cls is CgGraph else 0
+        assert sorted(built) == ["_doubled"] * doubled + ["_mirrored"]
+        built.clear()
+        for _ in range(2):
+            _run(host, mirrored, 1)
+        assert built.count("_mirrored") == 2

@@ -97,7 +97,7 @@ COLORED = JUNK + (5, f_n(8))  # a ColoredBipartite
 CHOICE = JUNK + (5, [])  # one of a few strings
 SIDE = CHOICE[1:] + ("A",)  # a walk's start side: None, or "A"/"B" for slow walks only
 VERTEX = INT + (0, 5)  # of C4: 1..4
-EDGE = JUNK + (5, (1, 1), (1, 7), (0, 3), (1, 2, 3), ("1", "3"), (1.0, 3))
+EDGE = JUNK + (5, (1, 1), (1, 7), (0, 3), (1, 2, 3), ("1", "3"), (1.0, 3), "13", b"\x01\x03")
 NOT_A_FILE = (None, True, False, 1.5, 5, -1, [], object(), b"g.json")
 HOST_BUDGET = f"limit is {MAX_HOST}"
 
@@ -105,7 +105,8 @@ GRAPH_CALL = dict(n=3, edges=[(1, 2), (2, 3)], colors=[1, 2])
 GRAPH_BAD = dict(
     n=INT + (0, -1),
     edges=JUNK + (5, [(2, 2)], [(1, 2), (2, 1)], [(1, 4)], [(0, 1)], [(1, 2, 3)], ["12"],
-                  [(1.0, 2)], [(True, 2)], [5], [None]),
+                  [(1.0, 2)], [(True, 2)], [5], [None], [(1, 2), b"\x02\x03"],
+                  [(1, 2), bytearray(b"\x02\x03")]),
     colors=JUNK[1:] + (5, [1], [0, 1], [True, 1], [1.0, 1], [None, 1]),  # None: uncoloured
 )
 DOC = {"mode": "ordered", "n": 3, "edges": [[1, 2]]}
@@ -200,7 +201,8 @@ ROWS = {
     "is_zigzag": row(dict(t=C4), t=CYCLIC + (CgGraph(4, [(1, 2), (1, 3), (1, 4)]),)),
     "classify_tree": row(dict(t=P3), t=GRAPH),
     "derive_obstructions": row(dict(max_edges=3), max_edges=INT + (2, over(7, "up to 6 edges"))),
-    "enumerate_trees": row(dict(k=2, mode="linear", filt="all"), k=INT + (0, 7), mode=CHOICE,
+    "enumerate_trees": row(dict(k=2, mode="linear", filt="all"),
+                           k=INT + (0, over(7, "up to 6 edges")), mode=CHOICE,
                            filt=CHOICE),
     # solver
     "extremal_number": row(dict(n=4, pattern=P3), n=INT + (1, over(9, "above n = 8")),
@@ -215,11 +217,11 @@ ROWS = {
     # walks
     "ColoredBipartite": row(
         dict(side_a=[1, 3], side_b=[2], edges=[(1, 2, 1), (3, 2, 2)], d=None),
-        side_a=JUNK + (5, [1.0, 3], [True, 3], [1, 2]),
-        side_b=JUNK + (5, [2.0], [True]),
+        side_a=JUNK + (5, [1.0, 3], [True, 3], [1, 2], b"\x01\x03"),
+        side_b=JUNK + (5, [2.0], [True], b"\x02"),
         edges=JUNK + (5, [5], [None], [(1, 2)], [(1, 2, 1, 1)], [(1, 2, True)], [(1, 2, 1.0)],
                       [(1, 2, 0)], [(1.0, 2, 1)], [(1, 3, 1)], [(1, 2, 1), (3, 2, 1)],
-                      [(1, 2, 1), (2, 1, 2)]),
+                      [(1, 2, 1), (2, 1, 2)], [b"\x01\x02\x01"]),
         d=JUNK[1:] + ([2], P3, 1),  # None: the largest colour
     ),
     "ColoredBipartite.color_of": row(dict(u=1, v=2), on=SMALL_CB, u=INT + (3,), v=INT + (1,)),
@@ -227,17 +229,19 @@ ROWS = {
     "ColoredBipartite.side_of": row(dict(v=1), on=SMALL_CB, v=INT + (3,)),
     "ColoredBipartite.subgraph": row(
         dict(keep=[(1, 2)]), on=CB,
-        keep=JUNK + (5, [5], [(1, 2, 3)], [("1", 2)], [(1.0, 2)], [(1, 3)], [(2, 2)]),
+        keep=JUNK + (5, [5], [(1, 2, 3)], [("1", 2)], [(1.0, 2)], [(1, 3)], [(2, 2)],
+                     [b"\x01\x02"]),
     ),
     "ColoredBipartite.from_colored_graph": row(
         dict(g=f_n(8)), on=ColoredBipartite,
-        g=GRAPH + (P3, CgGraph(3, [(1, 2), (2, 3), (1, 3)], colors=[1, 2, 3])),
+        g=GRAPH + (P3, CgGraph(3, [(1, 2), (2, 3), (1, 3)], colors=[1, 2, 3]),
+                   over(CgGraph(MAX_HOST + 1, [(1, 2)], colors=[1]), HOST_BUDGET)),
     ),
     "Walk4.check": row(dict(g=CB, start_side=None), on=find_forbidden_walk(CB, "fast"),
                        g=COLORED, start_side=SIDE),
     "find_forbidden_walk": row(WALK_QUERY, **WALK_QUERY_BAD),
     "enumerate_all_walks": row(dict(WALK_QUERY, g=SMALL_CB), **dict(WALK_QUERY_BAD, g=COLORED + (
-        msg(ColoredBipartite.from_colored_graph(f_n(32)), "capped at 14 edges"),))),
+        over(ColoredBipartite.from_colored_graph(f_n(32)), "limit is 14"),))),
     "extract_walk_free": row(dict(WALK_QUERY, seed=0), **WALK_QUERY_BAD, seed=INT),
     "size_bound": row(dict(num_edges=10, d=2), num_edges=INT + (-1,), d=INT + (0,)),
     # the release gate

@@ -309,7 +309,8 @@ class TestEnumeration:
             enumerate_trees(2, "diagonal")
 
     def test_out_of_range_edge_count(self):
-        with pytest.raises(InputError):
+        """k > 6 is well-formed but over the enumeration budget."""
+        with pytest.raises(BudgetError, match="up to 6 edges"):
             enumerate_trees(7, "linear")
 
     @pytest.mark.parametrize("args", [(3, "bogus"), (2.0, "linear"), (True, "cyclic"),
