@@ -158,7 +158,8 @@ def _exists(n, masks, p, pat_edges, cyclic):
     search, turn = _compile(p, tuple(pat_edges), cyclic)
     flip = False
     if turn is not None:
-        search, flip = turn
+        edges, flip = turn
+        search = _compile(p, edges, cyclic)[0]
     return bool(_search(search, n, masks, flip, 1))
 
 
@@ -195,8 +196,9 @@ def _mirrored(n, adj):
 def _compile(p, pat_edges, cyclic):
     """(search, turn) for a pattern: the generated search of the pattern as
     given, and turn = None if first-hit queries refute in it, else (the
-    search of the orientation they refute in, whether the host is mirrored
-    too)."""
+    sorted edges of the orientation they refute in, whether the host is
+    mirrored too). The orientation's search is looked up when it runs, so
+    an evicted orientation is compiled again rather than kept twice."""
     if p > _MAX_P:
         raise BudgetError(
             f"pattern has {p} vertices; the search kernel nests one loop per "
@@ -219,7 +221,7 @@ def _compile(p, pat_edges, cyclic):
             if s < best:
                 best, turn = s, (edges, flip)
     if turn is not None:
-        turn = (_compile(p, tuple(sorted(turn[0])), cyclic)[0], turn[1])
+        turn = (tuple(sorted(turn[0])), turn[1])
     namespace = {}
     exec(compile(_source(p, set(pat_edges), cyclic), "<search kernel>", "exec"), namespace)
     return namespace["search"], turn

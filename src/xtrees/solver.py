@@ -4,18 +4,22 @@
 graph by branch-and-bound over the edges of the complete host, include-branch
 first, in two runs of one search (``_search``):
 
-1. The value: the edges are decided by their length on the circle,
-   min(j - i, n - j + i), then left endpoint, with symmetry breaking. One
-   key for both modes; at n = 8 the proof visits 2-5x fewer nodes in this
-   order than in the canonical one.
+1. The value: the edges that lie in the most placements of the pattern are
+   decided first, fail-first (Haralick and Elliott 1980); ties go by length
+   on the circle, min(j - i, n - j + i), then left endpoint. Symmetry
+   breaking is on. At n = 8 the five ordered 3-edge z-trees take 120,299
+   proof nodes in this order against 476,535 in the cyclic-length order
+   alone. A cg pattern barely moves: its placements are closed under
+   rotation, so all chords of one length lie in equally many of them.
 2. The witness: the edges are decided in the canonical order (by length,
    then left endpoint) with the value known, that is counting only graphs
    above value - 1, without symmetry breaking, and the search stops at its
    first leaf.
 
-The placements of the pattern are precomputed as edge-image bitmasks for the
-order at hand; on the complete host they are counted out from vertex subsets
-rather than searched for.
+The placements of the pattern are enumerated once per solve as edge sets; on
+the complete host they are counted out from vertex subsets rather than
+searched for. The proof order counts its edges in them, and each run maps
+them to edge bitmasks in its own order.
 
 * Closing lists: when edge i is decided every later edge is still absent, so
   including i can only complete a placement whose highest edge index is i.
@@ -26,8 +30,10 @@ rather than searched for.
   each must still lose one of its own undecided edges, so count + undecided
   minus the number picked bounds every completion. A node is pruned as soon
   as that bound is at most the best count found, that is once the picks
-  reach slack = count + undecided - best: the scan stops there, and is
-  skipped when fewer than slack placements are live.
+  reach slack = count + undecided - best: the scan stops there. It is
+  skipped when fewer than slack placements are live, and when count > best:
+  each pick holds an undecided edge of its own, so the picks never exceed
+  undecided, which is then below slack.
 * Symmetry: a relabelling of the host that carries the placements onto
   themselves maps pattern-free graphs to pattern-free graphs of the same
   size. For cg these are the n rotations, and the n reflections when the
@@ -86,10 +92,11 @@ edges have distinct lengths in a line.
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
-from typing import Optional, Union
+from itertools import chain, combinations
+from typing import Optional, Sequence, Union
 
 from .containment import Embedding, contains, validate_embedding
 from .errors import BudgetError, InputError
@@ -127,43 +134,52 @@ class ExtremalResult:
         }
 
 
-def _canonical_edges(n: int) -> list[tuple[int, int]]:
+@lru_cache(maxsize=None)  # one entry per host size the solver accepts
+def _canonical_edges(n: int) -> tuple[tuple[int, int], ...]:
     """The witness order: by length, then left endpoint."""
-    es = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
-    es.sort(key=lambda e: (e[1] - e[0], e[0]))
-    return es
+    return tuple(sorted(((i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)),
+                        key=lambda e: (e[1] - e[0], e[0])))
 
 
-def _cyclic_length_edges(n: int) -> list[tuple[int, int]]:
-    """The proof order: by length on the circle, min(j - i, n - j + i), then
-    left endpoint; of two chords tied on both, the shorter one first."""
-    return sorted(_canonical_edges(n), key=lambda e: (min(e[1] - e[0], n - e[1] + e[0]), e[0]))
+@lru_cache(maxsize=None)
+def _cyclic_length_edges(n: int) -> tuple[tuple[int, int], ...]:
+    """The proof's tie order: by length on the circle, min(j - i, n - j + i),
+    then left endpoint; of two chords tied on both, the shorter one first."""
+    return tuple(sorted(_canonical_edges(n),
+                        key=lambda e: (min(e[1] - e[0], n - e[1] + e[0]), e[0])))
 
 
-def _placement_masks(n: int, pattern: _Graph, index: dict) -> list[int]:
-    """Edge-image bitmasks of every placement of the pattern in [n].
+def _placements(n: int, pattern: _Graph) -> list[tuple[tuple[int, int], ...]]:
+    """The distinct edge images of every placement of the pattern in [n], each
+    a sorted tuple of host edges, in sorted order.
 
     The host is complete, so placements are counted out rather than searched
     for: every increasing p-tuple is a linear placement, and every p-subset
     read from each of its p starting points is a cyclic one. Each distinct
-    rotation of the pattern is read once, through a pair -> bit table.
+    rotation of the pattern is read once, as a sorted tuple of sorted pairs
+    of positions; an increasing p-tuple maps it onto a sorted tuple of edges,
+    so equal images are equal tuples.
     """
     p = pattern.n
-    bit = [[0] * (n + 1) for _ in range(n + 1)]
-    for (a, b), i in index.items():
-        bit[a][b] = bit[b][a] = 1 << i
     turns = range(p) if pattern.mode == "cg" else range(1)
-    shapes = {tuple(sorted(((u - 1 + s) % p, (v - 1 + s) % p) for u, v in pattern.edges))
-              for s in turns}
-    masks = set()
-    for c in combinations(range(1, n + 1), p):
-        rows = [bit[x] for x in c]
-        for shape in shapes:
-            mask = 0
-            for u, v in shape:
-                mask |= rows[u][c[v]]
-            masks.add(mask)
-    return sorted(masks)
+    shapes = {tuple(sorted(tuple(sorted(((u - 1 + s) % p, (v - 1 + s) % p)))
+                           for u, v in pattern.edges)) for s in turns}
+    return sorted({tuple([(c[x], c[y]) for x, y in shape])
+                   for c in combinations(range(1, n + 1), p) for shape in shapes})
+
+
+def _masks(placements: list[tuple[tuple[int, int], ...]],
+           edges: Sequence[tuple[int, int]]) -> list[int]:
+    """The placements as bitmasks over the given edge order, sorted."""
+    bit = {e: 1 << i for i, e in enumerate(edges)}
+    return sorted([sum(map(bit.__getitem__, image)) for image in placements])
+
+
+def _proof_edges(n: int, placements: list[tuple[tuple[int, int], ...]]) -> list[tuple[int, int]]:
+    """The proof order: edges that lie in more placements first (fail-first),
+    ties in cyclic-length order."""
+    counts = Counter(chain.from_iterable(placements))
+    return sorted(_cyclic_length_edges(n), key=lambda e: -counts[e])
 
 
 def _relabellings(n: int, pattern: _Graph) -> list[list[int]]:
@@ -183,13 +199,15 @@ class _Found(Exception):
     """Raised at the first leaf of a search asked to stop there."""
 
 
-def _search(n: int, pattern: _Graph, edges: list[tuple[int, int]], best: int,
+def _search(n: int, pattern: _Graph, placements: list[tuple[tuple[int, int], ...]],
+            edges: Sequence[tuple[int, int]], best: int,
             first: bool) -> tuple[int, list[tuple[int, int]], int]:
     """(best count, its edges, nodes) of the branch-and-bound that decides the
-    edges in the given order, counting only graphs above best. first: stop at
-    the first leaf, with no symmetry breaking."""
+    edges in the given order, counting only graphs above best. placements:
+    those of the pattern in [n] (_placements). first: stop at the first leaf,
+    with no symmetry breaking."""
     index = {e: i for i, e in enumerate(edges)}
-    masks = _placement_masks(n, pattern, index)
+    masks = _masks(placements, edges)
     # Edges are decided in index order and every later edge is still absent,
     # so adding edge i can only complete a placement whose top edge is i.
     closing: list[list[int]] = [[] for _ in edges]
@@ -245,11 +263,12 @@ def _search(n: int, pattern: _Graph, edges: list[tuple[int, int]], best: int,
                             break
         # Live placements (no edge excluded) with pairwise disjoint undecided
         # parts each still have to lose one of their own undecided edges, so
-        # slack picks prune: too short a list cannot, and the scan stops at
-        # the slack-th pick. A live placement's decided edges are all in cur,
+        # slack picks prune: too short a list cannot, nor can the at most
+        # undecided picks once count > best, and the scan stops at the
+        # slack-th pick. A live placement's decided edges are all in cur,
         # so its undecided part is m & high.
         slack = count + undecided - best
-        if len(live) >= slack:
+        if count <= best and len(live) >= slack:
             used = 0
             high = -1 << i
             for m in live:
@@ -296,8 +315,9 @@ def extremal_number(n: int, pattern: _Graph) -> ExtremalResult:
         raise InputError("pattern has no edges, so every host contains it")
 
     t0 = time.perf_counter()
-    value, _, proof_nodes = _search(n, pattern, _cyclic_length_edges(n), -1, False)
-    _, chosen, witness_nodes = _search(n, pattern, _canonical_edges(n), value - 1, True)
+    placements = _placements(n, pattern)
+    value, _, proof_nodes = _search(n, pattern, placements, _proof_edges(n, placements), -1, False)
+    _, chosen, witness_nodes = _search(n, pattern, placements, _canonical_edges(n), value - 1, True)
     witness = type(pattern)._trusted(n, tuple(chosen))
     result = ExtremalResult(n, pattern.mode, value, witness, pattern,
                             proof_nodes + witness_nodes, time.perf_counter() - t0)

@@ -8,6 +8,7 @@ cases document the semantics directly.
 """
 
 import importlib.util
+import itertools
 import json
 import random
 from pathlib import Path
@@ -501,7 +502,7 @@ def _oracle_list(host, pattern):
 
 def _turn(pattern):
     """The kernel's choice for first-hit queries: None (as given), else
-    (the search it runs, whether the host is mirrored too)."""
+    (the sorted 0-based edges it searches, whether the host is mirrored too)."""
     return kernels._compile(pattern.n, tuple(_edges0(pattern)), pattern.mode == "cg")[1]
 
 
@@ -560,18 +561,12 @@ class TestOrientedRefutation:
         mode = "cyclic" if cls is CgGraph else "linear"
         rng = random.Random(f"orientations-{mode}")
         outcomes = set()
-        # a pattern's entry holds the search of its chosen orientation; once
-        # 1,024 other patterns have evicted that orientation's own entry, a
-        # lookup compiles a second search, equal but not the same object
-        kernels._compile.cache_clear()
         for k in range(1, 5):
             for t in enumerate_trees(k, mode, "all"):
                 cands = _orientations(t)
                 turn = _turn(t)
                 if turn is not None:
-                    assert turn in [(kernels._compile(q.n, tuple(sorted(_edges0(q))),
-                                                      cls is CgGraph)[0], f is not None)
-                                    for q, f in cands]
+                    assert turn in [(tuple(sorted(_edges0(q))), f is not None) for q, f in cands]
                 for _ in range(3):
                     n = rng.randint(t.n, 7)
                     host = cls(n, [e for e in _pairs(n) if rng.random() < 0.4])
@@ -580,6 +575,37 @@ class TestOrientedRefutation:
                     for q, f in cands:
                         assert oracle_contains(f(host) if f else host, q) == want, (t.edges, q.edges)
         assert outcomes == {True, False}
+
+    def test_evicted_orientation_is_compiled_once(self, monkeypatch):
+        """Past the cache's size a pattern and its chosen orientation still
+        share one search: the pattern's entry names the orientation, and
+        the search that runs is the orientation's own cached one."""
+        pattern = OrderedGraph(5, [(1, 4), (2, 4), (3, 5), (4, 5)])
+        key = (pattern.n, tuple(_edges0(pattern)), False)
+        assert _turn(pattern)[1]  # refuted in the mirror
+        edges = tuple(sorted(_edges0(mirror(pattern))))
+        host = fh_q(32)
+        adj = host.adjacency_masks()
+        masks = lambda flip: kernels._search_masks(host.n, adj, False, flip)
+        ran = []
+        search = kernels._search
+        monkeypatch.setattr(kernels, "_search", lambda s, *a: ran.append(s) or search(s, *a))
+
+        def refute():
+            assert not kernels._exists(host.n, masks, *key)
+            assert ran[-1] is kernels._compile(5, edges, False)[0]
+
+        refute()
+        # more cyclic 6-vertex patterns than the cache holds, each followed by
+        # the pattern, so that the orientation's entry alone is evicted
+        pairs = list(itertools.combinations(range(6), 2))
+        subsets = (c for r in range(1, len(pairs)) for c in itertools.combinations(pairs, r))
+        for filler in itertools.islice(subsets, kernels._compile.cache_info().maxsize):
+            kernels._compile(6, filler, True)
+            kernels._compile(*key)
+        refute()
+        assert ran[0] is not ran[-1]  # the orientation was compiled again
+        kernels._compile.cache_clear()
 
     def test_mirrored_masks(self):
         rng = random.Random(11)
