@@ -368,9 +368,9 @@ def _strip_longest_right(edges, lo: int, hi: int):
     return tuple(e for e in edges if e not in gone), deleted
 
 
-def _linear_steps(dec: ZDecomposition, steps: list) -> Optional[tuple]:
-    """Append to steps those of a valid decomposition, down to one edge;
-    return them all, or None if a derived tree does not decompose."""
+def _linear_steps(dec: ZDecomposition, steps: list) -> tuple:
+    """Append to steps those of a valid decomposition, down to one edge, and
+    return them all. Every tree derived from a z-tree is again a z-tree."""
     while dec.a + dec.b + dec.c > 1:
         a, b, c = dec.counts
         if c == 0:
@@ -382,7 +382,7 @@ def _linear_steps(dec: ZDecomposition, steps: list) -> Optional[tuple]:
             edges = dec.edges()
             dec = _z_scan(_linear_edges(len(edges) + 1, edges, 0) if b else edges)
             if not isinstance(dec, ZDecomposition):
-                return None
+                raise RuntimeError("internal: a tree derived from a z-tree does not decompose")
             continue
         # strip at b < g <= n-a-c+1, then extend at the hub's left endpoint
         steps.append(("right", b + 1, a + c - 1, dec.hub[0]))
@@ -391,8 +391,8 @@ def _linear_steps(dec: ZDecomposition, steps: list) -> Optional[tuple]:
 
 
 @lru_cache(maxsize=1024)  # more decompositions than the checks and benchmark use
-def _plan(dec: Union[ZDecomposition, CgZDecomposition]) -> tuple[_Graph, Optional[tuple]]:
-    """(validated tree, its induction steps or None) for one decomposition."""
+def _plan(dec: Union[ZDecomposition, CgZDecomposition]) -> tuple[_Graph, tuple]:
+    """(validated tree, its induction steps) for one decomposition."""
     if isinstance(dec, ZDecomposition):
         return _checked_tree(dec), _linear_steps(dec, [])
     lin = _checked_tree(dec.linear)
@@ -462,7 +462,7 @@ def embed_dense(
     tree, steps = _plan(dec)
     if tree.n > host.n:
         raise InputError("host smaller than the tree")
-    images = None if steps is None else _run_plan(host, steps)
+    images = _run_plan(host, steps)
     if images is None:
         return None
     emb = Embedding(host.order, images, reflected=False)

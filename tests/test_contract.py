@@ -8,14 +8,21 @@ callable its name names (a method is called ``on`` an instance), and per
 argument the values that must be refused. A refused value raises
 InputError (NotApplicableError is one), or, where it is marked ``over``, a
 BudgetError whose message names the budget. Nothing else may escape, and no
-value may be coerced into an answer. A row that is a string exempts its
-name, for the reason it gives.
+value may be coerced into an answer. A case that needs another context,
+such as a cg host, replaces those arguments of the valid call too. A row
+that is a string exempts its name, for the reason it gives.
+
+The table is the one home of these cases: a test elsewhere that only
+expects refusals from public callables fails
+``test_refusal_only_tests_live_in_the_table``.
 """
 
+import ast
 import inspect
 import io
 import re
 from itertools import combinations
+from pathlib import Path
 from typing import NamedTuple
 
 import pytest
@@ -32,11 +39,12 @@ class Refused(NamedTuple):
     value: object
     error: type = InputError
     match: object = None
+    given: dict = {}  # other arguments of the valid call that this case replaces
 
 
-def msg(value, match):
+def msg(value, match, **given):
     """A malformed value whose InputError message matches ``match``."""
-    return Refused(value, InputError, match)
+    return Refused(value, InputError, match, given)
 
 
 def over(value, budget):
@@ -86,6 +94,9 @@ TWINS_OVER_CAP = CgGraph(82, [(1, 2)] + [(1, x) for x in range(3, 43)]
 CB = ColoredBipartite.from_colored_graph(f_n(16))
 SMALL_CB = ColoredBipartite([1], [2], [(1, 2, 1)])
 EMB = Embedding("linear", (1, 2, 3))
+CP3 = CgGraph(3, [(1, 2), (2, 3)])
+CP3_LINE = cg_z_decompose(CP3).linear
+LISTS = ZDecomposition(hub=[1, 3], core=[(1, 2), (1, 3)], s_j=[], s_i=[])  # lists, not tuples
 
 # no argument of the API takes these
 JUNK = (None, True, 1.5, "x", object())
@@ -93,21 +104,30 @@ INT = JUNK + ([1], P3)
 GRAPH = JUNK + (5, [(1, 2)], CB)  # an OrderedGraph or a CgGraph
 ORDERED = GRAPH + (C4,)
 CYCLIC = GRAPH + (P3,)
-COLORED = JUNK + (5, f_n(8))  # a ColoredBipartite
+COLORED = JUNK + (5, f_n(8), [(1, 2, 1)])  # a ColoredBipartite
 CHOICE = JUNK + (5, [])  # one of a few strings
 SIDE = CHOICE[1:] + ("A",)  # a walk's start side: None, or "A"/"B" for slow walks only
-VERTEX = INT + (0, 5)  # of C4: 1..4
+VERTEX = INT + (0, 5, -1, 2.0, "2")  # of C4: 1..4
 EDGE = JUNK + (5, (1, 1), (1, 7), (0, 3), (1, 2, 3), ("1", "3"), (1.0, 3), "13", b"\x01\x03")
-NOT_A_FILE = (None, True, False, 1.5, 5, -1, [], object(), b"g.json")
+NOT_A_FILE = (None, True, False, 1.5, 5, -1, [], object(), b"g.json", 1)  # 1 is stdout
+ROTATION = tuple(msg(r, "rotation") for r in INT + (1.0, "1"))
 HOST_BUDGET = f"limit is {MAX_HOST}"
+
+
+def integer(valid):
+    """The values refused as not an integer where ``valid`` is one: a bool,
+    its float or its digits would each be coerced to a number."""
+    return tuple(msg(x, "must be an integer") for x in INT + (float(valid), str(valid)))
+
 
 GRAPH_CALL = dict(n=3, edges=[(1, 2), (2, 3)], colors=[1, 2])
 GRAPH_BAD = dict(
-    n=INT + (0, -1),
+    n=tuple(msg(n, "vertex count") for n in INT + (3.0, False, "3")) + (0, -1),
     edges=JUNK + (5, [(2, 2)], [(1, 2), (2, 1)], [(1, 4)], [(0, 1)], [(1, 2, 3)], ["12"],
                   [(1.0, 2)], [(True, 2)], [5], [None], [(1, 2), b"\x02\x03"],
-                  [(1, 2), bytearray(b"\x02\x03")]),
-    colors=JUNK[1:] + (5, [1], [0, 1], [True, 1], [1.0, 1], [None, 1]),  # None: uncoloured
+                  [(1, 2), bytearray(b"\x02\x03")], [("1", 2)], [(2, None)]),
+    # None: uncoloured
+    colors=JUNK[1:] + (5, [1], [0, 1], [True, 1], [1.0, 1], [None, 1], ["1", 1]),
 )
 DOC = {"mode": "ordered", "n": 3, "edges": [[1, 2]]}
 CONTAINMENT = dict(host=H8, pattern=P3, allow_reflection=False)
@@ -148,15 +168,17 @@ ROWS = {
     "chi_cyclic": row(dict(g=C4), g=CYCLIC),
     "crosses": row(dict(g=K5, e=(1, 3), f=(2, 4)), g=GRAPH, e=EDGE, f=EDGE),
     "mirror": row(dict(g=P3), g=GRAPH),
-    "rotate": row(dict(g=C4, r=1), g=CYCLIC, r=tuple(msg(r, "rotation") for r in INT)),
+    "rotate": row(dict(g=C4, r=1), g=CYCLIC, r=ROTATION),
     "reflect": row(dict(g=C4), g=CYCLIC),
     # files
     "graph_from_dict": row(dict(d=DOC), d=JUNK + (5, [1, 2, 3], {"n": 3, "edges": []}) + tuple(
-        {**DOC, **change} for change in (
+        msg({**DOC, **change}, "n must be an integer") if "n" in change else {**DOC, **change}
+        for change in (
             {"mode": "hexagonal"}, {"mode": []}, {"mode": {}}, {"mode": None}, {"n": "three"},
             {"n": True}, {"edges": None}, {"edges": 7}, {"edges": [5]}, {"colors": 5},
-            {"colors": [True]},
-        ))),
+            {"colors": [True]}, {"n": 3.0}, {"edges": [[1.7, 2.2]]}, {"edges": ["12"]},
+            {"edges": [[True, 2]]}, {"edges": [[1, 2, 3]]}, {"colors": [1.0]}, {"colors": ["1"]},
+        )) + ({"mode": "ordered", "edges": []},)),
     "graph_to_dict": row(dict(g=P3), g=GRAPH),
     "dumps_graph": row(dict(g=P3), g=GRAPH),
     "load_graph": row(dict(source=Reader(dumps_graph(P3))), source=(
@@ -169,50 +191,65 @@ ROWS = {
     # containment
     "contains": row(CONTAINMENT, **CONTAINMENT_BAD),
     "find_embedding": row(CONTAINMENT, **CONTAINMENT_BAD),
-    "iter_embeddings": row(dict(CONTAINMENT, limit=0), **CONTAINMENT_BAD, limit=INT + (-1,)),
+    "iter_embeddings": row(dict(CONTAINMENT, limit=0), **CONTAINMENT_BAD,
+                           limit=INT + (-1, -5, 2.5, "1")),
     "validate_embedding": row(
         dict(host=H8, pattern=P3, emb=EMB),
-        host=GRAPH + (_complete(CgGraph, 8),), pattern=GRAPH + (CgGraph(3, [(1, 2)]),),
+        host=GRAPH + (msg(_complete(CgGraph, 8), "mode mismatch"),),
+        pattern=GRAPH + (CgGraph(3, [(1, 2)]),),
         emb=JUNK + (5, (1, 2, 3), {"mode": "linear", "map": (1, 2, 3)},
-                    Embedding("cyclic", (1, 2, 3)), Embedding("linear", (1, 2, 3), True),
+                    msg(Embedding("cyclic", (1, 2, 3)), "embedding mode 'cyclic'"),
+                    msg(Embedding("linear", (1, 2, 3), True), "cyclic-only"),
+                    msg(Embedding("linear", (1, 2)), "map has 2 entries"),
+                    msg(Embedding("linear", (1, 1, 2)), "not injective"),
                     *(Embedding("linear", m) for m in (
-                        (1, 2), (1, 1, 2), (True, 2, 3), (1, 2, 3.0), (0, 1, 2), (7, 8, 9),
-                        (2, 1, 3), (1, 3, 4)))),  # (1, 3, 4) maps edge 12 to a non-edge
+                        (True, 2, 3), (1, 2, 3.0), (0, 1, 2), (7, 8, 9))),
+                    msg(Embedding("linear", (2, 1, 3)), "linear order"),
+                    Embedding("linear", (1, 3, 4)),  # maps edge 12 to a non-edge
+                    msg(Embedding("cyclic", (1, 5, 2)), "clockwise cyclic order",
+                        host=CK5, pattern=CP3),
+                    msg(Embedding("cyclic", (5, 1, 2), True), "reversed cyclic order",
+                        host=CK5, pattern=CP3)),
     ),
     "Embedding.apply": row(dict(v=1), on=EMB, v=INT + (0, 4, -1)),
     # constructions
-    "pow2": row(dict(n=8), n=INT + (1, over(MAX_HOST + 1, HOST_BUDGET))),
-    "fh_q": row(dict(s=4), s=INT + (0, 3, over(MAX_HOST, HOST_BUDGET))),
-    "fh_r": row(dict(s=4), s=INT + (0, 6, over(MAX_HOST, HOST_BUDGET))),
-    "gstar": row(dict(n=8, a=2, b=1, c=1), n=INT + (4, over(MAX_HOST + 1, HOST_BUDGET)),
-                 a=INT + (0,), b=INT + (-1,), c=INT + (-1,)),  # n = 4 < a + b + c + 1
-    "f_n": row(dict(n=8), n=INT + (4, 12, over(2 * MAX_HOST, HOST_BUDGET))),
-    "f_n0": row(dict(n=8), n=INT + (0, 7, over(MAX_HOST + 2, HOST_BUDGET))),
+    "pow2": row(dict(n=8), n=integer(8) + (1, over(MAX_HOST + 1, HOST_BUDGET))),
+    "fh_q": row(dict(s=4), s=integer(4) + (0, 3, over(MAX_HOST, HOST_BUDGET))),
+    "fh_r": row(dict(s=4), s=integer(4) + (0, 6, over(MAX_HOST, HOST_BUDGET))),
+    "gstar": row(dict(n=8, a=2, b=1, c=1),
+                 n=integer(8) + (4, over(MAX_HOST + 1, HOST_BUDGET)),  # 4 < a + b + c + 1
+                 a=integer(2) + (0,), b=integer(1) + (-1,), c=integer(1) + (-1,)),
+    "f_n": row(dict(n=8), n=integer(8) + (4, 12, over(2 * MAX_HOST, HOST_BUDGET))),
+    "f_n0": row(dict(n=8), n=integer(8) + (0, 7, over(MAX_HOST + 2, HOST_BUDGET))),
     # trees
     "z_decompose": row(dict(t=Z3), t=ORDERED + (
         P3, OrderedGraph(3, [(1, 2), (1, 3), (2, 3)]), OrderedGraph(3, [(1, 3)]))),
     "is_z_tree": row(dict(t=Z3), t=ORDERED),
     "cg_z_decompose": row(dict(t=C4), t=CYCLIC + (CK5,)),
     "is_cg_z_tree": row(dict(t=C4), t=CYCLIC),
-    "linearize": row(dict(t=C4, r=0), t=CYCLIC, r=tuple(msg(r, "rotation") for r in INT)),
+    "linearize": row(dict(t=C4, r=0), t=CYCLIC, r=ROTATION),
     "detect_crossing_path4": row(dict(t=C4), t=CYCLIC),
     "detect_twin_crossing_paths": row(dict(t=C4), t=CYCLIC + (
         over(TWINS_OVER_CAP, "cap of 1500"),)),
     "is_zigzag": row(dict(t=C4), t=CYCLIC + (CgGraph(4, [(1, 2), (1, 3), (1, 4)]),)),
     "classify_tree": row(dict(t=P3), t=GRAPH),
-    "derive_obstructions": row(dict(max_edges=3), max_edges=INT + (2, over(7, "up to 6 edges"))),
+    "derive_obstructions": row(dict(max_edges=3),
+                               max_edges=integer(3) + (2, over(7, "up to 6 edges"))),
     "enumerate_trees": row(dict(k=2, mode="linear", filt="all"),
-                           k=INT + (0, over(7, "up to 6 edges")), mode=CHOICE,
+                           k=integer(2) + (0, over(7, "up to 6 edges")), mode=CHOICE,
                            filt=CHOICE),
     # solver
-    "extremal_number": row(dict(n=4, pattern=P3), n=INT + (1, over(9, "above n = 8")),
-                           pattern=GRAPH + (OrderedGraph(3, []), H8)),
+    "extremal_number": row(dict(n=4, pattern=P3),
+                           n=integer(4) + (msg(1, "need n >= 2"), over(9, "above n = 8")),
+                           pattern=GRAPH + (OrderedGraph(3, []), msg(H8, "exceeds host size"))),
     "embed_dense": row(
-        dict(host=K5, dec=z_decompose(Z3)), host=GRAPH + (CK5, OrderedGraph(2, [(1, 2)])),
-        dec=JUNK + (5, P3, cg_z_decompose(CgGraph(3, [(1, 2), (2, 3)])),
-                    CgZDecomposition(0, None),
-                    ZDecomposition(hub=(1, 3), core=((1, 3),), s_j=(), s_i=()),
-                    ZDecomposition(hub=[1, 3], core=[(1, 2), (1, 3)], s_j=[], s_i=[])),
+        dict(host=K5, dec=z_decompose(Z3)),
+        host=GRAPH + (msg(CK5, "needs an ordered host"), OrderedGraph(2, [(1, 2)])),
+        dec=JUNK + (5, P3, msg(cg_z_decompose(CP3), "needs a cg host"), CgZDecomposition(0, None),
+                    ZDecomposition(hub=(1, 3), core=((1, 3),), s_j=(), s_i=()), LISTS,
+                    *(msg(CgZDecomposition(r, lin), "rotation an int", host=CK5)
+                      for r, lin in ((0, LISTS), (1.0, CP3_LINE), ("1", CP3_LINE),
+                                     (None, CP3_LINE), (True, CP3_LINE)))),
     ),
     # walks
     "ColoredBipartite": row(
@@ -221,8 +258,8 @@ ROWS = {
         side_b=JUNK + (5, [2.0], [True], b"\x02"),
         edges=JUNK + (5, [5], [None], [(1, 2)], [(1, 2, 1, 1)], [(1, 2, True)], [(1, 2, 1.0)],
                       [(1, 2, 0)], [(1.0, 2, 1)], [(1, 3, 1)], [(1, 2, 1), (3, 2, 1)],
-                      [(1, 2, 1), (2, 1, 2)], [b"\x01\x02\x01"]),
-        d=JUNK[1:] + ([2], P3, 1),  # None: the largest colour
+                      [(1, 2, 1), (2, 1, 2)], [b"\x01\x02\x01"], [(1, True, 1)]),
+        d=JUNK[1:] + ([2], P3, 1, "2"),  # None: the largest colour
     ),
     "ColoredBipartite.color_of": row(dict(u=1, v=2), on=SMALL_CB, u=INT + (3,), v=INT + (1,)),
     "ColoredBipartite.neighbors": row(dict(v=1), on=SMALL_CB, v=INT + (3,)),
@@ -242,8 +279,9 @@ ROWS = {
     "find_forbidden_walk": row(WALK_QUERY, **WALK_QUERY_BAD),
     "enumerate_all_walks": row(dict(WALK_QUERY, g=SMALL_CB), **dict(WALK_QUERY_BAD, g=COLORED + (
         over(ColoredBipartite.from_colored_graph(f_n(32)), "limit is 14"),))),
-    "extract_walk_free": row(dict(WALK_QUERY, seed=0), **WALK_QUERY_BAD, seed=INT),
-    "size_bound": row(dict(num_edges=10, d=2), num_edges=INT + (-1,), d=INT + (0,)),
+    "extract_walk_free": row(dict(WALK_QUERY, seed=0), **WALK_QUERY_BAD, seed=integer(0)),
+    "size_bound": row(dict(num_edges=10, d=2), num_edges=integer(10) + (-1,),
+                      d=integer(2) + (0,)),
     # the release gate
     "run_check": row(dict(check_id="c05", seed=0),
                      check_id=tuple(msg(c, "unknown check") for c in CHOICE + ("c5", "c99")),
@@ -303,7 +341,7 @@ def test_valid_call_is_accepted(name):
 @pytest.mark.parametrize("name, arg, refused", CASES)
 def test_malformed_argument_is_refused(name, arg, refused):
     with pytest.raises(refused.error, match=refused.match):
-        _callable(name)(**{**ROWS[name].valid, arg: refused.value})
+        _callable(name)(**{**ROWS[name].valid, **refused.given, arg: refused.value})
 
 
 @pytest.mark.parametrize("g", GRAPH)
@@ -312,3 +350,91 @@ def test_interval_split_refuses_a_non_graph(g):
     non-graph."""
     with pytest.raises(InputError):
         interval_split(g)
+
+
+# Refusal-only tests written before the table. Every value they refuse is
+# a case of its row; delete a name here with its test.
+OLDER_REFUSAL_TESTS = {
+    "test_acceptance.py::test_empty_selection_refused",
+    "test_acceptance.py::test_malformed_check_id_refused",
+    "test_constructions.py::TestPow2::test_needs_two_vertices",
+    "test_containment.py::TestPinned::test_mode_mismatch_rejected",
+    "test_containment.py::TestValidationAndBudget::test_validate_rejects_each_broken_rule",
+    "test_embed_dense.py::TestDecompositionChecks::test_linear_part_type_required",
+    "test_embed_dense.py::TestInputChecks::test_decomposition_type_required",
+    "test_embed_dense.py::TestInputChecks::test_non_graph_host_rejected",
+    "test_embed_dense.py::TestLinear::test_host_too_small",
+    "test_embed_dense.py::TestLinear::test_mode_mismatch",
+    "test_io.py::test_malformed_documents",
+    "test_io.py::test_non_integer_color_rejected",
+    "test_io.py::test_non_integer_n_rejected",
+    "test_order.py::TestStrictInputs::test_float_edge_rejected",
+    "test_order.py::TestStrictInputs::test_non_integer_color_rejected",
+    "test_order.py::TestStrictInputs::test_non_integer_endpoint_rejected",
+    "test_order.py::TestStrictInputs::test_string_edge_rejected",
+    "test_order.py::TestTransforms::test_rotate_rejects_ordered",
+    "test_order.py::TestValidation::test_color_count_must_match",
+    "test_order.py::TestValidation::test_duplicate_edges_rejected",
+    "test_order.py::TestValidation::test_loops_rejected",
+    "test_order.py::TestValidation::test_out_of_range_vertex",
+    "test_solver.py::TestRefusalsAndValidation::test_budget_refusal",
+    "test_solver.py::TestRefusalsAndValidation::test_empty_pattern_rejected",
+    "test_solver.py::TestRefusalsAndValidation::test_non_int_n_rejected",
+    "test_solver.py::TestRefusalsAndValidation::test_pattern_larger_than_host",
+    "test_solver.py::TestRefusalsAndValidation::test_tiny_hosts_rejected",
+    "test_trees.py::TestClassify::test_non_graph_rejected",
+    "test_trees.py::TestEnumeration::test_bad_arguments_raise_at_the_call",
+    "test_trees.py::TestEnumeration::test_out_of_range_edge_count",
+    "test_trees.py::TestEnumeration::test_unknown_mode",
+    "test_trees.py::TestZDecompose::test_non_tree_rejected",
+    "test_walks.py::TestColoredBipartite::test_edges_must_join_the_sides",
+    "test_walks.py::TestColoredBipartite::test_improper_coloring_rejected",
+    "test_walks.py::TestColoredBipartite::test_subgraph_rejects_malformed_edges",
+    "test_walks.py::TestColoredBipartiteTypes::test_non_ints_rejected",
+    "test_walks.py::TestDetector::test_fast_takes_no_side",
+    "test_walks.py::TestExtraction::test_non_int_seed_rejected",
+}
+
+
+def _tail(node):
+    """The name an expression ends in: f for f, m for x.m."""
+    return getattr(node, "id", None) or getattr(node, "attr", None)
+
+
+def _only_refuses(stmt, public) -> bool:
+    """A pytest.raises block around one call of a public name, or a for
+    loop around such blocks."""
+    if isinstance(stmt, ast.For):
+        return all(_only_refuses(s, public) for s in stmt.body)
+    if not (isinstance(stmt, ast.With) and len(stmt.items) == 1 and len(stmt.body) == 1):
+        return False
+    ctx, (inner,) = stmt.items[0].context_expr, stmt.body
+    return (isinstance(ctx, ast.Call) and _tail(ctx.func) == "raises" and bool(ctx.args)
+            and _tail(ctx.args[0]) in ("InputError", "BudgetError", "NotApplicableError")
+            and isinstance(inner, ast.Expr) and isinstance(inner.value, ast.Call)
+            and _tail(inner.value.func) in public)
+
+
+def _refusal_only_tests() -> set:
+    """file::[Class::]test of each test outside this file whose body, after
+    any docstring, only expects refusals from public callables."""
+    public = {name.rpartition(".")[2] for name in _public_names()}
+    found = set()
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        if path.name == Path(__file__).name:
+            continue
+        for node in ast.parse(path.read_text()).body:
+            owner = f"{node.name}::" if isinstance(node, ast.ClassDef) else ""
+            for f in node.body if owner else [node]:
+                if not (isinstance(f, ast.FunctionDef) and f.name.startswith("test")):
+                    continue
+                body = f.body[1:] if ast.get_docstring(f) is not None else f.body
+                if body and all(_only_refuses(s, public) for s in body):
+                    found.add(f"{path.name}::{owner}{f.name}")
+    return found
+
+
+def test_refusal_only_tests_live_in_the_table():
+    found = _refusal_only_tests()
+    assert sorted(found - OLDER_REFUSAL_TESTS) == [], "refusal cases outside the table"
+    assert sorted(OLDER_REFUSAL_TESTS - found) == [], "gone or changed: unlist them"

@@ -321,6 +321,13 @@ class TestTightHosts:
 
 
 class TestPlan:
+    def test_every_small_z_tree_compiles(self):
+        """Each tree a plan derives from a (cg) z-tree is a z-tree, so every
+        decomposition of every (cg) z-tree with up to 5 edges compiles."""
+        for dec in SMALL_DECS:
+            tree, steps = solver._plan(dec)
+            assert tree.n == _size(dec) and type(steps) is tuple
+
     def test_one_plan_build_serves_every_host(self, monkeypatch):
         """Derived decompositions are built once per decomposition, not per call."""
         calls = []

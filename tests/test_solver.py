@@ -1,4 +1,4 @@
-"""Exact extremal numbers: pinned values, golden data, oracle agreement,
+"""Exact extremal numbers: pinned values and searches, oracle agreement,
 symmetry breaking against the unpruned search, bounds and refusal behavior."""
 
 import dataclasses
@@ -15,7 +15,6 @@ from xtrees import order
 from xtrees.constructions import f_n
 from xtrees.containment import contains, iter_embeddings
 from xtrees.errors import BudgetError, InputError
-from xtrees.io import graph_to_dict
 from xtrees.kernels import order_embeddings
 from xtrees.oracles import oracle_extremal_number
 from xtrees.order import CgGraph, OrderedGraph, mirror, reflect, rotate
@@ -44,7 +43,6 @@ from xtrees.trees import (
 )
 from xtrees.walks import ColoredBipartite, extract_walk_free
 
-GOLDEN = Path(__file__).resolve().parents[1] / "golden" / "extremal.json"
 SOLVER_NODES = Path(__file__).resolve().parent / "data" / "solver_nodes.json"
 
 Z3 = OrderedGraph(4, [(1, 3), (2, 3), (2, 4)])
@@ -72,17 +70,6 @@ class TestPinnedValues:
             r = extremal_number(n, Z3)
             assert len(r.witness.edges) == r.value
             assert not contains(r.witness, Z3)
-
-
-class TestGolden:
-    def test_frozen_values_reproduce(self):
-        doc = json.loads(GOLDEN.read_text())
-        for entry in doc["entries"]:
-            cls = OrderedGraph if entry["mode"] == "ordered" else CgGraph
-            pattern = cls(entry["pattern_n"], [tuple(e) for e in entry["pattern"]])
-            r = extremal_number(entry["n"], pattern)
-            assert r.value == entry["value"], entry
-            assert graph_to_dict(r.witness) == entry["witness"], entry
 
 
 class TestPinnedSearch:
