@@ -40,8 +40,6 @@ def graph_from_dict(d: dict) -> _Graph:
         raise InputError(f"graph document lacks required key {missing}") from None
     if type(mode) is not str or mode not in _MODES:
         raise InputError(f"unknown mode {mode!r} (expected 'ordered' or 'cg')")
-    if type(n) is not int:
-        raise InputError(f"n must be an integer, got {n!r}")
     return _MODES[mode](n, edges, colors=d.get("colors"))
 
 

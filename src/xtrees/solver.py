@@ -16,10 +16,9 @@ first, in two runs of one search (``_search``):
    above value - 1, without symmetry breaking, and the search stops at its
    first leaf.
 
-The placements of the pattern are enumerated once per solve as edge sets; on
-the complete host they are counted out from vertex subsets rather than
-searched for. The proof order counts its edges in them, and each run maps
-them to edge bitmasks in its own order.
+The placements are built once per solve as bitmasks over canonical edge
+indices, from vertex subsets of the complete host and tables cached per n;
+the proof remaps them, and its relabellings, into its own order.
 
 * Closing lists: when edge i is decided every later edge is still absent, so
   including i can only complete a placement whose highest edge index is i.
@@ -33,7 +32,8 @@ them to edge bitmasks in its own order.
   reach slack = count + undecided - best: the scan stops there. It is
   skipped when fewer than slack placements are live, and when count > best:
   each pick holds an undecided edge of its own, so the picks never exceed
-  undecided, which is then below slack.
+  undecided, which is then below slack. A parent tests its exclude child,
+  after the include subtree, filtering the child's live list in that scan.
 * Symmetry: a relabelling of the host that carries the placements onto
   themselves maps pattern-free graphs to pattern-free graphs of the same
   size. For cg these are the n rotations, and the n reflections when the
@@ -92,11 +92,10 @@ edges have distinct lengths in a line.
 from __future__ import annotations
 
 import time
-from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, combinations
-from typing import Optional, Sequence, Union
+from itertools import combinations
+from typing import Optional, Union
 
 from .containment import Embedding, contains, validate_embedding
 from .errors import BudgetError, InputError
@@ -142,90 +141,79 @@ def _canonical_edges(n: int) -> tuple[tuple[int, int], ...]:
 
 
 @lru_cache(maxsize=None)
-def _cyclic_length_edges(n: int) -> tuple[tuple[int, int], ...]:
-    """The proof's tie order: by length on the circle, min(j - i, n - j + i),
-    then left endpoint; of two chords tied on both, the shorter one first."""
-    return tuple(sorted(_canonical_edges(n),
-                        key=lambda e: (min(e[1] - e[0], n - e[1] + e[0]), e[0])))
+def _edge_tables(n: int) -> tuple[list[list[int]], list[int], list[list[int]]]:
+    """On canonical edge indices: bit[a][b] of 0-based vertices; the proof's tie
+    order (length on the circle, then left endpoint); inv[k], the edge carried
+    onto k, per rotation v -> v + r, then per (self-inverse) v -> r - 1 - v."""
+    edges = _canonical_edges(n)
+    index = [[0] * n for _ in range(n)]
+    for k, (a, b) in enumerate(edges):
+        index[a - 1][b - 1] = index[b - 1][a - 1] = k
+    cyclic = sorted(range(len(edges)),
+                    key=lambda k: (min(d := edges[k][1] - edges[k][0], n - d), edges[k][0]))
+    inverses = [[index[(a - 1 - r) % n][(b - 1 - r) % n] for a, b in edges] for r in range(n)]
+    inverses += [[index[(r - a) % n][(r - b) % n] for a, b in edges] for r in range(n)]
+    return [[1 << k for k in row] for row in index], cyclic, inverses
 
 
-def _placements(n: int, pattern: _Graph) -> list[tuple[tuple[int, int], ...]]:
-    """The distinct edge images of every placement of the pattern in [n], each
-    a sorted tuple of host edges, in sorted order.
-
-    The host is complete, so placements are counted out rather than searched
-    for: every increasing p-tuple is a linear placement, and every p-subset
-    read from each of its p starting points is a cyclic one. Each distinct
-    rotation of the pattern is read once, as a sorted tuple of sorted pairs
-    of positions; an increasing p-tuple maps it onto a sorted tuple of edges,
-    so equal images are equal tuples.
-    """
+def _placement_masks(n: int, pattern: _Graph) -> list[int]:
+    """The distinct placements of the pattern in [n] as canonical bitmasks,
+    sorted: each increasing p-tuple carries each rotation of the pattern (on a
+    line, the pattern) onto one; isolated vertices can repeat an edge set."""
     p = pattern.n
-    turns = range(p) if pattern.mode == "cg" else range(1)
-    shapes = {tuple(sorted(tuple(sorted(((u - 1 + s) % p, (v - 1 + s) % p)))
-                           for u, v in pattern.edges)) for s in turns}
-    return sorted({tuple([(c[x], c[y]) for x, y in shape])
-                   for c in combinations(range(1, n + 1), p) for shape in shapes})
+    bit = _edge_tables(n)[0]
+    shapes = {tuple(sorted(((u - 1 + s) % p, (v - 1 + s) % p) for u, v in pattern.edges))
+              for s in range(p if pattern.mode == "cg" else 1)}
+    return sorted({sum([bit[c[x]][c[y]] for x, y in shape])
+                   for c in combinations(range(n), p) for shape in shapes})
 
 
-def _masks(placements: list[tuple[tuple[int, int], ...]],
-           edges: Sequence[tuple[int, int]]) -> list[int]:
-    """The placements as bitmasks over the given edge order, sorted."""
-    bit = {e: 1 << i for i, e in enumerate(edges)}
-    return sorted([sum(map(bit.__getitem__, image)) for image in placements])
-
-
-def _proof_edges(n: int, placements: list[tuple[tuple[int, int], ...]]) -> list[tuple[int, int]]:
-    """The proof order: edges that lie in more placements first (fail-first),
+def _proof_order(n: int, masks: list[int]) -> list[int]:
+    """The proof order as canonical indices: edges in more placements first,
     ties in cyclic-length order."""
-    counts = Counter(chain.from_iterable(placements))
-    return sorted(_cyclic_length_edges(n), key=lambda e: -counts[e])
+    w = len(masks).bit_length()  # edge k's count is the w-bit digit k of packed
+    packed = sum(_remap(masks, range(0, w * n * (n - 1) // 2, w)))
+    return sorted(_edge_tables(n)[1], key=lambda k: -(packed >> w * k & (1 << w) - 1))
 
 
-def _relabellings(n: int, pattern: _Graph) -> list[list[int]]:
-    """Non-identity relabellings img of [n] (img[0] unused) that carry the
-    pattern's placements onto themselves: the rotations (the identity alone
-    on a line), each composed with the mirror too when the linearisation of
-    the pattern by some r is the pattern, that is its mirror is a rotation."""
-    cg = pattern.mode == "cg"
+def _remap(masks: list[int], pos: list[int]) -> list[int]:
+    """The masks with each bit k moved to bit pos[k], sorted."""
+    bit = [1 << j for j in pos]
+    out = []
+    for m in masks:
+        r = 0
+        while m:
+            low = m & -m
+            r |= bit[low.bit_length() - 1]
+            m ^= low
+        out.append(r)
+    return sorted(out)
+
+
+def _symmetries(n: int, pattern: _Graph) -> list[list[int]]:
+    """inv (``_edge_tables``) of each relabelling kept for symmetry breaking."""
+    turns = n if pattern.mode == "cg" else 1
     reflective = any(_linear_edges(pattern.n, pattern.edges, r) == pattern.edges
-                     for r in range(pattern.n if cg else 1))
-    flip = [0] + list(range(n, 0, -1))
-    turns = [[0] + [(v + r) % n + 1 for v in range(n)] for r in range(n if cg else 1)]
-    return turns[1:] + ([[t[v] for v in flip] for t in turns] if reflective else [])
+                     for r in range(pattern.n if turns > 1 else 1))
+    inverses = _edge_tables(n)[2]
+    return inverses[1:turns] + (inverses[n:n + turns] if reflective else [])
 
 
 class _Found(Exception):
     """Raised at the first leaf of a search asked to stop there."""
 
 
-def _search(n: int, pattern: _Graph, placements: list[tuple[tuple[int, int], ...]],
-            edges: Sequence[tuple[int, int]], best: int,
-            first: bool) -> tuple[int, list[tuple[int, int]], int]:
-    """(best count, its edges, nodes) of the branch-and-bound that decides the
-    edges in the given order, counting only graphs above best. placements:
-    those of the pattern in [n] (_placements). first: stop at the first leaf,
-    with no symmetry breaking."""
-    index = {e: i for i, e in enumerate(edges)}
-    masks = _masks(placements, edges)
-    # Edges are decided in index order and every later edge is still absent,
-    # so adding edge i can only complete a placement whose top edge is i.
-    closing: list[list[int]] = [[] for _ in edges]
+def _search(masks: list[int], maps: list[list[int]], total: int, best: int,
+            first: bool) -> tuple[int, int, int]:
+    """(best count, its edge mask, nodes) of the search over edges 0..total-1,
+    counting only graphs above best. masks: the placements, sorted; maps: inv
+    of each relabelling to break symmetry by; first: stop at the first leaf."""
+    closing: list[list[int]] = [[] for _ in range(total)]
     for m in masks:
-        top = m.bit_length() - 1
-        closing[top].append(m ^ (1 << top))
-    total = len(edges)
-    # Per relabelling g, inv[k] is the edge that g carries onto position k, so
-    # g(cur) holds k iff cur holds inv[k]. Position k is known on both sides
-    # once k and inv[k] are decided; at depth i the known prefix of g grows
-    # from lo to hi, and tests[i] holds (bit of g, inv, lo, hi).
-    maps = [] if first else _relabellings(n, pattern)
+        closing[m.bit_length() - 1].append(m ^ 1 << m.bit_length() - 1)
+    # tests[i]: (bit of g, inv, lo, hi), positions lo..hi-1 newly known at depth i
     tests: list[list[tuple]] = [[] for _ in range(total + 1)]
-    for g, img in enumerate(maps):
-        inv = [0] * total
-        for e, (a, b) in enumerate(edges):
-            x, y = img[a], img[b]
-            inv[index[(x, y) if x < y else (y, x)]] = e
+    for g, inv in enumerate(maps):
         prefix = 0
         for i in range(1, total + 1):
             grown = prefix
@@ -240,17 +228,12 @@ def _search(n: int, pattern: _Graph, placements: list[tuple[tuple[int, int], ...
     def rec(i: int, cur: int, count: int, live: list[int], alive: int) -> None:
         nonlocal best, best_mask, nodes
         nodes += 1
-        undecided = total - i
-        if count + undecided <= best:
-            return
         if i == total:
             best, best_mask = count, cur
             if first:
                 raise _Found
             return
-        # Lex-leader test, bit 0 most significant, on the newly known
-        # positions only (the earlier ones are equal): at the first
-        # difference, g(cur) ahead prunes; cur ahead retires g for the subtree.
+        # Lex-leader: at the first difference g(cur) ahead prunes, cur retires g.
         if alive:
             for g, inv, lo, hi in tests[i]:
                 if alive & g:
@@ -261,16 +244,12 @@ def _search(n: int, pattern: _Graph, placements: list[tuple[tuple[int, int], ...
                                 return
                             alive ^= g
                             break
-        # Live placements (no edge excluded) with pairwise disjoint undecided
-        # parts each still have to lose one of their own undecided edges, so
-        # slack picks prune: too short a list cannot, nor can the at most
-        # undecided picks once count > best, and the scan stops at the
-        # slack-th pick. A live placement's decided edges are all in cur,
-        # so its undecided part is m & high.
-        slack = count + undecided - best
-        if count <= best and len(live) >= slack:
+        # Packing, tested here by an include child only (edge i - 1 in cur);
+        # the count bound was tested before the call or is the parent's.
+        slack = count + total - i - best
+        high = -1 << i  # also the exclude child's: its live placements lack bit i
+        if count <= best and cur & 1 << i >> 1 and len(live) >= slack:
             used = 0
-            high = -1 << i
             for m in live:
                 if not m & used:
                     used |= m & high
@@ -283,14 +262,30 @@ def _search(n: int, pattern: _Graph, placements: list[tuple[tuple[int, int], ...
                 break
         else:
             rec(i + 1, cur | bit, count + 1, live, alive)
-        rec(i + 1, cur, count, [m for m in live if not m & bit], alive)
+        # The exclude child's bounds, with best as the include subtree left
+        # it, in one scan that filters its live list (used = -1: no picks).
+        slack = count + total - i - 1 - best
+        kept = []
+        used = 0 if count <= best else -1
+        for m in live if slack > 0 else ():
+            if not m & bit:
+                kept.append(m)
+                if not m & used:
+                    used |= m & high
+                    slack -= 1
+                    if not slack:
+                        break
+        if slack > 0:
+            rec(i + 1, cur, count, kept, alive)
+        else:
+            nodes += 1
 
     try:
         rec(0, 0, 0, masks, (1 << len(maps)) - 1)
     except _Found:
         pass
     del rec  # rec reaches itself through its closure cell
-    return best, sorted(edges[i] for i in range(total) if best_mask >> i & 1), nodes
+    return best, best_mask, nodes
 
 
 def extremal_number(n: int, pattern: _Graph) -> ExtremalResult:
@@ -315,10 +310,15 @@ def extremal_number(n: int, pattern: _Graph) -> ExtremalResult:
         raise InputError("pattern has no edges, so every host contains it")
 
     t0 = time.perf_counter()
-    placements = _placements(n, pattern)
-    value, _, proof_nodes = _search(n, pattern, placements, _proof_edges(n, placements), -1, False)
-    _, chosen, witness_nodes = _search(n, pattern, placements, _canonical_edges(n), value - 1, True)
-    witness = type(pattern)._trusted(n, tuple(chosen))
+    edges = _canonical_edges(n)
+    masks = _placement_masks(n, pattern)
+    order = _proof_order(n, masks)
+    pos = sorted(range(len(order)), key=order.__getitem__)  # the inverse of order
+    maps = [[pos[inv[k]] for k in order] for inv in _symmetries(n, pattern)]
+    value, _, proof_nodes = _search(_remap(masks, pos), maps, len(edges), -1, False)
+    _, chosen, witness_nodes = _search(masks, [], len(edges), value - 1, True)
+    witness = type(pattern)._trusted(
+        n, tuple(sorted(e for k, e in enumerate(edges) if chosen >> k & 1)))
     result = ExtremalResult(n, pattern.mode, value, witness, pattern,
                             proof_nodes + witness_nodes, time.perf_counter() - t0)
     _check_result(result)

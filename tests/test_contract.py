@@ -172,7 +172,7 @@ ROWS = {
     "reflect": row(dict(g=C4), g=CYCLIC),
     # files
     "graph_from_dict": row(dict(d=DOC), d=JUNK + (5, [1, 2, 3], {"n": 3, "edges": []}) + tuple(
-        msg({**DOC, **change}, "n must be an integer") if "n" in change else {**DOC, **change}
+        msg({**DOC, **change}, "vertex count must be an integer") if "n" in change else {**DOC, **change}
         for change in (
             {"mode": "hexagonal"}, {"mode": []}, {"mode": {}}, {"mode": None}, {"n": "three"},
             {"n": True}, {"edges": None}, {"edges": 7}, {"edges": [5]}, {"colors": 5},

@@ -22,13 +22,13 @@ from xtrees.solver import (
     SOLVER_MAX_N,
     _canonical_edges,
     _check_result,
-    _cyclic_length_edges,
-    _masks,
-    _placements,
+    _edge_tables,
+    _placement_masks,
     _plan,
-    _proof_edges,
-    _relabellings,
+    _proof_order,
+    _remap,
     _search,
+    _symmetries,
     embed_dense,
     extremal_number,
 )
@@ -156,17 +156,38 @@ def _kernel_masks(n, pattern, index):
     return sorted(masks)
 
 
+def _proof_run(n, pattern, masks):
+    """(value, nodes) of the proof run alone, composed as extremal_number
+    composes it; _assert_matches_reference checks that it is."""
+    order = _proof_order(n, masks)
+    pos = sorted(range(len(order)), key=order.__getitem__)
+    maps = [[pos[inv[k]] for k in order] for inv in _symmetries(n, pattern)]
+    value, _, nodes = _search(_remap(masks, pos), maps, len(order), -1, False)
+    return value, nodes
+
+
+def _cyclic_rank(n):
+    """Canonical edges in the proof's tie order: by length on the circle,
+    then left endpoint, then length."""
+    return sorted(_canonical_edges(n), key=lambda e: (min(e[1] - e[0], n - e[1] + e[0]), e[0],
+                                                      e[1] - e[0]))
+
+
 class TestSearch:
     @pytest.mark.parametrize("mode", ["linear", "cyclic"])
     def test_counted_placements_match_the_kernel(self, mode):
+        """Canonical masks as counted out, and remapped into the cyclic-length
+        order and into the proof order."""
         for k in (1, 2, 3):
             for t in enumerate_trees(k, mode):
                 for n in range(t.n, 8):
-                    placements = _placements(n, t)
-                    for edges in (_canonical_edges(n), _cyclic_length_edges(n),
-                                  _proof_edges(n, placements)):
-                        index = {e: i for i, e in enumerate(edges)}
-                        assert _masks(placements, edges) == _kernel_masks(n, t, index)
+                    canonical = _canonical_edges(n)
+                    masks = _placement_masks(n, t)
+                    assert masks == _kernel_masks(n, t, {e: i for i, e in enumerate(canonical)})
+                    for order in (_edge_tables(n)[1], _proof_order(n, masks)):
+                        pos = sorted(range(len(order)), key=order.__getitem__)
+                        index = {canonical[k]: j for j, k in enumerate(order)}
+                        assert _remap(masks, pos) == _kernel_masks(n, t, index)
 
     def test_crossing_path_node_ceiling(self):
         """The packing bound keeps n = 8 to a few thousand nodes; the
@@ -194,11 +215,12 @@ class TestSearch:
             for k in (1, 2, 3):
                 for t in enumerate_trees(k, mode):
                     for n in range(t.n, SOLVER_MAX_N + 1):
-                        placements = _placements(n, t)
-                        edges = _proof_edges(n, placements)
-                        rank = {e: i for i, e in enumerate(_cyclic_length_edges(n))}
+                        canonical = _canonical_edges(n)
+                        edges = [canonical[k] for k in _proof_order(n, _placement_masks(n, t))]
+                        rank = {e: i for i, e in enumerate(_cyclic_rank(n))}
                         assert sorted(edges) == sorted(rank)
-                        counts = [sum(e in image for image in placements) for e in edges]
+                        kernel = _kernel_masks(n, t, {e: i for i, e in enumerate(edges)})
+                        counts = [sum(m >> i & 1 for m in kernel) for i in range(len(edges))]
                         for i in range(len(edges) - 1):
                             assert counts[i] > counts[i + 1] or (
                                 counts[i] == counts[i + 1] and rank[edges[i]] < rank[edges[i + 1]]
@@ -212,8 +234,7 @@ class TestSearch:
         assert len(trees) == 5
         total = 0
         for t in trees:
-            placements = _placements(8, t)
-            value, _, nodes = _search(8, t, placements, _proof_edges(8, placements), -1, False)
+            value, nodes = _proof_run(8, t, _placement_masks(8, t))
             assert value == LinearFormula(3).value(8)
             total += nodes
         assert total <= 130_000
@@ -223,8 +244,8 @@ def ref_extremal(n, pattern, edges):
     """(value, witness edges, nodes) of the branch-and-bound over the edges in
     the given order, with closing lists and the packing bound but no symmetry
     breaking and no known value: in canonical order, the reference whose value
-    and witness the solver must reproduce."""
-    masks = _masks(_placements(n, pattern), edges)
+    and witness the solver must reproduce. The masks come from the kernel."""
+    masks = _kernel_masks(n, pattern, {e: i for i, e in enumerate(edges)})
     closing = [[] for _ in edges]
     for m in masks:
         top = m.bit_length() - 1
@@ -265,16 +286,19 @@ def _assert_matches_reference(n, pattern):
     bounded by the canonical search (ordered (1,2),(1,3),(3,4) at n = 7: 177
     against 87 nodes), so r.nodes is not compared with it."""
     r = extremal_number(n, pattern)
-    value, witness, nodes = ref_extremal(n, pattern, _canonical_edges(n))
+    canonical = _canonical_edges(n)
+    value, witness, nodes = ref_extremal(n, pattern, canonical)
     assert (r.value, r.witness.edges) == (value, witness), (n, pattern)
-    placements = _placements(n, pattern)
-    edges = _proof_edges(n, placements)
-    proof = _search(n, pattern, placements, edges, -1, False)
-    found = _search(n, pattern, placements, _canonical_edges(n), value - 1, True)
-    assert (proof[0], found[0], found[1]) == (value, value, list(witness)), (n, pattern)
-    assert proof[2] + found[2] == r.nodes
-    assert proof[2] <= ref_extremal(n, pattern, edges)[2], (n, pattern)
-    assert found[2] <= nodes, (n, pattern, found[2], nodes)
+    masks = _placement_masks(n, pattern)
+    assert masks == _kernel_masks(n, pattern, {e: i for i, e in enumerate(canonical)})
+    proof, proof_nodes = _proof_run(n, pattern, masks)
+    best, chosen, found = _search(masks, [], len(canonical), value - 1, True)
+    assert (proof, best) == (value, value), (n, pattern)
+    assert tuple(sorted(e for i, e in enumerate(canonical) if chosen >> i & 1)) == witness
+    assert proof_nodes + found == r.nodes
+    edges = [canonical[k] for k in _proof_order(n, masks)]
+    assert proof_nodes <= ref_extremal(n, pattern, edges)[2], (n, pattern)
+    assert found <= nodes, (n, pattern, found, nodes)
 
 
 def _image(mask, img, edges, index):
@@ -283,6 +307,14 @@ def _image(mask, img, edges, index):
         if mask >> e & 1:
             out |= 1 << index[(min(img[a], img[b]), max(img[a], img[b]))]
     return out
+
+
+def _inverse(img, edges, index):
+    """inv[k], the edge that the relabelling img carries onto edge k."""
+    inv = [0] * len(edges)
+    for e, (a, b) in enumerate(edges):
+        inv[index[(min(img[a], img[b]), max(img[a], img[b]))]] = e
+    return inv
 
 
 class TestSymmetryBreaking:
@@ -328,22 +360,22 @@ class TestSymmetryBreaking:
     def _check_group(n, pattern):
         edges = _canonical_edges(n)
         index = {e: i for i, e in enumerate(edges)}
-        masks = set(_masks(_placements(n, pattern), edges))
-        kept = _relabellings(n, pattern)
+        masks = set(_kernel_masks(n, pattern, index))
+        kept = _symmetries(n, pattern)
         flip = [0] + list(range(n, 0, -1))
         if pattern.mode == "cg":
             turns = [[0] + [(v + s) % n + 1 for v in range(n)] for s in range(n)]
             flips = [[t[v] for v in flip] for t in turns]
             symmetric = any(rotate(pattern, s) == reflect(pattern) for s in range(pattern.n))
-            assert all(t in kept for t in turns[1:])
-            assert all((f in kept) == symmetric for f in flips)
+            assert all(_inverse(t, edges, index) in kept for t in turns[1:])
+            assert all((_inverse(f, edges, index) in kept) == symmetric for f in flips)
             candidates = turns[1:] + flips
         else:
             candidates = [flip]
-        assert all(img in candidates for img in kept)
+        assert all(inv in [_inverse(img, edges, index) for img in candidates] for inv in kept)
         for img in candidates:
             fixed = {_image(m, img, edges, index) for m in masks} == masks
-            assert fixed == (img in kept), (n, pattern, img)
+            assert fixed == (_inverse(img, edges, index) in kept), (n, pattern, img)
 
     def test_rotation_node_guard(self):
         """Without symmetry breaking this cg solve needs 19,734 nodes."""
@@ -371,7 +403,7 @@ class TestEdgeListsOnly:
     def test_relabellings(self, monkeypatch, pattern):
         def run():
             g = type(pattern)(pattern.n, pattern.edges)
-            _relabellings(6, g)
+            _symmetries(6, g)
             return g
         self._no_split(monkeypatch, run)
 
