@@ -152,9 +152,8 @@ def _run(n, masks, p, pat_edges, cyclic, limit):
 
 def _exists(n, masks, p, pat_edges, cyclic):
     """Whether _run(n, masks, p, pat_edges, cyclic, 1) is not empty,
-    from one search in the orientation first-hit queries refute in."""
-    if p > n or p < 1:
-        return False
+    from one search in the orientation first-hit queries refute in. Its
+    callers hold 1 <= p <= n."""
     search, turn = _compile(p, tuple(pat_edges), cyclic)
     flip = False
     if turn is not None:

@@ -339,18 +339,6 @@ def crosses(g: _Graph, e: Sequence[int], f: Sequence[int]) -> bool:
     return _crosses(e, f)
 
 
-def arc_side(n: int, chord: Sequence[int], x: int) -> int:
-    """+1 if x lies strictly inside the clockwise arc u->v of chord (u,v),
-    -1 if strictly inside the arc v->u. Raises if x is an endpoint."""
-    _check_int("vertex count", n)
-    u, v = _normalize_edge(chord)
-    if u < 1 or v > n or type(x) is not int or not 1 <= x <= n:
-        raise InputError(f"chord {chord} and vertex {x!r} must lie in 1..{n}")
-    if x == u or x == v:
-        raise InputError(f"vertex {x} lies on chord {chord}")
-    return 1 if u < x < v else -1
-
-
 def _adjacency_masks(n: int, edges: Iterable[Edge]) -> list[int]:
     """adj[v] for v in 0..n-1 (0-based), as bitmasks over 0..n-1."""
     adj = [0] * n

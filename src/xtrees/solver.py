@@ -404,7 +404,13 @@ def _run_plan(host: _Graph, steps: tuple) -> Optional[tuple[int, ...]]:
     """Peel the host's edges down the steps, take the first, extend back up.
 
     Unroll peels nothing: a cg host's edges, read as a line, are the same
-    sorted list.
+    sorted list. A right step always re-extends. Its tree, less the top
+    ik-fan edge, has b vertices left of the hub ij and a + c - 1 right of i
+    (the core lies in [i, j]), so the image g of i lies in the stripped
+    range [b + 1, n - (a + c - 1)]. g keeps its edges to the images of j and
+    the ik-fan, so g had a rightward edge and its longest one was deleted;
+    the rightmost image is one of those kept neighbours, so the deleted edge
+    ends beyond every image.
     """
     n = host.n
     edges = host.edges
@@ -423,11 +429,7 @@ def _run_plan(host: _Graph, steps: tuple) -> Optional[tuple[int, ...]]:
     for step, deleted in zip(reversed(steps), reversed(peeled)):
         kind = step[0]
         if kind == "right":
-            # the deleted edge at the hub's image must end beyond every image
-            w = deleted.get(images[step[3] - 1])
-            if w is None or w <= max(images):
-                return None
-            images += (w,)
+            images += (deleted[images[step[3] - 1]],)
         elif kind == "mirror":
             images = tuple(n + 1 - v for v in reversed(images))
         else:

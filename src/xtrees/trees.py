@@ -419,7 +419,8 @@ def _twin_pair_ok(p: tuple, q: tuple) -> Optional[int]:
     The outer edge a0a1 of a self-crossing path a0-a1-a2-a3 separates a2
     from a3, so a0 alone tells the side of the center a1a2 both outer
     vertices lie on. A vertex tested against a normalised center (u, v) is
-    never u or v, so u < x < v tells its side, as ``arc_side`` would.
+    never u or v, so u < x < v tells its side: inside the clockwise arc from
+    u to v, or else inside the arc from v to u.
     """
     e = _norm(p[1], p[2])
     f = _norm(q[1], q[2])

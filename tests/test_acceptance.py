@@ -8,12 +8,13 @@ import importlib.util
 import json
 import random
 import shutil
+from dataclasses import replace
 from itertools import combinations
 from pathlib import Path
 
 import pytest
 
-from xtrees import verify
+from xtrees import constructions, verify
 from xtrees.errors import InputError
 from xtrees.order import CgGraph, OrderedGraph
 from xtrees.verify import CHECK_IDS, CHECKS, _random_subgraph, all_passed, run_check, run_suite
@@ -49,7 +50,7 @@ MEASURED_AT_SEED_0 = {
     "c02": {"trees": 181, "z_trees": 46, "catalog": 5},
     "c03": {"trees": 521, "cg_z_trees": 169},
     "c04": {"pow2_hosts": 63, "containments": 48},
-    "c05": {"identities": 620},
+    "c05": {"identities": 652},
     "c06": {"f_n_sizes": 4, "f_n0_hosts": 31},
     "c07": {"types": 24, "zigzag_types": 2, "hosts": 4},
     "c08": {"extractions": 6, "graphs": 88, "agreements": 264},
@@ -92,6 +93,60 @@ def test_fault_in_one_order_fails_its_check_and_names_the_order(
     broken, intact = ("ordered", "cg") if order == "linear" else ("cg", "ordered")
     assert not r.passed
     assert f"{broken} " in r.detail and f"{intact} " not in r.detail, r.detail
+
+
+def _value_one_high(real):
+    def extremal_number(n, pattern):
+        r = real(n, pattern)
+        return replace(r, value=r.value + 1)
+    return extremal_number
+
+
+def _oracle_one_high(real):
+    def oracle_extremal_number(n, pattern):
+        value, witness = real(n, pattern)
+        return value + 1, witness
+    return oracle_extremal_number
+
+
+# per check: a fault in what it compares, and the start of its detail
+ONE_FAULT_PER_CHECK = [
+    ("c01", verify, "extremal_number", _value_one_high,
+     "value(3, ((1, 2), (1, 3))) = 3, expected 2"),
+    ("c05", constructions, "_fh_edges", lambda real: lambda s, variant: real(s, variant)[:-1],
+     "fh_q(1) edge count != 1"),
+    ("c06", verify, "contains", lambda real: lambda host, pattern: True,
+     "f_n(8) has a heavy path"),
+    ("c07", verify, "contains", lambda real: lambda host, pattern: True,
+     "non-zigzag type ((1, 2), (2, 3), (3, 4), (4, 5)) embeds in every host"),
+    ("c10", verify, "oracle_extremal_number", _oracle_one_high,
+     "value(4, ((1, 3), (1, 4), (2, 4))): branch-and-bound 5 != naive 6"),
+]
+
+
+@pytest.mark.parametrize("cid, module, target, fault, named", ONE_FAULT_PER_CHECK,
+                         ids=[case[0] for case in ONE_FAULT_PER_CHECK])
+def test_fault_fails_its_check_on_its_own_line(monkeypatch, cid, module, target, fault, named):
+    """A fault in what a check compares fails that check, and its detail is
+    the check's own line for the first broken case, not an error raised
+    before the check could compare."""
+    monkeypatch.setattr(module, target, fault(getattr(module, target)))
+    r = run_check(cid)
+    assert not r.passed
+    assert r.detail.startswith(named), r.detail
+
+
+def test_check_that_raises_fails_alone(monkeypatch):
+    """A check that raises is one failed result whose detail is the
+    exception's last line, and the checks after it still run."""
+    def c05(seed):
+        raise ValueError("no edge count")
+
+    monkeypatch.setitem(verify.CHECKS, "c05", ("stub", c05))
+    broken, after = run_suite(["c05", "c06"])
+    assert (broken.check_id, broken.status, broken.measured) == ("c05", "fail", {})
+    assert broken.detail == "ValueError: no edge count"
+    assert after.check_id == "c06" and after.passed
 
 
 def test_empty_selection_refused():

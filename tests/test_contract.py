@@ -139,7 +139,8 @@ CONTAINMENT_BAD = dict(
     allow_reflection=(None, 1, 1.5, "x", True),  # True: reflections are cg only
 )
 WALK_QUERY = dict(g=CB, kind="fast", start_side=None)
-WALK_QUERY_BAD = dict(g=COLORED, kind=CHOICE, start_side=SIDE)
+WALK_QUERY_BAD = dict(g=COLORED, kind=CHOICE,
+                      start_side=SIDE + (msg("C", "start_side must be", kind="slow"),))
 RECORD = "a record that the library returns"
 
 ROWS = {
@@ -249,7 +250,9 @@ ROWS = {
                     ZDecomposition(hub=(1, 3), core=((1, 3),), s_j=(), s_i=()), LISTS,
                     *(msg(CgZDecomposition(r, lin), "rotation an int", host=CK5)
                       for r, lin in ((0, LISTS), (1.0, CP3_LINE), ("1", CP3_LINE),
-                                     (None, CP3_LINE), (True, CP3_LINE)))),
+                                     (None, CP3_LINE), (True, CP3_LINE))),
+                    # its three edges leave vertex 4 of the tree isolated
+                    msg(ZDecomposition((1, 3), ((2, 3), (1, 3)), (), ((1, 2),)), "spanning tree")),
     ),
     # walks
     "ColoredBipartite": row(

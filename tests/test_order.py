@@ -13,7 +13,6 @@ from xtrees.order import (
     CgGraph,
     OrderedGraph,
     _linear_edges,
-    arc_side,
     chi_cyclic,
     chi_interval,
     crosses,
@@ -148,26 +147,6 @@ class TestCrossing:
     def test_cyclic_same_arc_no_crossing(self):
         g = CgGraph(6, [(1, 2), (3, 4)])
         assert not crosses(g, (1, 2), (3, 4))
-
-    def test_arc_side_of_chord(self):
-        assert arc_side(6, (1, 4), 2) != arc_side(6, (1, 4), 5)
-        with pytest.raises(InputError):
-            arc_side(6, (1, 4), 4)
-
-    @pytest.mark.parametrize("cls", [OrderedGraph, CgGraph])
-    def test_out_of_range_endpoints_rejected(self, cls):
-        with pytest.raises(InputError):
-            crosses(cls(5, []), (1, 7), (2, 9))
-        with pytest.raises(InputError):
-            crosses(cls(5, []), (0, 3), (2, 4))
-        for chord, x in (((1, 7), 2), ((1, 4), 0), ((1, 4), 9)):
-            with pytest.raises(InputError):
-                arc_side(5, chord, x)
-
-    @pytest.mark.parametrize("n", [5.5, True, "6", None])
-    def test_arc_side_rejects_non_integer_n(self, n):
-        with pytest.raises(InputError):
-            arc_side(n, (1, 3), 2)
 
 
 class TestChromatic:

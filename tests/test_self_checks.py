@@ -10,6 +10,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import xtrees
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -138,6 +140,35 @@ def test_only_the_gate_names_the_golden_files():
         if name in path.read_text()
     ]
     assert not found, f"golden file names outside verify.py: {found}"
+
+
+# library code that only the benchmark calls, with the reason it stays
+UNCALLED_ALLOWED = {
+    "available_kernels": "perfbench/ reads the kernel table through it",
+}
+
+
+def test_no_uncalled_library_code():
+    """Each module-level function and class of the package is named by
+    library code outside its own body, exported, or allowed with a reason."""
+    statements = [
+        (path, node)
+        for path in sorted((ROOT / "src" / "xtrees").glob("*.py"))
+        for node in ast.parse(path.read_text(), filename=str(path)).body
+    ]
+    # the names and attribute names each top-level statement reads
+    reads = [{getattr(n, "id", None) or getattr(n, "attr", None) for n in ast.walk(node)}
+             for _, node in statements]
+    found = [
+        f"{path.relative_to(ROOT)}:{node.lineno} {node.name}"
+        for path, node in statements
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name not in xtrees.__all__
+        and node.name not in UNCALLED_ALLOWED
+        and not any(node.name in names for (_, other), names in zip(statements, reads)
+                    if other is not node)
+    ]
+    assert not found, f"library code that nothing calls: {found}"
 
 
 def test_gate_passes_under_optimize():

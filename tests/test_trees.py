@@ -15,7 +15,6 @@ from xtrees.order import (
     _SHARED_EDGES,
     CgGraph,
     OrderedGraph,
-    arc_side,
     chi_cyclic,
     chi_interval,
     crosses,
@@ -542,6 +541,15 @@ def ref_detect_crossing_path4(t):
     return None
 
 
+def _side(chord, x):
+    """+1 if x lies strictly inside the clockwise arc u -> v of the chord
+    (u, v), u < v, and -1 if strictly inside the arc v -> u."""
+    u, v = sorted(chord)
+    if x in (u, v):
+        raise ValueError(f"vertex {x} lies on chord {chord}")
+    return 1 if u < x < v else -1
+
+
 def ref_twin_pair_ok(t, p, q):
     e, f = _edge(p[1], p[2]), _edge(q[1], q[2])
     shared_center = len(set(e) & set(f))
@@ -549,22 +557,21 @@ def ref_twin_pair_ok(t, p, q):
         return None
     if e != f and crosses(t, e, f):
         return None
-    n = t.n
     if shared_center == 2:
-        sp = arc_side(n, e, p[0])
-        if sp != arc_side(n, e, p[3]):
+        sp = _side(e, p[0])
+        if sp != _side(e, p[3]):
             return None
-        sq = arc_side(n, e, q[0])
-        if sq != arc_side(n, e, q[3]):
+        sq = _side(e, q[0])
+        if sq != _side(e, q[3]):
             return None
         return 2 if sp != sq else None
     for a, b in ((p, q), (q, p)):
         ce = _edge(a[1], a[2])
-        sides = {arc_side(n, ce, x) for x in (b[1], b[2]) if x not in ce}
+        sides = {_side(ce, x) for x in (b[1], b[2]) if x not in ce}
         if len(sides) != 1:
             return None
         banned = sides.pop()
-        if arc_side(n, ce, a[0]) == banned or arc_side(n, ce, a[3]) == banned:
+        if _side(ce, a[0]) == banned or _side(ce, a[3]) == banned:
             return None
     return shared_center
 
@@ -743,7 +750,7 @@ class TestTwinSideRule:
             for p in permutations(range(1, n + 1), 4):
                 if trees._crosses(_edge(p[0], p[1]), _edge(p[2], p[3])):
                     center = _edge(p[1], p[2])
-                    assert arc_side(n, center, p[0]) == arc_side(n, center, p[3]), (n, p)
+                    assert _side(center, p[0]) == _side(center, p[3]), (n, p)
 
     def test_holds_on_every_self_crossing_path_of_a_small_tree(self):
         paths = 0
@@ -751,7 +758,7 @@ class TestTwinSideRule:
             for t in enumerate_trees(k, "cyclic"):
                 for p in trees._self_crossing_paths3(t):
                     center = _edge(p[1], p[2])
-                    assert arc_side(t.n, center, p[0]) == arc_side(t.n, center, p[3])
+                    assert _side(center, p[0]) == _side(center, p[3])
                     paths += 1
         assert paths == 28964
 
