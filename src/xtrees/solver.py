@@ -370,7 +370,10 @@ def _strip_longest_right(edges, lo: int, hi: int):
 
 def _linear_steps(dec: ZDecomposition, steps: list) -> tuple:
     """Append to steps those of a valid decomposition, down to one edge, and
-    return them all. Every tree derived from a z-tree is again a z-tree."""
+    return them all. The z-scan decomposes every tree derived here: the a
+    shortest edges of a z-tree are its core, as each fan edge is longer
+    than the hub; the mirror of a z-tree with c = 0 is a z-tree, and so is
+    a pure chain (b = c = 0) split again."""
     while dec.a + dec.b + dec.c > 1:
         a, b, c = dec.counts
         if c == 0:
@@ -381,8 +384,6 @@ def _linear_steps(dec: ZDecomposition, steps: list) -> tuple:
             # derived from a validated z-tree: a tree with χ = 2, as the scan needs
             edges = dec.edges()
             dec = _z_scan(_linear_edges(len(edges) + 1, edges, 0) if b else edges)
-            if not isinstance(dec, ZDecomposition):
-                raise RuntimeError("internal: a tree derived from a z-tree does not decompose")
             continue
         # strip at b < g <= n-a-c+1, then extend at the hub's left endpoint
         steps.append(("right", b + 1, a + c - 1, dec.hub[0]))

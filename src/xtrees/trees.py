@@ -143,19 +143,6 @@ def _require_tree(t: _Graph) -> None:
         )
 
 
-def _crossing_pairs(g: _Graph):
-    """Crossing edge pairs in edge-list order.
-
-    The edges are normalised and sorted, so each pair e = (a, b), f = (c, d)
-    has a <= c, and then the chords cross iff a < c < b < d. On the circle
-    the test is the same: exactly one of c, d must lie strictly between a
-    and b.
-    """
-    return [
-        (e, f) for e, f in combinations(g.edges, 2) if e[0] < f[0] < e[1] < f[1]
-    ]
-
-
 def z_decompose(t: OrderedGraph) -> Union[ZDecomposition, NotAZTree]:
     """Canonical z-decomposition of an ordered tree, or why there is none.
 
@@ -191,8 +178,11 @@ def _z_decompose(t: OrderedGraph) -> Union[ZDecomposition, NotAZTree]:
 
 def _z_scan(edges: tuple[Edge, ...]) -> Union[ZDecomposition, tuple[Edge, ...]]:
     """The scan of z_decompose over the sorted edges of an ordered tree with
-    interval chromatic number two: the decomposition, validated, or else
-    the increasing chain the scan built before it stopped."""
+    interval chromatic number two: the decomposition, valid by construction
+    and so not checked again, or else the increasing chain the scan built
+    before it stopped. The core has lengths 1..a, each edge containing the
+    one before; the hub is its last edge; every other edge passed the fan
+    test, and both fans come out sorted."""
     # by (length, edge): the edges are sorted, and the sort is stable
     by_length = sorted(edges, key=lambda e: e[1] - e[0])
     core = []
@@ -207,9 +197,7 @@ def _z_scan(edges: tuple[Edge, ...]) -> Union[ZDecomposition, tuple[Edge, ...]]:
                 break  # hk is in neither fan of ij
         else:
             s_j = tuple(sorted(e for e in rest if e[1] == j))
-            dec = ZDecomposition((i, j), tuple(core), s_j, tuple(e for e in rest if e[0] == i))
-            _check_decomposition(edges, dec)
-            return dec
+            return ZDecomposition((i, j), tuple(core), s_j, tuple(e for e in rest if e[0] == i))
     return tuple(core)
 
 
@@ -230,15 +218,10 @@ def validate_decomposition(t: OrderedGraph, dec: ZDecomposition) -> bool:
 
     The fan forms leave no crossing to check: only opposite fan edges cross.
     """
-    return _check_decomposition(t.edges, dec)
-
-
-def _check_decomposition(edges: tuple[Edge, ...], dec: ZDecomposition) -> bool:
-    """validate_decomposition against the tree with edge list ``edges``."""
     parts = list(dec.core) + list(dec.s_j) + list(dec.s_i)
     if len(parts) != len(set(parts)):
         raise InputError("core and fans overlap")
-    if set(parts) != set(edges):
+    if set(parts) != set(t.edges):
         raise InputError("core and fans do not partition the tree's edges")
     if increasing_chain(dec.core) != dec.core:
         raise InputError("core is not an increasing chain in chain order")
@@ -468,7 +451,7 @@ def is_zigzag(t: CgGraph) -> bool:
     _check_cg("is_zigzag", t)
     if not t.is_tree() or any(t.degree(v) > 2 for v in range(1, t.n + 1)):
         raise InputError("is_zigzag expects a path")
-    if _crossing_pairs(t):
+    if any(_crosses(e, f) for e, f in combinations(t.edges, 2)):
         return False
     return chi_cyclic(t) == 2
 

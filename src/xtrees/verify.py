@@ -11,7 +11,8 @@ c02 and c03 share ``_route_sweep``, c09 loops over (order, k, n) cells, and
 c11 runs one unary sweep and one containment-sample loop.
 
 The files under ``golden/`` are computed here alone: ``GOLDEN_FILES`` maps
-each name to a builder that also checks the paper's rules for its file, and
+each name to a builder that also checks the paper's rules for its file (the
+extraction builder through ``extract_walk_free``, which certifies them), and
 c02, c04, c08 and c10 compare the whole recomputed file with the frozen one.
 ``scripts/freeze_golden.py`` only writes ``golden_text`` to disk.
 
@@ -66,6 +67,7 @@ from .trees import (
     is_cg_z_tree,
     is_z_tree,
     is_zigzag,
+    linearize,
     validate_decomposition,
     z_decompose,
 )
@@ -74,7 +76,6 @@ from .walks import (
     enumerate_all_walks,
     extract_walk_free,
     find_forbidden_walk,
-    size_bound,
 )
 
 GOLDEN_DIR = Path(__file__).resolve().parents[2] / "golden"
@@ -116,8 +117,10 @@ def canonical_z_tree(a: int, b: int, c: int) -> tuple[OrderedGraph, ZDecompositi
 
     On vertices [a+b+c+1]: every vertex left of j = a+b+1 is joined to j
     (the b leftmost as the hj-fan, the rest as a nested core ending in the
-    hub (b+1, j)), and the ik-fan joins b+1 to everything right of j.  The
-    returned decomposition is validated before use.
+    hub (b+1, j)), and the ik-fan joins b+1 to everything right of j. Both
+    are valid by construction and built unchecked: the core (x, j), x from
+    j-1 down to b+1, has lengths 1..a, each nesting the one before, and the
+    fans are (h, j) with h <= b and (b+1, y) with y > j.
     """
     for what, x in (("a", a), ("b", b), ("c", c)):
         _check_int(what, x)
@@ -133,9 +136,7 @@ def canonical_z_tree(a: int, b: int, c: int) -> tuple[OrderedGraph, ZDecompositi
         s_j=tuple((h, j) for h in range(1, b + 1)),
         s_i=tuple((b + 1, y) for y in range(j + 1, k + 2)),
     )
-    tree = OrderedGraph(k + 1, dec.edges())
-    validate_decomposition(tree, dec)
-    return tree, dec
+    return OrderedGraph._trusted(k + 1, dec.edges()), dec
 
 
 def _fan_counts(k: int) -> Iterator[tuple[int, int, int]]:
@@ -229,20 +230,14 @@ def _golden_extremal() -> dict:
 
 
 def _golden_extractions() -> dict:
-    """The three walk-free extractions of f_16 and f_64 at seed 0, each no
-    smaller than the size guarantee and the largest colour class, and each
-    certified walk-free."""
+    """The three walk-free extractions of f_16 and f_64 at seed 0, which
+    extract_walk_free certifies walk-free and no smaller than the size
+    guarantee and the largest colour class."""
     entries = []
     for n in (16, 64):
         g = ColoredBipartite.from_colored_graph(f_n(n))
         for kind, start in _WALK_SETTINGS:
             ext = extract_walk_free(g, kind, start, seed=0)
-            label = f"extract(f_n({n}), {kind}, {start})"
-            if ext.size < max(size_bound(len(g.edges), g.d), ext.largest_class):
-                raise RuntimeError(f"{label}: size {ext.size} below the guarantee")
-            witness = find_forbidden_walk(ext.subgraph, kind, start)
-            if witness is not None:
-                raise RuntimeError(f"{label}: not walk-free, found {witness}")
             entries.append({"graph": "f_n", "n": n, "kind": kind, "start": start, "seed": 0,
                             "bound": ext.bound, "largest_class": ext.largest_class,
                             "size": ext.size, "method": ext.method,
@@ -322,11 +317,20 @@ def _c01_linear_formula(seed: int) -> tuple[dict, list[str]]:
 def _route_sweep(order: str, obstructed: Callable, failures: list[str]) -> tuple[int, int]:
     """Each two-interval tree in ``order`` with 2..5 edges must decompose exactly
     when ``obstructed`` finds no forbidden configuration in it; returns the
-    numbers of trees and of (cg) z-trees seen."""
+    numbers of trees and of (cg) z-trees seen. Each decomposition must be
+    valid for its tree (a cg one's linear part for the tree linearized at
+    its rotation): the library does not re-check what it builds."""
     trees = zs = 0
     for k in range(2, 6):
         for t in enumerate_trees(k, order, "chi2"):
-            decomposed = bool(_decompose(t))
+            dec = _decompose(t)
+            decomposed = bool(dec)
+            if decomposed:
+                args = (t, dec) if order == "linear" else (linearize(t, dec.rotation), dec.linear)
+                try:
+                    validate_decomposition(*args)
+                except InputError as exc:
+                    failures.append(f"{t.mode} {t.edges}: invalid decomposition: {exc}")
             found = obstructed(t)
             trees += 1
             zs += decomposed
@@ -528,11 +532,12 @@ def _c08_walk_machinery(seed: int) -> tuple[dict, list[str]]:
     """Extractions reproduce golden and certify; detector == full enumeration.
 
     The recomputed golden/extraction_sizes.json must match the frozen file;
-    its builder certifies each extraction.  The agreement half runs the
-    one-witness detector against the brute-force enumeration of all 4-edge
-    walks on a generated family of small colored graphs (f_n(8), every union
-    of color classes of f_n(16), and seeded random properly-colored bipartite
-    graphs with at most 14 edges), under all three kind/start-side settings.
+    its builder certifies each extraction through extract_walk_free.  The
+    agreement half runs the one-witness detector against the brute-force
+    enumeration of all 4-edge walks on a generated family of small colored
+    graphs (f_n(8), every union of color classes of f_n(16), and seeded
+    random properly-colored bipartite graphs with at most 14 edges), under
+    all three kind/start-side settings.
     """
     failures = _golden_diffs("extraction_sizes.json")
 
@@ -665,8 +670,9 @@ def _c11_metamorphic(seed: int) -> tuple[dict, list[str]]:
     and samples seeded (host, pattern) tree pairs for containment, since the
     full quadratic pairing is redundant. A transform hands its split on to
     its result, so χ and z-status are computed on a copy of each transform
-    built by the validating constructor, which starts with nothing kept, and
-    the split the transform carries must equal that copy's.
+    built unvalidated from its valid edges, which, like the validating
+    constructor, starts with nothing kept, and the split the transform
+    carries must equal that copy's.
     """
     failures: list[str] = []
     trees: dict[tuple[str, int], list] = {}
@@ -683,7 +689,7 @@ def _c11_metamorphic(seed: int) -> tuple[dict, list[str]]:
                 moved = [(f"rotation by {r}", rotate(t, r)) for r in range(1, t.n)
                          if order == "cyclic"]
                 for how, u in moved + [(flip.__name__, flipped)]:
-                    fresh = type(u)(u.n, u.edges)
+                    fresh = type(u)._trusted(u.n, u.edges)
                     if (chi(fresh), is_z(fresh)) != invariants:
                         failures.append(f"{t.mode} {t.edges}: chi or z-status changed under {how}")
                     if split(u) != split(fresh):

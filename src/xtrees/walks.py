@@ -197,10 +197,7 @@ class ColoredBipartite:
         _check_host_size("graph", g.n)
         if g.colors is None:
             raise InputError("graph has no edge colors")
-        adj: dict[int, set[int]] = {v: set() for v in range(1, g.n + 1)}
-        for u, v in g.edges:
-            adj[u].add(v)
-            adj[v].add(u)
+        adj = g._neighbor_lists()
         part = {}
         for start in range(1, g.n + 1):
             if start in part:

@@ -14,9 +14,10 @@ from pathlib import Path
 
 import pytest
 
-from xtrees import constructions, verify
+from xtrees import constructions, trees, verify
 from xtrees.errors import InputError
 from xtrees.order import CgGraph, OrderedGraph
+from xtrees.trees import ZDecomposition
 from xtrees.verify import CHECK_IDS, CHECKS, _random_subgraph, all_passed, run_check, run_suite
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -109,10 +110,25 @@ def _oracle_one_high(real):
     return oracle_extremal_number
 
 
+def _last_fan_edge_dropped(real):
+    def _z_scan(edges):
+        dec = real(edges)
+        if not isinstance(dec, ZDecomposition) or not dec.b + dec.c:
+            return dec
+        if dec.c:
+            return replace(dec, s_i=dec.s_i[:-1])
+        return replace(dec, s_j=dec.s_j[:-1])
+    return _z_scan
+
+
 # per check: a fault in what it compares, and the start of its detail
 ONE_FAULT_PER_CHECK = [
     ("c01", verify, "extremal_number", _value_one_high,
      "value(3, ((1, 2), (1, 3))) = 3, expected 2"),
+    ("c02", trees, "_z_scan", _last_fan_edge_dropped,
+     "ordered ((1, 2), (1, 3)): invalid decomposition: core and fans do not partition"),
+    ("c03", trees, "_z_scan", _last_fan_edge_dropped,
+     "cg ((1, 2), (1, 3)): invalid decomposition: core and fans do not partition"),
     ("c05", constructions, "_fh_edges", lambda real: lambda s, variant: real(s, variant)[:-1],
      "fh_q(1) edge count != 1"),
     ("c06", verify, "contains", lambda real: lambda host, pattern: True,
@@ -262,6 +278,14 @@ def test_flipped_golden_leaf_fails_its_check_by_path(golden_copy, name, leaf):
     assert "/".join([name, *map(str, leaf)]) + ": recomputed" in r.detail, r.detail
 
 
+@pytest.mark.parametrize("name", sorted(GOLDEN_OWNERS))
+def test_missing_golden_file_fails_its_check(golden_copy, name):
+    (golden_copy / name).unlink()
+    r = run_check(GOLDEN_OWNERS[name][0])
+    assert not r.passed
+    assert r.detail.endswith(f"InputError: missing golden file {golden_copy / name}"), r.detail
+
+
 def test_leaf_diffs_name_other_keys_lengths_and_types():
     got = {"a": [1, 2, 3], "b": {"x": True}, "c": 1}
     want = {"a": [1, 2], "b": {"y": True}, "c": True}
@@ -284,11 +308,12 @@ def _load_freezer():
 @pytest.mark.parametrize(
     "cid, name, target, fake",
     [
-        ("c04", "fh_obstruction_assignment.json", "contains", lambda host, pattern: False),
+        ("c04", "fh_obstruction_assignment.json", "xtrees.verify.contains",
+         lambda host, pattern: False),
         (
             "c08",
             "extraction_sizes.json",
-            "find_forbidden_walk",
+            "xtrees.walks.find_forbidden_walk",
             lambda graph, kind, start: "a walk",
         ),
     ],
@@ -300,7 +325,7 @@ def test_broken_golden_rule_fails_its_check_and_the_freezer(
     broken rule as one failure and still runs its other half, and the freezer
     writes nothing."""
     (clean,) = run_suite([cid])
-    monkeypatch.setattr(verify, target, fake)
+    monkeypatch.setattr(target, fake)
     (r,) = run_suite([cid])
     assert not r.passed
     assert r.detail.startswith(f"{name}: "), r.detail

@@ -154,3 +154,9 @@ def test_non_integer_scalar_rejected(fn, args):
     """A bool or a float where an integer belongs is rejected, never coerced."""
     with pytest.raises(InputError, match="must be an integer"):
         fn(*args)
+
+
+@pytest.mark.parametrize("counts", [(0, 1, 1), (1, -1, 0), (1, 0, -1)])
+def test_canonical_z_tree_refuses_bad_fan_counts(counts):
+    with pytest.raises(InputError, match="fan counts need"):
+        canonical_z_tree(*counts)

@@ -29,7 +29,7 @@ from xtrees.constructions import f_n0, fh_q, pow2
 from xtrees.errors import BudgetError, InputError
 from xtrees.kernels import order_embeddings
 from xtrees.order import CgGraph, OrderedGraph, mirror, reflect, rotate
-from xtrees.oracles import oracle_contains, oracle_iter_embeddings
+from xtrees.oracles import ORACLE_MAX_HOST, oracle_contains, oracle_iter_embeddings
 from xtrees.trees import enumerate_trees
 
 
@@ -208,6 +208,22 @@ class TestValidationAndBudget:
         g = OrderedGraph(2, [(1, 2)])
         with pytest.raises(InputError):
             validate_embedding(g, g, emb)
+
+    @pytest.mark.parametrize(
+        "host, pattern, reflected, error, message",
+        [
+            (OrderedGraph(3), CgGraph(2), False, InputError, "mode mismatch"),
+            (OrderedGraph(ORACLE_MAX_HOST + 1), OrderedGraph(2), False, BudgetError,
+             f"<= {ORACLE_MAX_HOST} vertices"),
+            (OrderedGraph(3), OrderedGraph(2), True, InputError, "cyclic containment only"),
+            (OrderedGraph(2), OrderedGraph(3), False, InputError, "pattern larger than host"),
+        ],
+        ids=["modes", "host-budget", "reflected-linear", "pattern-larger"],
+    )
+    def test_oracle_refuses_what_it_cannot_enumerate(
+            self, host, pattern, reflected, error, message):
+        with pytest.raises(error, match=message):
+            next(oracle_iter_embeddings(host, pattern, allow_reflection=reflected))
 
     def test_reflected_limit_counts_both_passes(self):
         host = CgGraph(6, [(u, v) for u in range(1, 7) for v in range(u + 1, 7)])

@@ -268,6 +268,12 @@ class TestAgainstReference:
                 _agree(_random_host(rng, dec, n), dec)
 
     def test_canonical_trees_on_gstar_and_one_edge_more(self):
+        """Each canonical tree with <= 6 edges is valid for its decomposition,
+        which canonical_z_tree does not check; those with <= 5 edges agree
+        with the reference on their gstar and on it plus one edge."""
+        for a, b, c in itertools.product(range(1, 7), range(6), range(6)):
+            if a + b + c <= 6:
+                assert validate_decomposition(*canonical_z_tree(a, b, c)), (a, b, c)
         rng = random.Random(6)
         for a, b, c in itertools.product(range(1, 6), range(5), range(5)):
             if a + b + c > 5:

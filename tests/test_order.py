@@ -22,7 +22,7 @@ from xtrees.order import (
     reflect,
     rotate,
 )
-from xtrees.trees import _crossing_pairs, cg_z_decompose, enumerate_trees, linearize
+from xtrees.trees import cg_z_decompose, enumerate_trees, linearize
 
 
 def _edges(draw_n):
@@ -409,11 +409,6 @@ class TestArithmeticTransforms:
     def test_trusted_equals_validated(self, g):
         fast = type(g)._trusted(g.n, g.edges, g.colors)
         assert_same_graph(fast, type(g)(g.n, list(g.edges), colors=g.colors))
-
-    @given(colored_graphs())
-    def test_crossing_pairs_match_crosses(self, g):
-        want = [(e, f) for e, f in combinations(g.edges, 2) if crosses(g, e, f)]
-        assert _crossing_pairs(g) == want
 
     @given(colored_graphs(), st.integers(min_value=0, max_value=9))
     def test_cached_accessors_match_a_scan(self, g, v):

@@ -6,6 +6,7 @@ these tests keep it that way and run the whole release gate under ``-O``.
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -169,6 +170,32 @@ def test_no_uncalled_library_code():
                     if other is not node)
     ]
     assert not found, f"library code that nothing calls: {found}"
+
+
+# the decomposition validator, under its public name or a private one
+_VALIDATOR = re.compile(r"_?(validate|check)_decomposition")
+
+# the callers allowed to run it, with the decomposition each one holds
+VALIDATOR_CALLERS = {
+    ("solver.py", "_checked_tree"): "a caller's decomposition, handed to embed_dense",
+    ("verify.py", "_route_sweep"): "every decomposition c02 and c03 obtain",
+}
+
+
+def test_decompositions_are_validated_once():
+    """The library builds its decompositions valid and does not re-check
+    them: only the boundary and the gate call the validator."""
+    found = [
+        f"{path.name}:{node.lineno} {top.name}"
+        for path in sorted((ROOT / "src" / "xtrees").glob("*.py"))
+        for top in ast.parse(path.read_text(), filename=str(path)).body
+        if isinstance(top, ast.FunctionDef) and not _VALIDATOR.fullmatch(top.name)
+        and (path.name, top.name) not in VALIDATOR_CALLERS
+        for node in ast.walk(top)
+        if isinstance(node, ast.Call)
+        and _VALIDATOR.fullmatch(getattr(node.func, "id", None) or getattr(node.func, "attr", ""))
+    ]
+    assert not found, f"decomposition validated outside the boundary and the gate: {found}"
 
 
 def test_gate_passes_under_optimize():

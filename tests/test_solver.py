@@ -487,6 +487,14 @@ class TestRefusalsAndValidation:
         with pytest.raises(InputError):
             extremal_number(4, OrderedGraph(3, []))
 
+    @pytest.mark.parametrize("n, pattern, message", [
+        (0, Z3, "host size must be positive"),
+        (3, Z3.edges, "pattern must be an OrderedGraph or CgGraph"),
+    ], ids=["no-vertices", "non-graph"])
+    def test_oracle_refuses_bad_arguments(self, n, pattern, message):
+        with pytest.raises(InputError, match=message):
+            oracle_extremal_number(n, pattern)
+
     def test_oracle_rejects_empty_pattern(self):
         with pytest.raises(InputError):
             oracle_extremal_number(3, OrderedGraph(2, []))

@@ -121,7 +121,7 @@ def ref_validate_decomposition(t, dec):
         for f in dec.s_i:
             if not crosses(t, e, f):
                 raise InputError(f"opposite fan edges {e}, {f} fail to cross")
-    if len(trees._crossing_pairs(t)) != dec.b * dec.c:
+    if sum(crosses(t, e, f) for e, f in combinations(t.edges, 2)) != dec.b * dec.c:
         raise InputError("the tree has crossings outside the two fans")
     return True
 
@@ -420,7 +420,7 @@ def ref_z_decompose(t):
     (whose s_j came out in chain order, not sorted)."""
     if chi_interval(t) != 2:
         raise NotApplicableError("interval chromatic number must be 2")
-    crossings = trees._crossing_pairs(t)
+    crossings = [(e, f) for e, f in combinations(t.edges, 2) if crosses(t, e, f)]
     if crossings:
         e, f = crossings[0]
         i, j = f[0], e[1]
@@ -461,10 +461,12 @@ def ref_z_decompose(t):
 
 def assert_same_z_decomposition(t):
     """z_decompose agrees with the reference up to the order of s_j, which
-    is now always sorted; a failure agrees in kind."""
+    is now always sorted, and its decomposition is valid for t; a failure
+    agrees in kind."""
     got, want = outcome(z_decompose, t), outcome(ref_z_decompose, t)
     if isinstance(want, ZDecomposition):
         assert isinstance(got, ZDecomposition), t.edges
+        assert validate_decomposition(t, got), t.edges
         assert got.hub == want.hub and got.core == want.core, t.edges
         assert got.s_j == tuple(sorted(want.s_j)) and got.s_i == want.s_i, t.edges
     elif isinstance(want, NotAZTree):
@@ -621,10 +623,15 @@ class TestAgainstReferences:
         assert_same_z_decomposition(t)
 
     def test_cg_z_decompose_every_small_tree(self):
+        """Every cg tree with <= 6 edges and its reflection; a decomposition
+        is also valid for the tree linearized at its rotation."""
         for k in range(1, 7):
             for t in enumerate_trees(k, "cyclic"):
                 for g in (t, reflect(t)):
-                    assert outcome(cg_z_decompose, g) == outcome(ref_cg_z_decompose, g), g
+                    got = outcome(cg_z_decompose, g)
+                    assert got == outcome(ref_cg_z_decompose, g), g
+                    if isinstance(got, CgZDecomposition):
+                        assert validate_decomposition(linearize(g, got.rotation), got.linear), g
 
     @settings(max_examples=150, deadline=None)
     @given(cg_graphs())
