@@ -26,7 +26,7 @@ def oracle_iter_embeddings(
 
     For cyclic graphs each chosen subset is read from every possible starting
     point (all rotations of the alignment), and backwards as well when
-    reflections are allowed.
+    reflections are allowed; a bad query raises at the call.
     """
     if host.mode != pattern.mode:
         raise InputError("host/pattern mode mismatch")
@@ -50,23 +50,26 @@ def oracle_iter_embeddings(
             for u, v in pattern.edges
         )
 
-    for combo in combinations(range(1, n + 1), p):
-        if not cyclic:
-            if ok(combo):
-                yield Embedding(name, combo)
-            continue
-        seen = set()
-        for s in range(p):
-            forward = tuple(combo[(i + s) % p] for i in range(p))
-            if forward not in seen and ok(forward):
-                seen.add(forward)
-                yield Embedding(name, forward)
-        if allow_reflection:
+    def embeddings() -> Iterator[Embedding]:
+        for combo in combinations(range(1, n + 1), p):
+            if not cyclic:
+                if ok(combo):
+                    yield Embedding(name, combo)
+                continue
+            seen = set()
             for s in range(p):
-                backward = tuple(combo[(s - i) % p] for i in range(p))
-                if backward not in seen and ok(backward):
-                    seen.add(backward)
-                    yield Embedding(name, backward, reflected=True)
+                forward = tuple(combo[(i + s) % p] for i in range(p))
+                if forward not in seen and ok(forward):
+                    seen.add(forward)
+                    yield Embedding(name, forward)
+            if allow_reflection:
+                for s in range(p):
+                    backward = tuple(combo[(s - i) % p] for i in range(p))
+                    if backward not in seen and ok(backward):
+                        seen.add(backward)
+                        yield Embedding(name, backward, reflected=True)
+
+    return embeddings()
 
 
 def oracle_find_embedding(

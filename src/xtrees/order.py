@@ -256,14 +256,16 @@ class _Graph:
 
 def _relabel(edges: Iterable[Edge], img: Sequence[int]) -> tuple[Edge, ...]:
     """The sorted edges with each v renamed img[v], one-to-one on them."""
-    out = [(img[u], img[v]) for u, v in edges]
-    return tuple(sorted([(a, b) if a < b else (b, a) for a, b in out]))
+    return tuple(sorted([(a, b) if a < b else (b, a)
+                         for u, v in edges for a, b in ((img[u], img[v]),)]))
 
 
 def _linear_edges(n: int, edges: Iterable[Edge], r: int) -> tuple[Edge, ...]:
     """The edges rotated by r, then read in reverse: v -> n - (v-1+r) mod n,
-    a reflection and its own inverse; r = 0 is the mirror v -> n+1-v."""
-    return _relabel(edges, [0] + [n - (v + r) % n for v in range(n)])
+    a reflection and its own inverse; r = 0 is the mirror v -> n+1-v. With
+    r reduced mod n, 1..n-r map to n-r..1 and the rest to n..n-r+1."""
+    r %= n
+    return _relabel(edges, [0, *range(n - r, 0, -1), *range(n, n - r, -1)])
 
 
 def _adjacency_lists(n: int, edges: Sequence[Edge]) -> list[list[int]]:

@@ -24,12 +24,13 @@ Core notions:
 The classifier reports, for a given tree, whether hosts avoiding it have
 linearly many edges (with the exact extremal formula in the ordered case) or
 superlinearly many, together with a machine-checkable witness. Both theorems
-have the same shape, so one flow checks both orders: compute the chromatic
-number (interval or cyclic); then run the decomposition route (z_decompose or
-cg_z_decompose) and the forbidden-configuration route (the obstruction
-catalog, or a crossing four-edge path and, only without one, twin crossing
-paths); a mismatch raises, it is never papered over. Only the chromatic
-number, the two routes, the formula and the growth tag depend on the order.
+have the same shape, so one flow serves both orders: compute the chromatic
+number (interval or cyclic); with two, the decomposition route (z_decompose or
+cg_z_decompose) decides, and the forbidden-configuration route (the catalog,
+or a crossing four-edge path and, only without one, twin crossing paths) only
+names a NonLinear witness, raising if it finds none; the gate's c02 and c03
+hold the two routes against each other. Only the chromatic number, the two
+routes, the formula and the growth tag depend on the order.
 Each decomposition and detector result is kept on the graph it was computed
 for, as χ and the tree test are, so the flow never repeats work a caller has
 just done on the same graph; an error is not kept. The cg cuts and the
@@ -639,53 +640,44 @@ class Verdict:
     reason: Optional[str] = None
 
 
+# Verdicts without a witness (chi above two, NotApplicable) are frozen and
+# equal per (order, k, chi) or (order, reason), so each is built once.
+_shared_verdict = lru_cache(maxsize=256)(Verdict)
+
+
 def classify_tree(t: _Graph) -> Verdict:
     """Classify the extremal growth of hosts avoiding the tree ``t``.
 
     Linear, with the formula (k-1)n - C(k,2) for ordered trees, exactly when
     t is a (cg) z-tree; otherwise NonLinear: at least n log n (ordered) or
     n log log n (cg) when the chromatic number is two, quadratic beyond. The
-    decomposition route and the forbidden-configuration route are both
-    evaluated and must agree.
+    decomposition decides; the forbidden-configuration route only names a
+    NonLinear witness, so a cg z-tree never meets the twin search's budget.
     """
     _check_graph("t", t)
     mode = t.order
     if not t.is_tree():
-        return Verdict(
-            kind="NotApplicable",
-            mode=mode,
-            reason="input is not a tree (connected and acyclic on all vertices)",
-        )
+        reason = "input is not a tree (connected and acyclic on all vertices)"
+        return _shared_verdict(kind="NotApplicable", mode=mode, reason=reason)
     k = len(t.edges)
     if k == 0:
-        return Verdict(kind="NotApplicable", mode=mode, reason="tree has no edges")
+        return _shared_verdict(kind="NotApplicable", mode=mode, reason="tree has no edges")
     cyclic = isinstance(t, CgGraph)
     chi = chi_cyclic(t) if cyclic else chi_interval(t)
     if chi > 2:
-        return Verdict(kind="NonLinear", mode=mode, k=k, chi=chi, growth_tag="Theta(n^2)")
-    if cyclic:
-        dec = cg_z_decompose(t)
-        # twins are searched only when no crossing path already rules the tree out
-        witness = detect_crossing_path4(t) or detect_twin_crossing_paths(t)
-    else:
-        dec = z_decompose(t)
-        witness = _find_obstruction(t)
-    if bool(dec) == (witness is not None):
-        if not cyclic:
-            found = f"obstruction={'none' if witness is None else witness.pattern.edges}"
-        elif isinstance(witness, CrossingPath4):
-            found = f"crossing path={witness.vertices}, twin paths=not searched"
-        else:
-            twins = "none" if witness is None else (witness.path1, witness.path2)
-            found = f"crossing path=none, twin paths={twins}"
-        raise RuntimeError(
-            "internal: decomposition and forbidden-configuration routes disagree "
-            f"(decomposition={'yes' if dec else 'no: ' + dec.reason}, {found})"
-        )
+        return _shared_verdict(kind="NonLinear", mode=mode, k=k, chi=chi, growth_tag="Theta(n^2)")
+    dec = cg_z_decompose(t) if cyclic else z_decompose(t)
     if dec:
         formula = None if cyclic else LinearFormula(k)
         return Verdict(kind="Linear", mode=mode, k=k, chi=chi, formula=formula,
                        growth_tag="Theta(n)", witness=dec)
+    # twins are searched only when no crossing path already rules the tree out
+    witness = (detect_crossing_path4(t) or detect_twin_crossing_paths(t) if cyclic
+               else _find_obstruction(t))
+    if witness is None:
+        found = "crossing path=none, twin paths=none" if cyclic else "obstruction=none"
+        raise RuntimeError("internal: decomposition and forbidden-configuration routes "
+                           f"disagree (decomposition=no: {dec.reason}, {found})")
     growth = "Omega(n log log n)" if cyclic else "Omega(n log n)"
     return Verdict(kind="NonLinear", mode=mode, k=k, chi=chi, growth_tag=growth,
                    witness=witness)

@@ -317,25 +317,26 @@ def _c01_linear_formula(seed: int) -> tuple[dict, list[str]]:
 def _route_sweep(order: str, obstructed: Callable, failures: list[str]) -> tuple[int, int]:
     """Each two-interval tree in ``order`` with 2..5 edges must decompose exactly
     when ``obstructed`` finds no forbidden configuration in it; returns the
-    numbers of trees and of (cg) z-trees seen. Each decomposition must be
-    valid for its tree (a cg one's linear part for the tree linearized at
-    its rotation): the library does not re-check what it builds."""
+    numbers of trees and of (cg) z-trees seen. classify_tree trusts the
+    decomposition route, so the gate holds the two routes against each other
+    here. Each decomposition must also be valid for its tree (a cg one's
+    linear part for the tree linearized at its rotation): the library does
+    not re-check what it builds."""
     trees = zs = 0
     for k in range(2, 6):
         for t in enumerate_trees(k, order, "chi2"):
             dec = _decompose(t)
-            decomposed = bool(dec)
+            decomposed, found = bool(dec), obstructed(t)
+            trees += 1
+            zs += decomposed
+            if decomposed == found:
+                failures.append(f"{t.mode} {t.edges}: decomposes={decomposed}, obstructed={found}")
             if decomposed:
                 args = (t, dec) if order == "linear" else (linearize(t, dec.rotation), dec.linear)
                 try:
                     validate_decomposition(*args)
                 except InputError as exc:
                     failures.append(f"{t.mode} {t.edges}: invalid decomposition: {exc}")
-            found = obstructed(t)
-            trees += 1
-            zs += decomposed
-            if decomposed == found:
-                failures.append(f"{t.mode} {t.edges}: decomposes={decomposed}, obstructed={found}")
     return trees, zs
 
 

@@ -121,6 +121,25 @@ def _last_fan_edge_dropped(real):
     return _z_scan
 
 
+def _accepts(edges, z_edges):
+    """The decomposition route accepts the tree on ``edges``, which has a
+    forbidden configuration, with the decomposition of the z-tree on
+    ``z_edges``; every other tree decomposes as before."""
+    def fault(real):
+        return lambda t: real(type(t)(t.n, z_edges)) if t.edges == edges else real(t)
+    return fault
+
+
+STAR5 = ((1, 2), (1, 3), (1, 4), (1, 5))
+
+
+def _ids(rows):
+    """Each row's check id; a check's later rows add the name they fault."""
+    first = {}
+    return [cid if first.setdefault(cid, target) == target else f"{cid}-{target.lstrip('_')}"
+            for cid, _, target, *_ in rows]
+
+
 # per check: a fault in what it compares, and the start of its detail
 ONE_FAULT_PER_CHECK = [
     ("c01", verify, "extremal_number", _value_one_high,
@@ -129,6 +148,11 @@ ONE_FAULT_PER_CHECK = [
      "ordered ((1, 2), (1, 3)): invalid decomposition: core and fans do not partition"),
     ("c03", trees, "_z_scan", _last_fan_edge_dropped,
      "cg ((1, 2), (1, 3)): invalid decomposition: core and fans do not partition"),
+    # classify_tree trusts the decomposition route: c02 and c03 hold it to the other
+    ("c02", trees, "_z_decompose", _accepts(((1, 3), (1, 4), (1, 5), (2, 4)), STAR5),
+     "ordered ((1, 3), (1, 4), (1, 5), (2, 4)): decomposes=True, obstructed=True"),
+    ("c03", trees, "_cg_z_decompose", _accepts(((1, 2), (1, 3), (2, 5), (4, 5)), STAR5),
+     "cg ((1, 2), (1, 3), (2, 5), (4, 5)): decomposes=True, obstructed=True"),
     ("c05", constructions, "_fh_edges", lambda real: lambda s, variant: real(s, variant)[:-1],
      "fh_q(1) edge count != 1"),
     ("c06", verify, "contains", lambda real: lambda host, pattern: True,
@@ -141,7 +165,7 @@ ONE_FAULT_PER_CHECK = [
 
 
 @pytest.mark.parametrize("cid, module, target, fault, named", ONE_FAULT_PER_CHECK,
-                         ids=[case[0] for case in ONE_FAULT_PER_CHECK])
+                         ids=_ids(ONE_FAULT_PER_CHECK))
 def test_fault_fails_its_check_on_its_own_line(monkeypatch, cid, module, target, fault, named):
     """A fault in what a check compares fails that check, and its detail is
     the check's own line for the first broken case, not an error raised

@@ -222,8 +222,9 @@ class TestValidationAndBudget:
     )
     def test_oracle_refuses_what_it_cannot_enumerate(
             self, host, pattern, reflected, error, message):
+        """The query is checked at the call, before the first embedding."""
         with pytest.raises(error, match=message):
-            next(oracle_iter_embeddings(host, pattern, allow_reflection=reflected))
+            oracle_iter_embeddings(host, pattern, allow_reflection=reflected)
 
     def test_reflected_limit_counts_both_passes(self):
         host = CgGraph(6, [(u, v) for u in range(1, 7) for v in range(u + 1, 7)])

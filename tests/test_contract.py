@@ -385,11 +385,6 @@ OLDER_REFUSAL_TESTS = {
     "test_solver.py::TestRefusalsAndValidation::test_non_int_n_rejected",
     "test_solver.py::TestRefusalsAndValidation::test_pattern_larger_than_host",
     "test_solver.py::TestRefusalsAndValidation::test_tiny_hosts_rejected",
-    "test_trees.py::TestClassify::test_non_graph_rejected",
-    "test_trees.py::TestEnumeration::test_bad_arguments_raise_at_the_call",
-    "test_trees.py::TestEnumeration::test_out_of_range_edge_count",
-    "test_trees.py::TestEnumeration::test_unknown_mode",
-    "test_trees.py::TestZDecompose::test_non_tree_rejected",
     "test_walks.py::TestColoredBipartite::test_edges_must_join_the_sides",
     "test_walks.py::TestColoredBipartite::test_improper_coloring_rejected",
     "test_walks.py::TestColoredBipartite::test_subgraph_rejects_malformed_edges",

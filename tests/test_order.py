@@ -398,6 +398,24 @@ class TestArithmeticTransforms:
             for r in range(-1, t.n + 2):
                 assert _linear_edges(t.n, linearize(t, r).edges, r) == t.edges
 
+    def test_linear_edges_match_the_modular_formula(self):
+        """The image built from two ranges equals v -> n - (v-1+r) mod n,
+        applied and then normalised in two steps, for every r, negative
+        ones included, on a spanning path and a complete graph per n."""
+        def modular(n, edges, r):
+            img = [0] + [n - (v + r) % n for v in range(n)]
+            mapped = [(img[u], img[v]) for u, v in edges]
+            return tuple(sorted((min(e), max(e)) for e in mapped))
+
+        for n in range(1, 10):
+            path = [(v, v + 1) for v in range(1, n)]
+            for edges in (path, list(combinations(range(1, n + 1), 2))):
+                for r in range(-2 * n, 2 * n):
+                    assert _linear_edges(n, edges, r) == modular(n, edges, r), (n, edges, r)
+        t = CgGraph(5, [(1, 2), (1, 3), (3, 4), (4, 5)])
+        for r in (-7, -2, -1):
+            assert linearize(t, r).edges == modular(5, t.edges, r)
+
     @given(colored_graphs())
     def test_drawn_graphs(self, g):
         check_against_references(g)

@@ -77,10 +77,6 @@ class TestZDecompose:
         assert dec
         assert sorted(dec.edges()) == sorted(t.edges)
 
-    def test_non_tree_rejected(self):
-        with pytest.raises(InputError):
-            z_decompose(OrderedGraph(3, [(1, 2), (1, 3), (2, 3)]))
-
     def test_star_hub_choice_is_stable(self):
         """Pure one-sided stars admit several hubs; the minimal-core rule
         picks one deterministically and the result must validate."""
@@ -303,22 +299,6 @@ class TestEnumeration:
         for t in enumerate_trees(3, "linear", "chi2"):
             assert chi_interval(t) == 2
 
-    def test_unknown_mode(self):
-        with pytest.raises(InputError):
-            enumerate_trees(2, "diagonal")
-
-    def test_out_of_range_edge_count(self):
-        """k > 6 is well-formed but over the enumeration budget."""
-        with pytest.raises(BudgetError, match="up to 6 edges"):
-            enumerate_trees(7, "linear")
-
-    @pytest.mark.parametrize("args", [(3, "bogus"), (2.0, "linear"), (True, "cyclic"),
-                                      (0, "linear"), (2, "linear", "bogus")])
-    def test_bad_arguments_raise_at_the_call(self, args):
-        """The checks run when the stream is built, not at its first item."""
-        with pytest.raises(InputError):
-            enumerate_trees(*args)
-
     @pytest.mark.parametrize("mode", ["linear", "cyclic"])
     def test_trees_equal_their_validated_builds(self, mode):
         """Enumerated trees skip validation; they must equal the graphs the
@@ -358,11 +338,6 @@ class TestClassify:
     def test_non_tree_not_applicable(self):
         v = classify_tree(OrderedGraph(4, [(1, 2)]))
         assert v.kind == "NotApplicable"
-
-    @pytest.mark.parametrize("t", ["x", None])
-    def test_non_graph_rejected(self, t):
-        with pytest.raises(InputError):
-            classify_tree(t)
 
     def test_formula_values(self):
         assert LinearFormula(2).value(5) == 4
@@ -713,8 +688,9 @@ def ref_classify_cg(t):
 
 
 class TestClassifyTwinSearch:
-    """classify_tree searches for twin crossing paths only when no crossing
-    4-edge path was found, since the crossing path alone decides then."""
+    """classify_tree searches for twin crossing paths only for a tree that
+    does not decompose and has no crossing 4-edge path, since either alone
+    decides then."""
 
     CROSSING = CgGraph(5, [(1, 2), (1, 3), (2, 5), (4, 5)])
 
@@ -733,13 +709,7 @@ class TestClassifyTwinSearch:
         star = CgGraph(5, [(1, 2), (1, 3), (1, 4), (1, 5)])
         assert isinstance(classify_tree(twins_only).witness, TwinCrossingPaths)
         assert classify_tree(star).kind == "Linear"
-        assert calls == [twins_only.edges, star.edges]
-
-    def test_disagreement_says_twins_were_not_searched(self, monkeypatch):
-        dec = cg_z_decompose(CgGraph(5, [(1, 2), (1, 3), (1, 4), (1, 5)]))
-        monkeypatch.setattr(trees, "cg_z_decompose", lambda t: dec)
-        with pytest.raises(RuntimeError, match="twin paths=not searched"):
-            classify_tree(self.CROSSING)
+        assert calls == [twins_only.edges]
 
     def test_verdicts_and_witnesses_unchanged(self):
         for k in range(1, 7):
@@ -811,6 +781,42 @@ class TestClassifyOneFlow:
         monkeypatch.setattr(trees, "_find_obstruction", lambda t: None)
         with pytest.raises(RuntimeError, match="decomposition=no: .*obstruction=none"):
             classify_tree(OrderedGraph(4, CROSSING_P3_EDGES))
+
+    def test_cg_disagreement_raises(self, monkeypatch):
+        monkeypatch.setattr(trees, "detect_crossing_path4", lambda t: None)
+        monkeypatch.setattr(trees, "detect_twin_crossing_paths", lambda t: None)
+        with pytest.raises(RuntimeError,
+                           match="decomposition=no: .*crossing path=none, twin paths=none"):
+            classify_tree(CgGraph(5, [(1, 2), (1, 3), (2, 5), (4, 5)]))
+
+    @pytest.mark.parametrize("cls", [OrderedGraph, CgGraph])
+    def test_z_tree_runs_no_configuration_route(self, monkeypatch, cls):
+        """The decomposition alone decides a z-tree: neither the catalog nor
+        either detector runs."""
+        calls = []
+        for name in ("_find_obstruction", "_crossing_path4", "_twin_crossing_paths"):
+            def counting(t, f=getattr(trees, name), name=name):
+                calls.append(name)
+                return f(t)
+
+            monkeypatch.setattr(trees, name, counting)
+        zs = 0
+        for k in range(1, 6):
+            for t in enumerate_trees(k, cls.order, "chi2"):
+                if classify_tree(t).kind == "Linear":
+                    zs += 1
+                    assert calls == [], t.edges
+                calls.clear()
+        assert zs == (47 if cls is OrderedGraph else 170)
+
+    def test_equal_quadratic_verdicts_are_equal(self):
+        """Two different trees with the same order, k and chi > 2 get equal
+        verdicts, which carry no witness, so one is built and shared."""
+        first = classify_tree(OrderedGraph(4, [(1, 2), (2, 3), (2, 4)]))
+        second = classify_tree(OrderedGraph(4, [(1, 2), (2, 4), (3, 4)]))
+        assert first is second
+        assert first == Verdict(kind="NonLinear", mode="linear", k=3, chi=3,
+                                          growth_tag="Theta(n^2)")
 
 
 class TestKeptResults:
