@@ -19,8 +19,10 @@ Conventions used throughout the package:
   one greedy scan, one mask test per vertex: the linear order is the circle
   cut after vertex n, and chi_cyclic tries the cuts after n, n - 1, ... in
   turn, stopping at the first that reaches the lower bound the first cut
-  sets: O(m + n^2) steps at worst for m edges, and O(m + n) when a cut near
-  the start is optimal.
+  sets. Only the cuts inside the first cut's last part, or just before it,
+  can reach it, so for m edges and a last part of w vertices that is
+  O(m + n(w + 1)) steps at worst, and O(m + n) when a cut near the start
+  is optimal.
 
 A graph is validated once, in its constructor: n, the endpoints and the
 colours must be ints, edges in range, loop-free and distinct. The transforms
@@ -418,10 +420,21 @@ def cyclic_split(g: CgGraph) -> tuple[int, ...]:
 
 
 def _cyclic_scan(g: CgGraph) -> tuple[int, ...]:
+    """The split of ``cyclic_split``, trying only the cuts that can win.
+
+    Cut c reads the circle as a line ending at vertex n - c, so its greedy
+    split is a fewest-parts split among those with a part ending there.
+    Cut 0's last part is b + 1..n, b = bounds[-2], and grew as far left as
+    it could: b has an edge into it. So every split of the circle ends some
+    part at one of b, ..., n; otherwise the arc holding b would run on
+    through n and hold that edge. Some optimal split does, so the first cut
+    that reaches the optimum is at most n - b, and the cuts after it are
+    never tried.
+    """
     adj = _adjacency_masks(g.n, g.edges)
     bounds = _split_scan(adj, 0, g.n)
     if len(bounds) > 2:
-        for cut in range(1, g.n):
+        for cut in range(1, g.n - bounds[-2] + 1):
             fewer = _split_scan(adj, cut, len(bounds) - 1)
             if fewer is not None:
                 return fewer

@@ -80,8 +80,11 @@ succeeds, in either order. Only the steps depend on the decomposition, so it
 is validated and compiled once into a cached plan, the steps down to one
 edge (for cg: unroll, mirror, then the plan of ``dec.linear``; at c = 0
 the z-scan re-splits the edge tuple, mirrored if b > 0); one loop peels a
-host's sorted edge list down the plan, takes its first remaining edge, and
-extends the image back up.
+host's per-vertex neighbour lists, built once per call, down the plan: a
+strip pops each vertex's longest rightward edge, a mirror flips an
+orientation flag and copies nothing. It then takes the first remaining edge
+and extends the image back up. So a call reads the host's edge list once
+instead of rebuilding and re-sorting it at every step.
 
 Below the threshold the algorithm may return None without certifying
 absence. Every returned embedding is checked by the containment validator.
@@ -356,18 +359,6 @@ def _checked_tree(dec: ZDecomposition) -> OrderedGraph:
     return tree
 
 
-def _strip_longest_right(edges, lo: int, hi: int):
-    """Delete each vertex's longest rightward edge for lo <= g <= hi.
-
-    Takes sorted edges and returns (the kept edges as a sorted tuple,
-    {g: far endpoint of the deleted edge}).
-    """
-    far = dict(edges)  # the edges are sorted: the last (g, w) is the longest
-    deleted = {g: far[g] for g in range(lo, hi + 1) if g in far}
-    gone = set(deleted.items())
-    return tuple(e for e in edges if e not in gone), deleted
-
-
 def _linear_steps(dec: ZDecomposition, steps: list) -> tuple:
     """Append to steps those of a valid decomposition, down to one edge, and
     return them all. The z-scan decomposes every tree derived here: the a
@@ -404,29 +395,63 @@ def _plan(dec: Union[ZDecomposition, CgZDecomposition]) -> tuple[_Graph, tuple]:
 def _run_plan(host: _Graph, steps: tuple) -> Optional[tuple[int, ...]]:
     """Peel the host's edges down the steps, take the first, extend back up.
 
-    Unroll peels nothing: a cg host's edges, read as a line, are the same
-    sorted list. A right step always re-extends. Its tree, less the top
-    ik-fan edge, has b vertices left of the hub ij and a + c - 1 right of i
-    (the core lies in [i, j]), so the image g of i lies in the stripped
-    range [b + 1, n - (a + c - 1)]. g keeps its edges to the images of j and
-    the ik-fan, so g had a rightward edge and its longest one was deleted;
-    the rightmost image is one of those kept neighbours, so the deleted edge
+    The edges live in per-vertex neighbour lists, built once: right[v] and
+    left[v] hold v's neighbours above and below it, ascending. A mirror step
+    flips an orientation flag and copies nothing: under the flag vertex g
+    is n + 1 - g, so a rightward edge of g is a leftward edge of
+    h = n + 1 - g and the longest one ends at left[h][0]. A right step pops
+    each stripped vertex's longest rightward edge from its own list and
+    removes it from the other endpoint's. Unroll peels nothing: a cg host's
+    edges, read as a line, are the same edges.
+
+    A right step always re-extends. Its tree, less the top ik-fan edge, has
+    b vertices left of the hub ij and a + c - 1 right of i (the core lies in
+    [i, j]), so the image g of i lies in the stripped range
+    [b + 1, n - (a + c - 1)]. g keeps its edges to the images of j and the
+    ik-fan, so g had a rightward edge and its longest one was deleted; the
+    rightmost image is one of those kept neighbours, so the deleted edge
     ends beyond every image.
     """
     n = host.n
-    edges = host.edges
+    right: list[list[int]] = [[] for _ in range(n + 1)]
+    left: list[list[int]] = [[] for _ in range(n + 1)]
+    for u, v in host.edges:  # sorted, so every list comes out ascending
+        right[u].append(v)
+        left[v].append(u)
+    flipped = False
     peeled = []
     for step in steps:
         kind = step[0]
         deleted = None
         if kind == "right":
-            edges, deleted = _strip_longest_right(edges, step[1], n - step[2])
+            deleted = {}
+            lo, hi = step[1], n - step[2]
+            if flipped:
+                for h in range(n + 1 - hi, n + 2 - lo):
+                    if left[h]:
+                        w = left[h].pop(0)
+                        right[w].remove(h)
+                        deleted[n + 1 - h] = n + 1 - w
+            else:
+                for g in range(lo, hi + 1):
+                    if right[g]:
+                        w = right[g].pop()
+                        left[w].remove(g)
+                        deleted[g] = w
         elif kind == "mirror":
-            edges = sorted((n + 1 - v, n + 1 - u) for u, v in edges)
+            flipped = not flipped
         peeled.append(deleted)
-    if not edges:
-        return None
-    images = edges[0]
+    # the first edge (u, v) in the current orientation: least u, then least v
+    if flipped:
+        v = next((v for v in range(n, 0, -1) if left[v]), 0)
+        if not v:
+            return None
+        images = (n + 1 - v, n + 1 - left[v][-1])
+    else:
+        u = next((u for u in range(1, n + 1) if right[u]), 0)
+        if not u:
+            return None
+        images = (u, right[u][0])
     for step, deleted in zip(reversed(steps), reversed(peeled)):
         kind = step[0]
         if kind == "right":

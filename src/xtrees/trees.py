@@ -312,35 +312,6 @@ def _norm(u: int, v: int) -> tuple[int, int]:
     return (u, v) if u < v else (v, u)
 
 
-def _paths_with_edges(t: _Graph, length: int) -> Iterator[tuple[int, ...]]:
-    """Every simple path with exactly ``length`` >= 1 edges, lazily and in
-    lexicographic order.
-
-    Paths are vertex sequences; each path appears once, oriented so that the
-    first vertex is smaller than the last. The depth-first search runs over
-    ascending start vertices and ascending neighbour lists, so it meets the
-    paths in lexicographic order and a caller can stop at the first it needs.
-    """
-    # not kept on t: the lists cost more memory than their rebuild costs time
-    nbrs = _adjacency_lists(t.n, t.edges)
-    for v in range(1, t.n + 1):
-        seq = [v]
-        stack = [iter(nbrs[v])]
-        while stack:
-            for w in stack[-1]:
-                if w in seq:
-                    continue
-                if len(seq) < length:
-                    seq.append(w)
-                    stack.append(iter(nbrs[w]))
-                    break
-                if v < w:
-                    yield (*seq, w)
-            else:
-                stack.pop()
-                seq.pop()
-
-
 @dataclass(frozen=True)
 class CrossingPath4:
     """A four-edge path two of whose edges cross."""
@@ -361,12 +332,35 @@ def detect_crossing_path4(t: CgGraph) -> Optional[CrossingPath4]:
 
 
 def _crossing_path4(t: CgGraph) -> Optional[CrossingPath4]:
-    for path in _paths_with_edges(t, 4):
-        edges = [_norm(path[x], path[x + 1]) for x in range(4)]
-        # edges next to each other on the path share a vertex and never cross
-        for x, y in ((0, 2), (0, 3), (1, 3)):
-            if _crosses(edges[x], edges[y]):
-                return CrossingPath4(path, (edges[x], edges[y]))
+    """The first four-edge path a-b-c-d-e with a crossing, each path read
+    from its smaller end (a < e). Nested loops over ascending neighbour
+    lists, skipping a repeated vertex, meet the paths in lexicographic
+    order. Edges next to each other on a path share a vertex and never
+    cross, so the pairs tested are ab-cd, ab-de and bc-de, in that order."""
+    # not kept on t: the lists cost more memory than their rebuild costs time
+    nbrs = _adjacency_lists(t.n, t.edges)
+    for a in range(1, t.n + 1):
+        for b in nbrs[a]:
+            ab = _norm(a, b)
+            for c in nbrs[b]:
+                if c == a:
+                    continue
+                bc = _norm(b, c)
+                for d in nbrs[c]:
+                    if d == a or d == b:
+                        continue
+                    cd = _norm(c, d)
+                    outer = _crosses(ab, cd)
+                    for e in nbrs[d]:
+                        if e <= a or e == b or e == c:
+                            continue
+                        if outer:
+                            return CrossingPath4((a, b, c, d, e), (ab, cd))
+                        de = _norm(d, e)
+                        if _crosses(ab, de):
+                            return CrossingPath4((a, b, c, d, e), (ab, de))
+                        if _crosses(bc, de):
+                            return CrossingPath4((a, b, c, d, e), (bc, de))
     return None
 
 
@@ -390,11 +384,21 @@ class TwinCrossingPaths:
 _TWIN_SEARCH_CAP = 1500
 
 
-def _self_crossing_paths3(t: CgGraph) -> list[tuple[int, ...]]:
-    return [
-        path for path in _paths_with_edges(t, 3)
-        if _crosses(_norm(path[0], path[1]), _norm(path[2], path[3]))
-    ]
+def _self_crossing_paths3(t: CgGraph) -> list[tuple[int, int, int, int]]:
+    """Every three-edge path a-b-c-d with a < d whose outer edges ab and cd
+    cross, in lexicographic order (nested loops as in ``_crossing_path4``)."""
+    nbrs = _adjacency_lists(t.n, t.edges)
+    out = []
+    for a in range(1, t.n + 1):
+        for b in nbrs[a]:
+            ab = _norm(a, b)
+            for c in nbrs[b]:
+                if c == a:
+                    continue
+                for d in nbrs[c]:
+                    if d > a and d != b and _crosses(ab, _norm(c, d)):
+                        out.append((a, b, c, d))
+    return out
 
 
 def _twin_pair_ok(p: tuple, q: tuple) -> Optional[int]:

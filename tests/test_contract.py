@@ -363,11 +363,6 @@ OLDER_REFUSAL_TESTS = {
     "test_constructions.py::TestPow2::test_needs_two_vertices",
     "test_containment.py::TestPinned::test_mode_mismatch_rejected",
     "test_containment.py::TestValidationAndBudget::test_validate_rejects_each_broken_rule",
-    "test_embed_dense.py::TestDecompositionChecks::test_linear_part_type_required",
-    "test_embed_dense.py::TestInputChecks::test_decomposition_type_required",
-    "test_embed_dense.py::TestInputChecks::test_non_graph_host_rejected",
-    "test_embed_dense.py::TestLinear::test_host_too_small",
-    "test_embed_dense.py::TestLinear::test_mode_mismatch",
     "test_io.py::test_malformed_documents",
     "test_io.py::test_non_integer_color_rejected",
     "test_io.py::test_non_integer_n_rejected",

@@ -2,8 +2,11 @@
 threshold (tight hosts included), graceful None below it, agreement with
 the recursive reference embedders, and strict validation of inputs."""
 
+import importlib.util
 import itertools
+import json
 import random
+from pathlib import Path
 from typing import Optional
 
 import pytest
@@ -11,10 +14,10 @@ from hypothesis import given, settings, strategies as st
 
 from xtrees import solver
 from xtrees.constructions import gstar
-from xtrees.containment import Embedding, validate_embedding
+from xtrees.containment import validate_embedding
 from xtrees.errors import InputError, NotApplicableError
 from xtrees.order import CgGraph, OrderedGraph, mirror
-from xtrees.solver import _strip_longest_right, embed_dense
+from xtrees.solver import embed_dense
 from xtrees.trees import (
     CgZDecomposition,
     ZDecomposition,
@@ -37,30 +40,6 @@ def _complete(n: int, cyclic: bool = False):
 
 
 Z3 = OrderedGraph(4, [(1, 3), (2, 3), (2, 4)])
-
-
-@st.composite
-def _hosts(draw):
-    n = draw(st.integers(min_value=2, max_value=10))
-    pairs = list(itertools.combinations(range(1, n + 1), 2))
-    return n, draw(st.lists(st.sampled_from(pairs), unique=True))
-
-
-class TestStripping:
-    """The edge strips read adjacency lists; the references scan the edges."""
-
-    @given(_hosts(), st.integers(min_value=1, max_value=10), st.integers(min_value=1, max_value=10))
-    def test_longest_right(self, host, lo, hi):
-        n, edges = host
-        deleted = {}
-        for g in range(lo, min(hi, n) + 1):
-            rights = [w for u, v in edges for w in (u, v) if g in (u, v) and w > g]
-            if rights:
-                deleted[g] = max(rights)
-        keep = [e for e in edges if e not in set(deleted.items())]
-        stripped, got = _strip_longest_right(OrderedGraph(n, edges).edges, lo, hi)
-        assert got == deleted
-        assert stripped == OrderedGraph(n, keep).edges
 
 
 class TestLinear:
@@ -94,13 +73,6 @@ class TestLinear:
             for n in range(k + 1, 10):
                 assert embed_dense(gstar(n, a, b, c), dec) is None
 
-    def test_mode_mismatch(self):
-        with pytest.raises(InputError):
-            embed_dense(_complete(5, cyclic=True), z_decompose(Z3))
-
-    def test_host_too_small(self):
-        with pytest.raises(InputError):
-            embed_dense(_complete(3), z_decompose(Z3))
 
 
 class TestCyclic:
@@ -142,15 +114,6 @@ class TestCyclic:
 
 
 class TestInputChecks:
-    def test_decomposition_type_required(self):
-        with pytest.raises(InputError):
-            embed_dense(_complete(5), "not a decomposition")
-
-    @pytest.mark.parametrize("host", [None, [(1, 2)], "host"])
-    def test_non_graph_host_rejected(self, host):
-        with pytest.raises(InputError):
-            embed_dense(host, z_decompose(Z3))
-
     def test_non_spanning_decomposition_rejected(self):
         dec = ZDecomposition(hub=(1, 3), core=((1, 3),), s_j=(), s_i=())
         with pytest.raises(InputError):
@@ -165,6 +128,16 @@ class TestInputChecks:
 def _ref_pattern_of(dec):
     edges = dec.edges()
     return OrderedGraph(len(edges) + 1, edges)
+
+
+def ref_strip_longest_right(edges, lo, hi):
+    """(the kept edges, {g: far end of g's deleted edge}) once each g in
+    lo..hi loses its longest rightward edge, by one scan of the edges."""
+    deleted = {}
+    for u, v in edges:
+        if lo <= u <= hi and v > deleted.get(u, 0):
+            deleted[u] = v
+    return [e for e in edges if deleted.get(e[0]) != e[1]], deleted
 
 
 def ref_embed_linear(host, dec) -> Optional[tuple]:
@@ -184,7 +157,7 @@ def ref_embed_linear(host, dec) -> Optional[tuple]:
             return None
         return tuple(host.n + 1 - sub[k + 1 - v] for v in range(1, k + 2))
     i = dec.hub[0]
-    keep, deleted = _strip_longest_right(host.edges, b + 1, host.n - a - c + 1)
+    keep, deleted = ref_strip_longest_right(host.edges, b + 1, host.n - a - c + 1)
     sub = ref_embed_linear(OrderedGraph(host.n, keep), ZDecomposition(dec.hub, dec.core, dec.s_j, dec.s_i[:-1]))
     if sub is None:
         return None
@@ -293,6 +266,29 @@ class TestAgainstReference:
         _agree(_random_host(rng, dec, _size(dec) + extra), dec)
 
 
+@st.composite
+def _drawn_hosts(draw):
+    """(host, dec): a decomposition of either order with <= 5 edges and a
+    host of its order on up to 10 vertices, each pair an edge or not."""
+    dec = draw(st.sampled_from([d for d in SMALL_DECS if isinstance(d, ZDecomposition)])
+               | st.sampled_from([d for d in SMALL_DECS if isinstance(d, CgZDecomposition)]))
+    n = draw(st.integers(_size(dec), 10))
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    cls = CgGraph if isinstance(dec, CgZDecomposition) else OrderedGraph
+    return cls(n, [e for e, k in zip(pairs, keep) if k]), dec
+
+
+class TestStripping:
+    """embed_dense peels per-vertex neighbour lists; the reference strips
+    by scanning the edge list (``ref_strip_longest_right``)."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_drawn_hosts())
+    def test_longest_right(self, case):
+        _agree(*case)
+
+
 class TestTightHosts:
     @staticmethod
     def _embed_every_tree(order: str) -> int:
@@ -366,10 +362,6 @@ class TestDecompositionChecks:
         with pytest.raises(InputError):
             embed_dense(_complete(5, cyclic=True), CgZDecomposition(0, dec))
 
-    def test_linear_part_type_required(self):
-        with pytest.raises(InputError):
-            embed_dense(_complete(5, cyclic=True), CgZDecomposition(0, None))
-
     @pytest.mark.parametrize("rotation", [1.0, "1", None, True])
     def test_rotation_must_be_int(self, rotation):
         dec = cg_z_decompose(CgGraph(3, [(1, 2), (2, 3)]))
@@ -427,3 +419,21 @@ class TestDecompositionChecks:
         assert embed_dense(_complete(6, cyclic=True), cdec) is not None
         with pytest.raises(InputError):
             embed_dense(_complete(6, cyclic=True), CgZDecomposition(float(cdec.rotation), cdec.linear))
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_embed_digest_is_pinned():
+    """One sha256 over a fixed seeded set of embed_dense calls (both orders,
+    every (cg) z-tree with <= 4 edges, hosts on up to 12 vertices near the
+    threshold) equals the digest in tests/data/embed_digest.json, so a
+    change to the embedder returns the same images, or None, on each host.
+    ``scripts/pin_embed_digest.py`` computes it and rewrites the file."""
+    spec = importlib.util.spec_from_file_location(
+        "pin_embed_digest", ROOT / "scripts" / "pin_embed_digest.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    pinned = json.loads((ROOT / "tests" / "data" / "embed_digest.json").read_text())
+    digest, calls = script.embed_digest()
+    assert {"calls": calls, "sha256": digest} == pinned

@@ -5,7 +5,7 @@ import random
 from itertools import combinations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from xtrees import order
 from xtrees.errors import InputError
@@ -293,22 +293,22 @@ def ref_rotate(g, r):
 
 
 def ref_interval_bounds(g):
-    s = [0] * (g.n + 1)
-    left_nbrs = [[] for _ in range(g.n + 1)]
-    for u, v in g.edges:
-        left_nbrs[v].append(u)
-    cur = 1
-    for e in range(1, g.n + 1):
-        for u in left_nbrs[e]:
-            cur = max(cur, u + 1)
-        s[e] = cur
-    dp = [0] * (g.n + 1)
-    back = [0] * (g.n + 1)
-    for e in range(1, g.n + 1):
-        dp[e] = dp[s[e] - 1] + 1
-        back[e] = s[e] - 1
+    return ref_line_bounds(g.n, g.edges)
+
+
+def ref_line_bounds(n, edges):
+    """The split of 1..n from its right end: the widest part ending at e
+    starts just after the farthest-left neighbour of e or of a vertex
+    before it in the part, back[e]."""
+    reach = [0] * (n + 1)  # reach[b]: the left end of the longest edge ending at b
+    for u, v in edges:
+        a, b = (u, v) if u < v else (v, u)
+        reach[b] = max(reach[b], a)
+    back = [0] * (n + 1)
+    for e in range(1, n + 1):
+        back[e] = max(back[e - 1], reach[e])
     bounds = []
-    e = g.n
+    e = n
     while e > 0:
         bounds.append(e)
         e = back[e]
@@ -316,11 +316,14 @@ def ref_interval_bounds(g):
 
 
 def ref_cyclic_bounds(g):
+    """The fewest-parts split of the first of all n cuts that reaches the
+    fewest parts: rotation r puts cut r at the end of the line."""
     if not g.edges:
         return (g.n,)
     best = None
     for r in range(g.n):
-        split = ref_interval_bounds(ref_rotate(g, r))
+        split = ref_line_bounds(g.n, [((u - 1 + r) % g.n + 1, (v - 1 + r) % g.n + 1)
+                                      for u, v in g.edges])
         if best is None or len(split) < len(best):
             best = tuple(sorted(((b - 1 - r) % g.n) + 1 for b in split))
             if len(split) == 2:
@@ -479,6 +482,43 @@ def trees_and_graphs(draw):
     if draw(st.booleans()):
         colors = draw(st.lists(st.integers(1, 4), min_size=len(es), max_size=len(es)))
     return cls(n, es, colors=colors)
+
+
+@st.composite
+def dense_or_sparse_cg_graphs(draw, min_n, max_n):
+    """A cg graph on min_n..max_n vertices: each pair an edge or not, or a
+    short drawn edge list."""
+    n = draw(st.integers(min_value=min_n, max_value=max_n))
+    pairs = list(combinations(range(1, n + 1), 2))
+    if draw(st.booleans()):
+        keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+        return CgGraph(n, [e for e, k in zip(pairs, keep) if k])
+    return CgGraph(n, draw(_edges(n)))
+
+
+class TestCyclicCuts:
+    """chi_cyclic and cyclic_split try only the cuts inside cut 0's last
+    part or just before it; the reference tries every cut."""
+
+    @staticmethod
+    def check(g):
+        split = ref_cyclic_bounds(g)
+        assert chi_cyclic(g) == len(split), g.edges
+        assert cyclic_split(g) == split, g.edges
+
+    def test_every_cg_graph_up_to_6_vertices(self):
+        graphs = 0
+        for n in range(1, 7):
+            pairs = list(combinations(range(1, n + 1), 2))
+            for mask in range(1 << len(pairs)):
+                self.check(CgGraph(n, [e for x, e in enumerate(pairs) if mask >> x & 1]))
+                graphs += 1
+        assert graphs == 33867
+
+    @settings(max_examples=400, deadline=None)
+    @given(dense_or_sparse_cg_graphs(7, 12))
+    def test_drawn_cg_graphs_on_7_to_12_vertices(self, g):
+        self.check(g)
 
 
 class TestTreeFlag:

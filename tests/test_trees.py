@@ -611,8 +611,6 @@ class TestAgainstReferences:
     @settings(max_examples=150, deadline=None)
     @given(cg_graphs())
     def test_paths_and_detectors(self, g):
-        for length in range(1, 5):
-            assert list(trees._paths_with_edges(g, length)) == ref_paths_with_edges(g, length)
         assert detect_crossing_path4(g) == ref_detect_crossing_path4(g)
         assert outcome(detect_twin_crossing_paths, g) == outcome(ref_detect_twin_crossing_paths, g)
 
