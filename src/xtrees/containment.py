@@ -17,6 +17,7 @@ reflection, deduplication and independent validation.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
@@ -187,9 +188,12 @@ def validate_embedding(host: _Graph, pattern: _Graph, emb: Embedding) -> bool:
         if any(rel[i] >= rel[i + 1] for i in range(len(rel) - 1)):
             direction = "reversed" if emb.reflected else "clockwise"
             raise InputError(f"map does not follow the {direction} cyclic order")
-    host_edges = host.edge_set
+    # host.edges is sorted: every constructor and _Graph._trusted keep it so
+    edges = host.edges
     for u, v in pattern.edges:
         a, b = m[u - 1], m[v - 1]
-        if (min(a, b), max(a, b)) not in host_edges:
+        e = (min(a, b), max(a, b))
+        i = bisect_left(edges, e)
+        if i == len(edges) or edges[i] != e:
             raise InputError(f"pattern edge {u}{v} maps to the non-edge {a}{b}")
     return True
